@@ -8,7 +8,6 @@ reduced one for simulation and asymptotics at any n, together with the
 critical hopping rate gamma_star and the run time pi*n^(k/2)/(2*sqrt(k!)).
 """
 
-from ._kernels import BACKEND
 from .coupling import (
     ScaledParams,
     eta_star,
@@ -24,6 +23,7 @@ from .dynamics import (
     ScanResult,
     evolve,
     find_peak,
+    reduced_eig,
     run_time,
     scan,
     success_probability,
@@ -75,7 +75,6 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BracketError",
     "CapacityError",
     "DEFAULT_FULL_CAP",
@@ -115,6 +114,7 @@ __all__ = [
     "p_ell_scaled",
     "r_ell",
     "rank_subset",
+    "reduced_eig",
     "reduced_hamiltonian",
     "reduced_initial_state",
     "reduced_marked_state",

@@ -1,11 +1,16 @@
 """Unitary time evolution and success-probability evaluation.
 
 Evolution is exact: the (real symmetric) Hamiltonian is diagonalized once
-by cyclic Jacobi rotations and exp(-iHt) is applied in the eigenbasis, so
-no step-size or truncation tolerance enters anywhere downstream.  The
-walker starts in the uniform superposition; the success probability at
-time t is |<w| exp(-iHt) |s>|^2, evaluated in the (k+1)-dimensional
-reduced model where |s> = e_0 and |w> = p.
+by LAPACK (``numpy.linalg.eigh``) and exp(-iHt) is applied in the
+eigenbasis, so no step-size or truncation tolerance enters anywhere
+downstream.  The walker starts in the uniform superposition; the success
+probability at time t is |<w| exp(-iHt) |s>|^2, evaluated in the
+(k+1)-dimensional reduced model where |s> = e_0 and |w> = p.
+
+The reduced model is always solved in shifted coordinates (see
+:func:`reduced_eig`): its matrix is diagonalized after adding
+gamma*lambda_0 to the diagonal, which makes the level gaps exact integers
+and keeps the tiny gap between the two lowest levels to more digits.
 """
 
 import math
@@ -14,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import BracketError, DomainError, NumericalError
 from .johnson import GraphParams
-from .spectral import reduced_hamiltonian, reduced_marked_state
+from .spectral import SpectralData, spectral_data
 
 _PEAK_COARSE_SAMPLES = 2001
 _PEAK_REL_TOL = 1e-6
@@ -43,33 +47,51 @@ class ScanResult:
 
 
 def sym_eig(matrix: np.ndarray) -> EigDecomp:
-    """Eigendecomposition of a real symmetric matrix via cyclic Jacobi.
+    """Eigendecomposition of a real symmetric matrix via LAPACK ``eigh``.
 
-    Stops when the off-diagonal Frobenius norm drops below
-    1e-14 * ||M||_F, with a budget of 100 sweeps; the returned
+    Non-finite input is refused with :class:`DomainError`.  The returned
     decomposition is checked for orthonormality (1e-12) and for the
     reconstruction residual ||MV - V diag|| (1e-10 relative to the
-    largest entry).
+    largest entry); a NaN residual fails that check too.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
-    values, vectors, sweeps, off, converged = _kernels.jacobi_eigh(matrix)
-    if not converged:
-        raise NumericalError(
-            f"Jacobi did not converge in {_kernels.JACOBI_MAX_SWEEPS} sweeps; "
-            f"off-diagonal norm {off:.3e}"
-        )
+    if not np.all(np.isfinite(matrix)):
+        raise DomainError("matrix has non-finite entries")
+    values, vectors = np.linalg.eigh(matrix)
     dim = matrix.shape[0]
     ortho = np.max(np.abs(vectors.T @ vectors - np.eye(dim)))
     recon = np.max(np.abs(matrix @ vectors - vectors * values))
     scale = 1.0 + np.max(np.abs(matrix))
-    if ortho > 1e-12 or recon > 1e-10 * scale:
+    if not (ortho <= 1e-12 and recon <= 1e-10 * scale):
         raise NumericalError(
             f"eigendecomposition residuals too large: orthonormality {ortho:.3e}, "
             f"reconstruction {recon:.3e} (scale {scale:.3e})"
         )
     return EigDecomp(values=values, vectors=vectors)
+
+
+def reduced_eig(
+    params: GraphParams, gamma: float, sd: SpectralData | None = None
+) -> EigDecomp:
+    """Eigendecomposition of the reduced Hamiltonian -gamma*diag(lambda) - p p^T.
+
+    Solved in shifted coordinates: the decomposed matrix is
+    gamma*diag(lambda_0 - lambda_l) - p p^T, whose level gaps
+    lambda_0 - lambda_l = l(n-l+1) are exact integers, and -gamma*lambda_0
+    is added back to its eigenvalues.  ``sd`` is the instance's
+    :func:`spectral_data`, computed here when not given.
+    """
+    if not gamma > 0:
+        raise DomainError(f"gamma must be positive, got {gamma}")
+    if sd is None:
+        sd = spectral_data(params)
+    p = sd.overlaps
+    shifted = sym_eig(gamma * np.diag(sd.lambdas[0] - sd.lambdas) - np.outer(p, p))
+    return EigDecomp(
+        values=shifted.values - gamma * sd.lambdas[0], vectors=shifted.vectors
+    )
 
 
 def evolve(dec: EigDecomp, psi0: np.ndarray, t: float) -> np.ndarray:
@@ -103,12 +125,15 @@ def _clamp_probs(probs):
     return np.clip(probs, 0.0, 1.0)
 
 
-def _reduced_transition(params: GraphParams, gamma: float):
+def _reduced_transition(
+    params: GraphParams, gamma: float, sd: SpectralData | None = None
+):
     # One decomposition serves every time sample: the amplitude is
     # <p| V e^{-iEt} V^T |e_0> = sum_j (V[0,j] * (V^T p)_j) e^{-iE_j t}.
-    red = reduced_hamiltonian(params, gamma)
-    dec = sym_eig(red.matrix)
-    weights = dec.vectors[0, :] * (dec.vectors.T @ reduced_marked_state(params))
+    if sd is None:
+        sd = spectral_data(params)
+    dec = reduced_eig(params, gamma, sd)
+    weights = dec.vectors[0, :] * (dec.vectors.T @ sd.overlaps)
     return dec, weights
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import CapacityError, DomainError
 
 # Dense N x N work stays cheap (seconds, well under 0.1 GB) up to this many
@@ -157,7 +156,13 @@ def _check_cap(params: GraphParams, cap: int) -> int:
 def adjacency_matrix(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:
     """Dense N x N 0/1 adjacency of J(n,k); rows sum to the degree k(n-k)."""
     elems = vertex_elements(params, cap)
-    return _kernels.adjacency_dense(elems, params.n)
+    # 0/1 incidence rows; pairwise intersection sizes via one matmul.
+    # Counts are small integers, so float64 comparison is exact.
+    n_v, k = elems.shape
+    inc = np.zeros((n_v, params.n), dtype=np.float64)
+    inc[np.arange(n_v)[:, None], elems - 1] = 1.0
+    common = inc @ inc.T
+    return (common == float(k - 1)).astype(np.float64)
 
 
 def distance_partition(
@@ -190,11 +195,23 @@ def full_hamiltonian(
     params: GraphParams, gamma: float, w: int, cap: int = DEFAULT_FULL_CAP
 ) -> np.ndarray:
     """Search Hamiltonian -gamma*A - |w><w| on the full N-dimensional space."""
+    return search_hamiltonian(adjacency_matrix(params, cap), gamma, w, overwrite_a=True)
+
+
+def search_hamiltonian(
+    a: np.ndarray, gamma: float, w: int, overwrite_a: bool = False
+) -> np.ndarray:
+    """-gamma*A - |w><w| from a dense adjacency A that is already built.
+
+    With ``overwrite_a`` the result is formed in A's own buffer, which saves
+    one N x N array; otherwise A is left unchanged.
+    """
     if not gamma > 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    n_vert = params.num_vertices
+    n_vert = a.shape[0]
     if not 0 <= w < n_vert:
         raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")
-    h = -gamma * adjacency_matrix(params, cap)
+    h = a if overwrite_a else a.copy()
+    h *= -gamma
     h[w, w] -= 1.0
     return h

@@ -104,9 +104,12 @@ def reduced_hamiltonian(params: GraphParams, gamma: float) -> ReducedHamiltonian
     """Exact (k+1) x (k+1) matrix -gamma*diag(lambda) - p p^T."""
     if not gamma > 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    sd = spectral_data(params)
-    matrix = -gamma * np.diag(sd.lambdas) - np.outer(sd.overlaps, sd.overlaps)
+    matrix = _reduced_matrix(spectral_data(params), gamma)
     return ReducedHamiltonian(params=params, gamma=gamma, matrix=matrix)
+
+
+def _reduced_matrix(sd: SpectralData, gamma: float) -> np.ndarray:
+    return -gamma * np.diag(sd.lambdas) - np.outer(sd.overlaps, sd.overlaps)
 
 
 def reduced_initial_state(params: GraphParams) -> np.ndarray:

@@ -24,8 +24,10 @@ import numpy as np
 from . import coupling
 from .dynamics import (
     _probs_at,
+    _reduced_transition,
     find_peak,
     peak_bracket,
+    reduced_eig,
     run_time,
     success_probability,
     sym_eig,
@@ -37,12 +39,12 @@ from .johnson import (
     adjacency_matrix,
     distance_partition,
     full_hamiltonian,
+    search_hamiltonian,
 )
 from .spectral import (
+    _reduced_matrix,
     multiplicity,
     overlap_sq_factorial,
-    reduced_hamiltonian,
-    reduced_marked_state,
     spectral_data,
 )
 
@@ -90,13 +92,22 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def _full_transition(params, gamma, w, cap):
-    h = full_hamiltonian(params, gamma, w, cap)
+def _full_curve(h, w, times):
+    # Success curve of the uniform start state under a dense search Hamiltonian.
     dec = sym_eig(h)
-    n_vert = params.num_vertices
+    n_vert = h.shape[0]
     start = np.full(n_vert, 1.0 / math.sqrt(n_vert))
     weights = dec.vectors[w, :] * (dec.vectors.T @ start)
-    return dec, weights
+    return _probs_at(dec, weights, times)
+
+
+def _reduced_curve(params, gamma, times, sd=None):
+    dec, weights = _reduced_transition(params, gamma, sd)
+    return _probs_at(dec, weights, times)
+
+
+def _curve_distance(probs1, probs2) -> float:
+    return float(np.max(np.abs(probs1 - probs2)))
 
 
 def compare_full_reduced(
@@ -114,13 +125,8 @@ def compare_full_reduced(
     everything the reduced model is used for.
     """
     times = np.asarray(times, dtype=np.float64)
-    dec_f, wts_f = _full_transition(params, gamma, w, cap)
-    probs_full = _probs_at(dec_f, wts_f, times)
-    red = reduced_hamiltonian(params, gamma)
-    dec_r = sym_eig(red.matrix)
-    wts_r = dec_r.vectors[0, :] * (dec_r.vectors.T @ reduced_marked_state(params))
-    probs_red = _probs_at(dec_r, wts_r, times)
-    return float(np.max(np.abs(probs_full - probs_red)))
+    probs_full = _full_curve(full_hamiltonian(params, gamma, w, cap), w, times)
+    return _curve_distance(probs_full, _reduced_curve(params, gamma, times))
 
 
 def compare_marked_vertices(
@@ -137,19 +143,18 @@ def compare_marked_vertices(
     exactly that.
     """
     times = np.asarray(times, dtype=np.float64)
-    dec1, wts1 = _full_transition(params, gamma, w1, cap)
-    dec2, wts2 = _full_transition(params, gamma, w2, cap)
-    return float(np.max(np.abs(_probs_at(dec1, wts1, times) - _probs_at(dec2, wts2, times))))
+    a = adjacency_matrix(params, cap)
+    return _curve_distance(
+        _full_curve(search_hamiltonian(a, gamma, w1), w1, times),
+        _full_curve(search_hamiltonian(a, gamma, w2), w2, times),
+    )
 
 
-def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> ValidationReport:
-    """Dense adjacency spectrum against the closed-form eigenvalues and
-    multiplicities; values within 1e-8, multiplicities exact."""
-    sd = spectral_data(params)
+def _spectrum_report(params, sd, dense_values) -> ValidationReport:
     spacings = -np.diff(sd.lambdas)
     if np.min(spacings) <= 2 * _CLUSTER_TOL:  # pragma: no cover - needs n < 2k
         raise NumericalError("closed-form eigenvalues too close to cluster safely")
-    dense = np.sort(sym_eig(adjacency_matrix(params, cap)).values)
+    dense = np.sort(dense_values)
     expanded = np.concatenate(
         [np.full(m, lam) for lam, m in zip(sd.lambdas[::-1], sd.mults[::-1])]
     )
@@ -168,6 +173,26 @@ def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> Validati
     )
 
 
+def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> ValidationReport:
+    """Dense adjacency spectrum against the closed-form eigenvalues and
+    multiplicities; values within 1e-8, multiplicities exact."""
+    dense = sym_eig(adjacency_matrix(params, cap)).values
+    return _spectrum_report(params, spectral_data(params), dense)
+
+
+def _invariance_residual(a, part) -> float:
+    n_vert = a.shape[0]
+    basis = np.zeros((n_vert, len(part.classes)))
+    for ell, ids in enumerate(part.classes):
+        basis[ids, ell] = 1.0 / math.sqrt(len(ids))
+    worst = 0.0
+    for ell in range(len(part.classes)):
+        image = a @ basis[:, ell]
+        residual = image - basis @ (basis.T @ image)
+        worst = max(worst, float(np.linalg.norm(residual)))
+    return worst
+
+
 def check_partition_invariance(
     params: GraphParams, w: int, cap: int = DEFAULT_FULL_CAP
 ) -> float:
@@ -177,31 +202,20 @@ def check_partition_invariance(
     max_l || (I - B B^T) A |nu_l> ||; zero in exact arithmetic.
     """
     a = adjacency_matrix(params, cap)
-    part = distance_partition(params, w, cap)
-    n_vert = params.num_vertices
-    basis = np.zeros((n_vert, params.k + 1))
-    for ell, ids in enumerate(part.classes):
-        basis[ids, ell] = 1.0 / math.sqrt(len(ids))
-    worst = 0.0
-    for ell in range(params.k + 1):
-        image = a @ basis[:, ell]
-        residual = image - basis @ (basis.T @ image)
-        worst = max(worst, float(np.linalg.norm(residual)))
-    return worst
+    return _invariance_residual(a, distance_partition(params, w, cap))
 
 
-def _eigenspace_basis_at_marked(params, w, cap):
+def _embedding_residual(sd, dec_a, h, gamma, w) -> float:
     # Columns P_l|w> / ||P_l|w>|| computed from the dense adjacency
     # eigendecomposition by clustering eigenvalues to closed-form levels.
-    sd = spectral_data(params)
-    dec = sym_eig(adjacency_matrix(params, cap))
-    basis = np.zeros((params.num_vertices, params.k + 1))
+    basis = np.zeros((h.shape[0], len(sd.lambdas)))
     for ell, lam in enumerate(sd.lambdas):
-        sel = np.abs(dec.values - lam) <= _CLUSTER_TOL
-        vecs = dec.vectors[:, sel]
+        sel = np.abs(dec_a.values - lam) <= _CLUSTER_TOL
+        vecs = dec_a.vectors[:, sel]
         proj_w = vecs @ vecs[w, :]
         basis[:, ell] = proj_w / np.linalg.norm(proj_w)
-    return basis
+    conjugated = basis.T @ h @ basis
+    return float(np.max(np.abs(conjugated - _reduced_matrix(sd, gamma))))
 
 
 def reduced_embedding_residual(
@@ -209,16 +223,13 @@ def reduced_embedding_residual(
 ) -> float:
     """Max entrywise difference between B^T H_full B and the reduced matrix,
     B being the orthonormal basis P_l|w>/p_l of the invariant subspace."""
-    basis = _eigenspace_basis_at_marked(params, w, cap)
-    h = full_hamiltonian(params, gamma, w, cap)
-    conjugated = basis.T @ h @ basis
-    red = reduced_hamiltonian(params, gamma).matrix
-    return float(np.max(np.abs(conjugated - red)))
+    a = adjacency_matrix(params, cap)
+    h = search_hamiltonian(a, gamma, w)
+    return _embedding_residual(spectral_data(params), sym_eig(a), h, gamma, w)
 
 
 def overlap_consistency_residual(params: GraphParams) -> float:
     """Worst relative disagreement between the two routes to p_l^2."""
-    sd = spectral_data(params)
     worst = 0.0
     for ell in range(params.k + 1):
         via_mult = multiplicity(params, ell) / params.num_vertices
@@ -230,8 +241,8 @@ def overlap_consistency_residual(params: GraphParams) -> float:
 def asymptotics_row(params: GraphParams) -> SweepRow:
     """All convergence-study quantities of one instance at the critical coupling."""
     gamma = coupling.gamma_star(params)
-    red = reduced_hamiltonian(params, gamma)
-    dec = sym_eig(red.matrix)
+    sd = spectral_data(params)
+    dec = reduced_eig(params, gamma, sd)
     gap = float(dec.values[1] - dec.values[0])
     if gap < 1e-14:
         raise NumericalError(
@@ -241,7 +252,6 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
     t_run = run_time(params)
     scale = float(params.n) ** (params.k / 2) / (2.0 * math.sqrt(math.factorial(params.k)))
     ground = dec.vectors[:, 0]
-    marked = reduced_marked_state(params)
     t_peak, p_peak = find_peak(params, gamma, peak_bracket(params))
     return SweepRow(
         n=params.n,
@@ -255,7 +265,7 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
         gap_ratio=gap * scale,
         phase=gap * t_run,
         s_overlap_sq=float(ground[0] ** 2),
-        w_overlap_sq=float(np.dot(marked, ground) ** 2),
+        w_overlap_sq=float(np.dot(sd.overlaps, ground) ** 2),
     )
 
 
@@ -280,32 +290,35 @@ def convergence_sweep(k: int, n_list, jobs: int = 1) -> list:
 def validate_instance(
     params: GraphParams, w: int = 0, cap: int = DEFAULT_FULL_CAP
 ) -> ValidationReport:
-    """Every full-space check on one instance, aggregated for reporting."""
+    """Every full-space check on one instance, aggregated for reporting.
+
+    The adjacency A and the spectral data are built once, and A, H_w and
+    H_w2 (w2 = w + 1 mod N, for vertex independence) are each
+    eigendecomposed once; the checks share them.
+    """
+    a = adjacency_matrix(params, cap)
+    part = distance_partition(params, w, cap)
+    sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
     times = np.linspace(0.0, 2.0 * run_time(params), 64)
-    spectrum = check_spectrum(params, cap)
+    dec_a = sym_eig(a)
+    h = search_hamiltonian(a, gamma, w)
+    probs_w = _full_curve(h, w, times)
     w2 = (w + 1) % params.num_vertices
-    checks = spectrum.checks + (
+    probs_w2 = _full_curve(search_hamiltonian(a, gamma, w2), w2, times)
+    checks = _spectrum_report(params, sd, dec_a.values).checks + (
         CheckResult(
             "overlap_consistency", overlap_consistency_residual(params), 1e-13
         ),
+        CheckResult("partition_invariance", _invariance_residual(a, part), 1e-12),
         CheckResult(
-            "partition_invariance", check_partition_invariance(params, w, cap), 1e-12
-        ),
-        CheckResult(
-            "reduced_embedding",
-            reduced_embedding_residual(params, gamma, w, cap),
-            1e-10,
+            "reduced_embedding", _embedding_residual(sd, dec_a, h, gamma, w), 1e-10
         ),
         CheckResult(
             "oracle_equivalence",
-            compare_full_reduced(params, gamma, w, times, cap),
+            _curve_distance(probs_w, _reduced_curve(params, gamma, times, sd)),
             1e-9,
         ),
-        CheckResult(
-            "vertex_independence",
-            compare_marked_vertices(params, gamma, w, w2, times, cap),
-            1e-10,
-        ),
+        CheckResult("vertex_independence", _curve_distance(probs_w, probs_w2), 1e-10),
     )
     return ValidationReport(label=f"J({params.n},{params.k})", checks=checks)

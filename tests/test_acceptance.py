@@ -56,8 +56,7 @@ def test_criterion_1_oracle_equivalence():
         assert diff <= 1e-9, f"{params}: full/reduced differ by {diff:.3e}"
         worst = max(worst, diff)
     elapsed = time.perf_counter() - start
-    if qw.BACKEND == "numba":  # the numpy fallback trades speed for portability
-        assert elapsed < 60.0
+    assert elapsed < 60.0
     report(1, f"full vs reduced <= 1e-9 on all k<=3, n<=12 grids "
               f"(worst {worst:.3e}, {elapsed:.1f}s)")
 

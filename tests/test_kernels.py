@@ -1,11 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import qwsearch as qw
-from qwsearch import _kernels
+from qwsearch.errors import DomainError
 from qwsearch.johnson import vertex_elements
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
 
 
 def random_symmetric(rng, dim):
@@ -13,76 +13,56 @@ def random_symmetric(rng, dim):
     return (m + m.T) / 2
 
 
-def test_backend_selected():
-    assert _kernels.BACKEND in ("numba", "numpy")
-
-
-@needs_numba
-def test_jacobi_backends_agree():
-    rng = np.random.default_rng(123)
-    for dim in (1, 2, 3, 10, 45):
-        m = random_symmetric(rng, dim)
-        v_nb, vec_nb, *_ = _kernels.jacobi_eigh_numba(m)
-        v_np, vec_np, *_ = _kernels.jacobi_eigh_numpy(m)
-        assert np.max(np.abs(v_nb - v_np)) <= 1e-12 * (1 + np.max(np.abs(m)))
-
-
-@pytest.mark.parametrize(
-    "solver", [jacobi for jacobi in (_kernels.jacobi_eigh_numpy, _kernels.jacobi_eigh_numba)]
-)
-def test_jacobi_against_lapack(solver):
-    # numpy.linalg.eigh is an independent oracle for both backends
-    if solver is _kernels.jacobi_eigh_numba and not _kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
+def test_sym_eig_agrees_with_eigvalsh():
     rng = np.random.default_rng(7)
     for dim in (2, 6, 33, 80):
         m = random_symmetric(rng, dim)
-        values, vectors, sweeps, off, ok = solver(m)
-        assert ok
+        dec = qw.sym_eig(m)
         ref = np.linalg.eigvalsh(m)
-        assert np.max(np.abs(values - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
-        assert np.max(np.abs(vectors.T @ vectors - np.eye(dim))) <= 1e-12
+        assert np.max(np.abs(dec.values - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+        assert np.max(np.abs(dec.vectors.T @ dec.vectors - np.eye(dim))) <= 1e-12
 
 
-def test_jacobi_converges_instantly_on_diagonal():
-    values, vectors, sweeps, off, ok = _kernels.jacobi_eigh_numpy(np.diag([2.0, -1.0]))
-    assert ok and sweeps == 0 and off == 0.0
-    values, vectors, sweeps, off, ok = _kernels.jacobi_eigh_numpy(np.zeros((3, 3)))
-    assert ok and sweeps == 0
+def test_sym_eig_diagonal_and_zero_matrices():
+    dec = qw.sym_eig(np.diag([2.0, -1.0]))
+    assert np.array_equal(dec.values, [-1.0, 2.0])
+    assert np.array_equal(np.abs(dec.vectors), [[0.0, 1.0], [1.0, 0.0]])
+    dec = qw.sym_eig(np.zeros((3, 3)))
+    assert np.array_equal(dec.values, np.zeros(3))
+    assert np.max(np.abs(dec.vectors.T @ dec.vectors - np.eye(3))) <= 1e-15
 
 
-def test_jacobi_handles_denormal_offdiagonals():
+def test_sym_eig_handles_denormal_offdiagonals():
     m = np.diag([3.0, 1.0, 2.0])
     m[0, 1] = m[1, 0] = 1e-310
     m[1, 2] = m[2, 1] = 5e-320
-    for solver in (_kernels.jacobi_eigh_numpy,) + (
-        (_kernels.jacobi_eigh_numba,) if _kernels.HAVE_NUMBA else ()
-    ):
-        values, *_ = solver(m)
-        assert np.allclose(values, [1.0, 2.0, 3.0], atol=1e-12)
+    assert np.allclose(qw.sym_eig(m).values, [1.0, 2.0, 3.0], atol=1e-12)
 
 
-def test_jacobi_deterministic_rerun():
+def test_sym_eig_deterministic_rerun():
     rng = np.random.default_rng(99)
     m = random_symmetric(rng, 25)
-    v1, vec1, *_ = _kernels.jacobi_eigh(m)
-    v2, vec2, *_ = _kernels.jacobi_eigh(m)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(vec1, vec2)
+    first = qw.sym_eig(m)
+    second = qw.sym_eig(m)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
 
 
-@needs_numba
-@pytest.mark.parametrize("n,k", [(5, 1), (6, 3), (9, 2), (8, 4)])
-def test_adjacency_backends_identical(n, k):
-    elems = vertex_elements(qw.GraphParams(n, k))
-    assert np.array_equal(
-        _kernels.adjacency_numba(elems, n), _kernels.adjacency_numpy(elems, n)
-    )
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sym_eig_rejects_non_finite_entries(bad):
+    m = np.eye(3)
+    m[0, 2] = m[2, 0] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        qw.sym_eig(m)
+    m = np.eye(3)
+    m[1, 1] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        qw.sym_eig(m)
 
 
 def test_adjacency_numpy_matches_module_surface():
+    # independent reference: adjacency from pairwise set intersections
     params = qw.GraphParams(7, 2)
-    elems = vertex_elements(params)
-    assert np.array_equal(
-        _kernels.adjacency_numpy(elems, 7), qw.adjacency_matrix(params)
-    )
+    subsets = [set(row) for row in vertex_elements(params)]
+    ref = np.array([[float(len(a & b) == 1) for b in subsets] for a in subsets])
+    assert np.array_equal(qw.adjacency_matrix(params), ref)
