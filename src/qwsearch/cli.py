@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="convergence study over a list of n")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-list", type=_n_list, required=True, help="comma-separated n values")
-    p.add_argument("--jobs", type=int, default=1, help="parallel row computation")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted, must be >= 1; rows are computed one after another")
     add_common(p, with_nk=False)
     p.set_defaults(func=cmd_sweep)
 

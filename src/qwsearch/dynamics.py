@@ -26,6 +26,8 @@ from .spectral import SpectralData, spectral_data
 _PEAK_COARSE_SAMPLES = 2001
 _PEAK_REL_TOL = 1e-6
 _CLAMP_WARN_EXCESS = 1e-10
+# Rows per block when subtracting V diag from MV in sym_eig's residual buffer.
+_RESID_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -52,18 +54,27 @@ def sym_eig(matrix: np.ndarray) -> EigDecomp:
     Non-finite input is refused with :class:`DomainError`.  The returned
     decomposition is checked for orthonormality (1e-12) and for the
     reconstruction residual ||MV - V diag|| (1e-10 relative to the
-    largest entry); a NaN residual fails that check too.
+    largest entry); a NaN residual fails that check too.  Each residual is
+    formed in one N x N buffer, so the checks add a single matrix to
+    ``eigh``'s own workspace.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
+    # min/max propagate NaN, so this refuses NaN and +-inf without a mask.
+    lo, hi = float(matrix.min()), float(matrix.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(matrix)
     dim = matrix.shape[0]
-    ortho = np.max(np.abs(vectors.T @ vectors - np.eye(dim)))
-    recon = np.max(np.abs(matrix @ vectors - vectors * values))
-    scale = 1.0 + np.max(np.abs(matrix))
+    resid = vectors.T @ vectors
+    resid.ravel()[:: dim + 1] -= 1.0
+    ortho = float(np.abs(resid, out=resid).max())
+    np.matmul(matrix, vectors, out=resid)
+    for r0 in range(0, dim, _RESID_ROWS):
+        resid[r0 : r0 + _RESID_ROWS] -= vectors[r0 : r0 + _RESID_ROWS] * values
+    recon = float(np.abs(resid, out=resid).max())
+    scale = 1.0 + max(hi, -lo)
     if not (ortho <= 1e-12 and recon <= 1e-10 * scale):
         raise NumericalError(
             f"eigendecomposition residuals too large: orthonormality {ortho:.3e}, "
@@ -83,8 +94,8 @@ def reduced_eig(
     is added back to its eigenvalues.  ``sd`` is the instance's
     :func:`spectral_data`, computed here when not given.
     """
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DomainError(f"gamma must be finite and positive, got {gamma}")
     if sd is None:
         sd = spectral_data(params)
     p = sd.overlaps
@@ -114,15 +125,19 @@ def run_time(params: GraphParams) -> float:
     )
 
 
-def _clamp_probs(probs):
-    excess = float(np.max(probs, initial=0.0)) - 1.0
+def _warn_overshoot(excess: float):
     if excess > _CLAMP_WARN_EXCESS:
         warnings.warn(
             f"success probability overshoots 1 by {excess:.3e}; clamping",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    return np.clip(probs, 0.0, 1.0)
+
+
+def _clamp_probs(probs):
+    # Clamps in place: callers pass a freshly computed array.
+    _warn_overshoot(float(probs.max(initial=0.0)) - 1.0)
+    return np.clip(probs, 0.0, 1.0, out=probs)
 
 
 def _reduced_transition(
@@ -142,10 +157,52 @@ def _probs_at(dec: EigDecomp, weights: np.ndarray, times: np.ndarray) -> np.ndar
     return _clamp_probs(np.abs(amps) ** 2)
 
 
+def _probs_on_grid(
+    dec: EigDecomp, weights: np.ndarray, t0: float, t1: float, m: int
+) -> np.ndarray:
+    """Probabilities at the m times np.linspace(t0, t1, m), from a factored phase table.
+
+    Grid index i is written a*B + b with B = ceil(sqrt(m)), and
+    e^{-iE t_i} = e^{-iE (t0 + aB*step)} * e^{-iE b*step}, so about 2*sqrt(m)
+    exponentials per level replace m.  Against :func:`_probs_at` on the same
+    times the result differs only by the rounding of the phase arguments,
+    a few eps * max|E| * t1.
+    """
+    step = (t1 - t0) / (m - 1)
+    block = math.isqrt(m - 1) + 1
+    outer_times = t0 + step * (block * np.arange(-(-m // block)))
+    inner_times = step * np.arange(block)
+    outer = np.exp(-1j * np.outer(outer_times, dec.values)) * weights
+    inner = np.exp(-1j * np.outer(inner_times, dec.values))
+    amps = (outer @ inner.T).ravel()[:m]
+    return _clamp_probs(np.abs(amps) ** 2)
+
+
+def _prob_scalar(terms: tuple, t: float) -> float:
+    # |sum_j w_j e^{-iE_j t}|^2 over (E_j, w_j) pairs, in plain floats: for
+    # a (k+1)-term sum at one point, numpy's per-call overhead would dominate.
+    # Overshoot past 1 is clamped and warned about as in _clamp_probs.
+    re = im = 0.0
+    for energy, weight in terms:
+        x = energy * t
+        re += weight * math.cos(x)
+        im += weight * math.sin(x)
+    p = re * re + im * im
+    if p > 1.0:
+        _warn_overshoot(p - 1.0)
+        return 1.0
+    return p
+
+
+def _check_window(t0, t1):
+    if not (math.isfinite(t0) and math.isfinite(t1) and 0 <= t0 < t1):
+        raise DomainError(f"need finite 0 <= t0 < t1, got t0={t0}, t1={t1}")
+
+
 def success_probability(params: GraphParams, gamma: float, t: float) -> float:
     """|<w| exp(-iHt) |s>|^2 at time t in the exact reduced model."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"time must be finite and nonnegative, got {t}")
     dec, weights = _reduced_transition(params, gamma)
     return float(_probs_at(dec, weights, np.array([t]))[0])
 
@@ -153,44 +210,43 @@ def success_probability(params: GraphParams, gamma: float, t: float) -> float:
 def scan(
     params: GraphParams, gamma: float, t0: float, t1: float, m: int
 ) -> ScanResult:
-    """Success probability on m uniformly spaced times in [t0, t1]."""
-    if not 0 <= t0 < t1:
-        raise DomainError(f"need 0 <= t0 < t1, got t0={t0}, t1={t1}")
+    """Success probability on m uniformly spaced times in [t0, t1].
+
+    Requires finite 0 <= t0 < t1 and m >= 2.  ``times`` is
+    ``np.linspace(t0, t1, m)``; ``probs`` comes from one reduced solve and
+    a factored phase table (about 2*sqrt(m) complex exponentials per
+    level), so it agrees with a point-by-point evaluation to the rounding
+    of the phase arguments, a few eps * max|E| * t1.
+    """
+    _check_window(t0, t1)
     if m < 2:
         raise DomainError(f"need at least 2 samples, got m={m}")
     dec, weights = _reduced_transition(params, gamma)
-    times = np.linspace(t0, t1, m)
     return ScanResult(
-        params=params, gamma=gamma, times=times, probs=_probs_at(dec, weights, times)
+        params=params,
+        gamma=gamma,
+        times=np.linspace(t0, t1, m),
+        probs=_probs_on_grid(dec, weights, t0, t1, m),
     )
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def find_peak(params: GraphParams, gamma: float, bracket) -> tuple:
-    """Locate the highest success probability inside a time bracket.
-
-    A 2001-point coarse scan picks the argmax, which must be interior to
-    the bracket; golden-section then refines it to relative time
-    tolerance 1e-6.  Returns (t_peak, p_peak) with p_peak at least the
-    best value seen at any evaluation, coarse scan included.
-    """
-    t0, t1 = bracket
-    if not 0 <= t0 < t1:
-        raise DomainError(f"need 0 <= t0 < t1, got bracket {bracket}")
-    dec, weights = _reduced_transition(params, gamma)
+def _peak(dec: EigDecomp, weights: np.ndarray, t0: float, t1: float) -> tuple:
+    # find_peak on a solved reduced model; the bracket is already checked.
     times = np.linspace(t0, t1, _PEAK_COARSE_SAMPLES)
-    probs = _probs_at(dec, weights, times)
+    probs = _probs_on_grid(dec, weights, t0, t1, _PEAK_COARSE_SAMPLES)
     i = int(np.argmax(probs))
     if i == 0 or i == _PEAK_COARSE_SAMPLES - 1:
         raise BracketError(
             f"no interior maximum in bracket ({t0}, {t1}); argmax at endpoint"
         )
     best_t, best_p = float(times[i]), float(probs[i])
+    terms = tuple(zip(dec.values.tolist(), weights.tolist()))
 
     def f(t):
-        return float(_probs_at(dec, weights, np.array([t]))[0])
+        return _prob_scalar(terms, t)
 
     a, b = float(times[i - 1]), float(times[i + 1])
     c = b - _INVPHI * (b - a)
@@ -210,6 +266,23 @@ def find_peak(params: GraphParams, gamma: float, bracket) -> tuple:
             c = b - _INVPHI * (b - a)
             fc = f(c)
     return best_t, best_p
+
+
+def find_peak(params: GraphParams, gamma: float, bracket) -> tuple:
+    """Locate the highest success probability inside a time bracket.
+
+    The bracket (t0, t1) must satisfy finite 0 <= t0 < t1.  A 2001-point
+    coarse scan (the factored phase table of :func:`scan`) picks the
+    argmax, which must be interior to the bracket, else
+    :class:`BracketError`; golden-section then refines it to relative time
+    tolerance 1e-6, evaluating the (k+1)-term amplitude one point at a
+    time in scalar arithmetic.  Returns (t_peak, p_peak) with p_peak at
+    least the best value seen at any evaluation, coarse scan included.
+    """
+    t0, t1 = bracket
+    _check_window(t0, t1)
+    dec, weights = _reduced_transition(params, gamma)
+    return _peak(dec, weights, t0, t1)
 
 
 def peak_bracket(params: GraphParams) -> tuple:

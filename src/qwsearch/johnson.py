@@ -37,8 +37,12 @@ class GraphParams:
             raise DomainError(f"k must be >= 1, got {self.k}")
         if self.n < 2 * self.k:
             raise DomainError(f"need n >= 2k for diameter k, got n={self.n}, k={self.k}")
-        if not math.isfinite(float(self.num_vertices)):
-            raise DomainError(f"C({self.n},{self.k}) overflows the binary64 range")
+        try:
+            float(self.num_vertices)
+        except OverflowError:
+            raise DomainError(
+                f"C({self.n},{self.k}) overflows the binary64 range"
+            ) from None
 
     @property
     def num_vertices(self) -> int:
@@ -206,8 +210,8 @@ def search_hamiltonian(
     With ``overwrite_a`` the result is formed in A's own buffer, which saves
     one N x N array; otherwise A is left unchanged.
     """
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DomainError(f"gamma must be finite and positive, got {gamma}")
     n_vert = a.shape[0]
     if not 0 <= w < n_vert:
         raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")

@@ -102,8 +102,8 @@ class ReducedHamiltonian:
 
 def reduced_hamiltonian(params: GraphParams, gamma: float) -> ReducedHamiltonian:
     """Exact (k+1) x (k+1) matrix -gamma*diag(lambda) - p p^T."""
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DomainError(f"gamma must be finite and positive, got {gamma}")
     matrix = _reduced_matrix(spectral_data(params), gamma)
     return ReducedHamiltonian(params=params, gamma=gamma, matrix=matrix)
 

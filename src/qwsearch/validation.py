@@ -16,20 +16,17 @@ exactly those quantities per n.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coupling
 from .dynamics import (
+    _peak,
     _probs_at,
     _reduced_transition,
-    find_peak,
     peak_bracket,
-    reduced_eig,
     run_time,
-    success_probability,
     sym_eig,
 )
 from .errors import DomainError, NumericalError
@@ -239,10 +236,15 @@ def overlap_consistency_residual(params: GraphParams) -> float:
 
 
 def asymptotics_row(params: GraphParams) -> SweepRow:
-    """All convergence-study quantities of one instance at the critical coupling."""
+    """All convergence-study quantities of one instance at the critical coupling.
+
+    The reduced model is solved once; the success probability at run_time
+    and the peak search (as :func:`success_probability` and
+    :func:`find_peak` compute them) share that solve.
+    """
     gamma = coupling.gamma_star(params)
     sd = spectral_data(params)
-    dec = reduced_eig(params, gamma, sd)
+    dec, weights = _reduced_transition(params, gamma, sd)
     gap = float(dec.values[1] - dec.values[0])
     if gap < 1e-14:
         raise NumericalError(
@@ -252,13 +254,13 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
     t_run = run_time(params)
     scale = float(params.n) ** (params.k / 2) / (2.0 * math.sqrt(math.factorial(params.k)))
     ground = dec.vectors[:, 0]
-    t_peak, p_peak = find_peak(params, gamma, peak_bracket(params))
+    t_peak, p_peak = _peak(dec, weights, *peak_bracket(params))
     return SweepRow(
         n=params.n,
         N=params.num_vertices,
         gamma_star=gamma,
         t_run=t_run,
-        p_at_trun=success_probability(params, gamma, t_run),
+        p_at_trun=float(_probs_at(dec, weights, np.array([t_run]))[0]),
         t_peak=t_peak,
         p_peak=p_peak,
         gap=gap,
@@ -272,19 +274,18 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
 def convergence_sweep(k: int, n_list, jobs: int = 1) -> list:
     """One :func:`asymptotics_row` per n, at the critical coupling throughout.
 
-    Rows are independent; with jobs > 1 they are computed by a thread pool
-    and collected in input order, so the result is identical either way.
+    Rows are computed one after another in input order.  ``jobs`` must be
+    at least 1 and is otherwise ignored: a row costs well under a
+    millisecond, and a thread pool was slower at every measured size.
     """
+    if not jobs >= 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     n_list = list(n_list)
     if not n_list:
         raise DomainError("n_list must not be empty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be strictly ascending, got {n_list}")
-    all_params = [GraphParams(n=n, k=k) for n in n_list]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(asymptotics_row, all_params))
-    return [asymptotics_row(p) for p in all_params]
+    return [asymptotics_row(GraphParams(n=n, k=k)) for n in n_list]
 
 
 def validate_instance(
@@ -294,7 +295,9 @@ def validate_instance(
 
     The adjacency A and the spectral data are built once, and A, H_w and
     H_w2 (w2 = w + 1 mod N, for vertex independence) are each
-    eigendecomposed once; the checks share them.
+    eigendecomposed once; the checks share them.  Each N x N matrix is
+    released as soon as its last check has used it, so at most A and one
+    other matrix are held while a Hamiltonian is eigendecomposed.
     """
     a = adjacency_matrix(params, cap)
     part = distance_partition(params, w, cap)
@@ -302,18 +305,20 @@ def validate_instance(
     gamma = coupling.gamma_star(params)
     times = np.linspace(0.0, 2.0 * run_time(params), 64)
     dec_a = sym_eig(a)
+    spectrum = _spectrum_report(params, sd, dec_a.values).checks
     h = search_hamiltonian(a, gamma, w)
+    embedding = _embedding_residual(sd, dec_a, h, gamma, w)
+    del dec_a
     probs_w = _full_curve(h, w, times)
+    del h
     w2 = (w + 1) % params.num_vertices
     probs_w2 = _full_curve(search_hamiltonian(a, gamma, w2), w2, times)
-    checks = _spectrum_report(params, sd, dec_a.values).checks + (
+    checks = spectrum + (
         CheckResult(
             "overlap_consistency", overlap_consistency_residual(params), 1e-13
         ),
         CheckResult("partition_invariance", _invariance_residual(a, part), 1e-12),
-        CheckResult(
-            "reduced_embedding", _embedding_residual(sd, dec_a, h, gamma, w), 1e-10
-        ),
+        CheckResult("reduced_embedding", embedding, 1e-10),
         CheckResult(
             "oracle_equivalence",
             _curve_distance(probs_w, _reduced_curve(params, gamma, times, sd)),

@@ -171,6 +171,28 @@ def test_out_file_and_dir_override(tmp_path):
     assert (subdir / "rel.csv").read_bytes() == direct
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "100", "--k", "3", "--t", "nan"),
+        ("simulate", "--n", "100", "--k", "3", "--t", "inf"),
+        ("simulate", "--n", "100", "--k", "3", "--gamma", "inf"),
+        ("scan", "--n", "100", "--k", "3", "--t1", "inf"),
+        ("scan", "--n", "100", "--k", "3", "--t0", "nan"),
+        ("spectrum", "--n", "3000", "--k", "1000"),
+        ("sweep", "--k", "3", "--n-list", "100", "--jobs", "0"),
+        ("sweep", "--k", "3", "--n-list", "100", "--jobs", "-3"),
+    ],
+    ids=lambda argv: " ".join((argv[0], *argv[-2:])),
+)
+def test_bad_input_is_a_domain_error(argv):
+    out = run(*argv)
+    assert out.returncode == 2
+    assert out.stderr.startswith(b"error: ")
+    assert b"Traceback" not in out.stderr and b"Warning" not in out.stderr
+    assert b"nan" not in out.stdout.lower()
+
+
 def test_usage_errors_exit_two():
     assert run("no-such-command").returncode == 2
     assert run("spectrum", "--n", "6").returncode == 2  # missing --k

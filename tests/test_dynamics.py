@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,30 @@ def test_sym_eig_random_contracts():
         assert np.max(np.abs(dec.vectors.T @ dec.vectors - np.eye(dim))) <= 1e-12
         resid = np.max(np.abs(m @ dec.vectors - dec.vectors * dec.values))
         assert resid <= 1e-10 * (1 + np.max(np.abs(m)))
+
+
+def test_sym_eig_gates_cover_every_row_block(monkeypatch):
+    # The reconstruction residual is formed block by block: a correct
+    # decomposition larger than one block passes, and one that is wrong only
+    # in the last row is refused.
+    rng = np.random.default_rng(7)
+    dim = qw.dynamics._RESID_ROWS + 40
+    m = random_symmetric(rng, dim)
+    dec = qw.sym_eig(m)
+    resid = np.max(np.abs(m @ dec.vectors - dec.vectors * dec.values))
+    assert resid <= 1e-10 * (1 + np.max(np.abs(m)))
+    eigh = np.linalg.eigh
+
+    def corrupted(matrix):
+        values, vectors = eigh(matrix)
+        values = values.copy()
+        values[-1] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    # Diagonal input: V = I, so M V - V diag is nonzero at (dim-1, dim-1) only.
+    with pytest.raises(qw.NumericalError, match="reconstruction"):
+        qw.sym_eig(np.diag(np.arange(dim, dtype=float)))
 
 
 def test_sym_eig_rejects_bad_shapes():
@@ -113,6 +138,29 @@ def test_success_probability_rejects_negative_time():
     params = qw.GraphParams(6, 3)
     with pytest.raises(DomainError):
         qw.success_probability(params, 0.1, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_and_couplings_are_refused(bad):
+    params = qw.GraphParams(6, 3)
+    gamma = qw.gamma_star(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(DomainError):
+            qw.success_probability(params, gamma, bad)
+        for t0, t1 in ((0.0, bad), (bad, 1.0), (bad, bad)):
+            with pytest.raises(DomainError):
+                qw.scan(params, gamma, t0, t1, 11)
+            with pytest.raises(DomainError):
+                qw.find_peak(params, gamma, (t0, t1))
+        with pytest.raises(DomainError):
+            qw.reduced_eig(params, bad)
+        with pytest.raises(DomainError):
+            qw.success_probability(params, bad, 1.0)
+        with pytest.raises(DomainError):
+            qw.reduced_hamiltonian(params, bad)
+        with pytest.raises(DomainError):
+            qw.full_hamiltonian(params, bad, 0)
 
 
 def test_run_time_values():
@@ -195,6 +243,63 @@ def test_find_peak_bracket_errors():
         qw.find_peak(params, 0.25, (3.0, 4.5))  # p falling, argmax at left edge
     with pytest.raises(DomainError):
         qw.find_peak(params, 0.25, (2.0, 1.0))
+
+
+def _phase_rounding_bound(dec, t1):
+    # |dp| <= 2 * max phase error, since |amplitude| <= 1 and sum |w_j| <= 1.
+    return 8 * np.finfo(float).eps * (1 + np.max(np.abs(dec.values)) * t1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n_scale", [None, 100, 1000])
+@pytest.mark.parametrize("m", [2, 101, 2001])
+def test_probs_on_grid_matches_pointwise(k, n_scale, m):
+    params = qw.GraphParams(n_scale or 2 * k, k)
+    gamma = qw.gamma_star(params)
+    dec, weights = qw.dynamics._reduced_transition(params, gamma)
+    t_end = 2 * qw.run_time(params)
+    for t0, t1 in ((0.0, t_end), (0.3 * t_end, 0.7 * t_end)):
+        grid = qw.dynamics._probs_on_grid(dec, weights, t0, t1, m)
+        direct = qw.dynamics._probs_at(dec, weights, np.linspace(t0, t1, m))
+        assert grid.shape == (m,)
+        assert np.max(np.abs(grid - direct)) <= _phase_rounding_bound(dec, t1)
+
+
+def test_scan_probs_match_success_probability():
+    params = qw.GraphParams(1000, 3)
+    gamma = qw.gamma_star(params)
+    res = qw.scan(params, gamma, 10.0, 2 * qw.run_time(params), 37)
+    assert np.array_equal(res.times, np.linspace(10.0, 2 * qw.run_time(params), 37))
+    dec, _ = qw.dynamics._reduced_transition(params, gamma)
+    bound = _phase_rounding_bound(dec, res.times[-1])
+    for t, p in zip(res.times, res.probs):
+        assert abs(p - qw.success_probability(params, gamma, float(t))) <= bound
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (1000, 2), (300, 4)])
+def test_scalar_refinement_matches_pointwise(n, k):
+    params = qw.GraphParams(n, k)
+    gamma = qw.gamma_star(params)
+    dec, weights = qw.dynamics._reduced_transition(params, gamma)
+    terms = tuple(zip(dec.values.tolist(), weights.tolist()))
+    times = np.linspace(0.0, 2 * qw.run_time(params), 57)
+    direct = qw.dynamics._probs_at(dec, weights, times)
+    scalar = [qw.dynamics._prob_scalar(terms, float(t)) for t in times]
+    assert np.max(np.abs(scalar - direct)) <= _phase_rounding_bound(dec, times[-1])
+
+
+def test_scalar_refinement_clamps_and_warns_like_arrays():
+    dec = qw.dynamics.EigDecomp(values=np.zeros(2), vectors=np.eye(2))
+    big = np.array([0.6, 0.6])  # |amplitude|^2 = 1.44
+    with pytest.warns(RuntimeWarning, match="overshoots 1"):
+        assert qw.dynamics._prob_scalar(((0.0, 0.6), (0.0, 0.6)), 3.0) == 1.0
+    with pytest.warns(RuntimeWarning, match="overshoots 1"):
+        assert qw.dynamics._probs_at(dec, big, np.array([3.0]))[0] == 1.0
+    tiny = 0.5 + 1e-12  # overshoot about 2e-12, below the 1e-10 warning level
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qw.dynamics._prob_scalar(((0.0, 0.5), (0.0, tiny)), 3.0) == 1.0
+        assert qw.dynamics._probs_at(dec, np.array([0.5, tiny]), np.array([3.0]))[0] == 1.0
 
 
 def test_energy_conservation_along_scan():

@@ -140,6 +140,45 @@ def test_convergence_sweep_parallel_identical():
     assert seq == par  # bit-identical rows, independent of parallelism
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_convergence_sweep_rejects_jobs_below_one(jobs):
+    with pytest.raises(DomainError, match="jobs"):
+        qw.convergence_sweep(2, [100], jobs=jobs)
+
+
+def _count_calls(monkeypatch, owner, name):
+    # Replace the function at every module binding inside the package.
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (qw, qw.spectral, qw.coupling, qw.dynamics, qw.validation):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,k", [(100, 2), (1000, 3), (300, 5)])
+def test_asymptotics_row_solves_the_reduced_model_once(monkeypatch, n, k):
+    params = qw.GraphParams(n, k)
+    expected = qw.asymptotics_row(params)
+    eig_calls = _count_calls(monkeypatch, qw.dynamics, "sym_eig")
+    sd_calls = _count_calls(monkeypatch, qw.spectral, "spectral_data")
+    row = qw.asymptotics_row(params)
+    assert len(eig_calls) == 1 and eig_calls[0][0].shape == (k + 1, k + 1)
+    assert len(sd_calls) == 1
+    assert row == expected
+    # p_at_trun and the peak are the public functions' values on the same instance
+    gamma = row.gamma_star
+    assert row.p_at_trun == qw.success_probability(params, gamma, row.t_run)
+    assert (row.t_peak, row.p_peak) == qw.find_peak(
+        params, gamma, qw.dynamics.peak_bracket(params)
+    )
+
+
 def test_degenerate_gap_raises():
     # k=8 at n=1e6: the true gap ~ 2*sqrt(8!)*n^-4 is below resolvable precision
     with pytest.raises(NumericalError):
