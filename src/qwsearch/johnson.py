@@ -1,9 +1,17 @@
 """Exact construction of the Johnson graph J(n,k) in the full vertex space.
 
-Vertices are the k-subsets of {1,...,n}, encoded as bitmasks (bit i set
-means element i+1 is in the subset) and numbered by colexicographic rank.
-Two subsets are adjacent when they share exactly k-1 elements, which makes
-J(n,k) regular of degree k(n-k) with diameter k once n >= 2k.
+Vertices are the k-subsets of {1,...,n}, numbered by colexicographic rank;
+:func:`rank_subset` and :func:`unrank_subset` convert single subsets, given
+as bitmasks (bit i set means element i+1 is in the subset).  Two subsets
+are adjacent when they share exactly k-1 elements, which makes J(n,k)
+regular of degree k(n-k) with diameter k once n >= 2k.
+
+The full-space constructors share one vectorised colex index per (n, k): the
+sorted elements of every vertex, enumerated without a sort, and the colex
+ranks of each vertex's k (k-1)-subsets, its "faces".  The faces are the
+nonzeros of the inclusion matrix W in A = W^T W - kI: every face lies in
+exactly n-k+1 vertices, and two vertices are adjacent exactly when they
+share a face, so A is the union of the cliques on the faces.
 
 The dense N x N objects built here (adjacency, search Hamiltonian) exist
 only as oracles for small instances, so they are guarded by a vertex cap;
@@ -11,6 +19,7 @@ everything asymptotic runs through the (k+1)-dimensional model in
 :mod:`qwsearch.spectral`.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +27,10 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-# Dense N x N work stays cheap (seconds, well under 0.1 GB) up to this many
-# vertices; overridable per call and via the CLI.
+# Dense N x N work stays affordable up to this many vertices: one N x N
+# float64 matrix is 72 MB at the cap, and `validate` there (three dense
+# eigensolves) takes about 20 s and peaks near 460 MB.  Overridable per
+# call and via the CLI.
 DEFAULT_FULL_CAP = 3003
 
 
@@ -138,13 +149,47 @@ def unrank_subset(vid: int, params: GraphParams) -> int:
     return mask
 
 
+@dataclass(frozen=True)
+class _ColexIndex:
+    # elems[v]: sorted elements of vertex v; faces[v, i]: colex rank (among
+    # the (k-1)-subsets) of elems[v] without its i-th element.  The faces
+    # are the nonzeros of the inclusion matrix W with A = W^T W - kI.
+    params: GraphParams
+    elems: np.ndarray
+    faces: np.ndarray
+
+
+def _colex_index(params: GraphParams, cap: int) -> _ColexIndex:
+    n_vert = _check_cap(params, cap)
+    n, k = params.n, params.k
+    # s -> n+1-s maps colex order onto reversed lex order, the order in
+    # which itertools.combinations emits the images.
+    lex = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), k)),
+        dtype=np.int64,
+        count=n_vert * k,
+    ).reshape(n_vert, k)
+    elems = (n + 1) - lex[::-1, ::-1]
+    # binom[a, b] = C(a, b) for a < n, b <= k by Pascal's rule: column b is
+    # the exclusive running sum of column b-1.  Every entry is at most N.
+    binom = np.zeros((n, k + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for b in range(1, k + 1):
+        np.cumsum(binom[:-1, b - 1], out=binom[1:, b])
+    # Dropping c_i leaves C(c_j - 1, j + 1) for j < i (c_j keeps its place)
+    # and C(c_j - 1, j) for j > i (c_j moves down one place), 0-based j:
+    # face_i = sum_j shift_j + sum_{j <= i} (keep_j - shift_j) - keep_i.
+    pos = np.arange(k)
+    keep = binom[elems - 1, pos + 1]
+    shift = binom[elems - 1, pos]
+    faces = np.cumsum(keep - shift, axis=1)
+    faces += shift.sum(axis=1, keepdims=True) - keep
+    return _ColexIndex(params=params, elems=elems, faces=faces)
+
+
 def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:
     """(N, k) array of sorted subset elements, row i = vertex id i."""
-    n_vert = _check_cap(params, cap)
-    out = np.empty((n_vert, params.k), dtype=np.int64)
-    for vid in range(n_vert):
-        out[vid, :] = mask_elements(unrank_subset(vid, params))
-    return out
+    return _colex_index(params, cap).elems
 
 
 def _check_cap(params: GraphParams, cap: int) -> int:
@@ -157,42 +202,50 @@ def _check_cap(params: GraphParams, cap: int) -> int:
     return n_vert
 
 
+def _adjacency(index: _ColexIndex) -> np.ndarray:
+    # Two vertices are adjacent iff they share exactly one face, so A is the
+    # union of the cliques on each face's n-k+1 supersets, minus the diagonal.
+    n_vert, k = index.elems.shape
+    order = np.argsort(index.faces, axis=None, kind="stable")
+    members = (order // k).reshape(-1, index.params.n - k + 1)
+    a = np.zeros((n_vert, n_vert), dtype=np.float64)
+    a[members[:, :, None], members[:, None, :]] = 1.0
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
 def adjacency_matrix(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:
     """Dense N x N 0/1 adjacency of J(n,k); rows sum to the degree k(n-k)."""
-    elems = vertex_elements(params, cap)
-    # 0/1 incidence rows; pairwise intersection sizes via one matmul.
-    # Counts are small integers, so float64 comparison is exact.
-    n_v, k = elems.shape
-    inc = np.zeros((n_v, params.n), dtype=np.float64)
-    inc[np.arange(n_v)[:, None], elems - 1] = 1.0
-    common = inc @ inc.T
-    return (common == float(k - 1)).astype(np.float64)
+    return _adjacency(_colex_index(params, cap))
+
+
+def _distance_partition(index: _ColexIndex, w: int) -> DistancePartition:
+    params = index.params
+    n_vert = len(index.elems)
+    if not 0 <= w < n_vert:
+        raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")
+    in_w = np.zeros(params.n + 1, dtype=np.int64)
+    in_w[index.elems[w]] = 1
+    ell = params.k - in_w[index.elems].sum(axis=1)
+    classes = tuple(
+        np.flatnonzero(ell == l).astype(np.int64, copy=False)
+        for l in range(params.k + 1)
+    )
+    sizes = [len(c) for c in classes]
+    expected = [
+        math.comb(params.k, l) * math.comb(params.n - params.k, l)
+        for l in range(params.k + 1)
+    ]
+    if sizes != expected:  # pragma: no cover - would indicate an indexing bug
+        raise AssertionError(f"class sizes {sizes} != {expected}")
+    return DistancePartition(params=params, marked=w, classes=classes)
 
 
 def distance_partition(
     params: GraphParams, w: int, cap: int = DEFAULT_FULL_CAP
 ) -> DistancePartition:
     """Partition all vertex ids by intersection size with the marked subset."""
-    n_vert = _check_cap(params, cap)
-    if not 0 <= w < n_vert:
-        raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")
-    w_mask = unrank_subset(w, params)
-    classes = [[] for _ in range(params.k + 1)]
-    for vid in range(n_vert):
-        ell = params.k - (unrank_subset(vid, params) & w_mask).bit_count()
-        classes[ell].append(vid)
-    sizes = [len(c) for c in classes]
-    expected = [
-        math.comb(params.k, l) * math.comb(params.n - params.k, l)
-        for l in range(params.k + 1)
-    ]
-    if sizes != expected:  # pragma: no cover - would indicate a rank/unrank bug
-        raise AssertionError(f"class sizes {sizes} != {expected}")
-    return DistancePartition(
-        params=params,
-        marked=w,
-        classes=tuple(np.array(c, dtype=np.int64) for c in classes),
-    )
+    return _distance_partition(_colex_index(params, cap), w)
 
 
 def full_hamiltonian(

@@ -33,8 +33,10 @@ from .errors import DomainError, NumericalError
 from .johnson import (
     DEFAULT_FULL_CAP,
     GraphParams,
+    _adjacency,
+    _colex_index,
+    _distance_partition,
     adjacency_matrix,
-    distance_partition,
     full_hamiltonian,
     search_hamiltonian,
 )
@@ -178,16 +180,22 @@ def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> Validati
 
 
 def _invariance_residual(a, part) -> float:
+    # A is 0/1, so A times the 0/1 class indicators is an exact integer
+    # matrix whatever the summation order, and so are its class sums.  Row
+    # l of the residual is A|nu_l> minus its class-wise means, scaled by
+    # 1/sqrt(|class_l|); equitable classes give exactly 0.  The product is
+    # formed as rows (indicators @ A^T), which reads A in its memory order.
     n_vert = a.shape[0]
-    basis = np.zeros((n_vert, len(part.classes)))
+    indicators = np.zeros((len(part.classes), n_vert))
+    label = np.empty(n_vert, dtype=np.int64)
     for ell, ids in enumerate(part.classes):
-        basis[ids, ell] = 1.0 / math.sqrt(len(ids))
-    worst = 0.0
-    for ell in range(len(part.classes)):
-        image = a @ basis[:, ell]
-        residual = image - basis @ (basis.T @ image)
-        worst = max(worst, float(np.linalg.norm(residual)))
-    return worst
+        indicators[ell, ids] = 1.0
+        label[ids] = ell
+    image = indicators @ a.T
+    sizes = indicators.sum(axis=1)
+    means = (image @ indicators.T) / sizes
+    residual = np.linalg.norm(image - means[:, label], axis=1) / np.sqrt(sizes)
+    return float(np.max(residual))
 
 
 def check_partition_invariance(
@@ -196,10 +204,12 @@ def check_partition_invariance(
     """Residual of A mapping the distance-class span into itself.
 
     With B the orthonormal class indicators around w, returns
-    max_l || (I - B B^T) A |nu_l> ||; zero in exact arithmetic.
+    max_l || (I - B B^T) A |nu_l> ||.  The products it takes are exact
+    for a 0/1 matrix A, so the residual is exactly 0.0 when the classes
+    are equitable.
     """
-    a = adjacency_matrix(params, cap)
-    return _invariance_residual(a, distance_partition(params, w, cap))
+    index = _colex_index(params, cap)
+    return _invariance_residual(_adjacency(index), _distance_partition(index, w))
 
 
 def _embedding_residual(sd, dec_a, h, gamma, w) -> float:
@@ -299,8 +309,9 @@ def validate_instance(
     released as soon as its last check has used it, so at most A and one
     other matrix are held while a Hamiltonian is eigendecomposed.
     """
-    a = adjacency_matrix(params, cap)
-    part = distance_partition(params, w, cap)
+    index = _colex_index(params, cap)
+    a = _adjacency(index)
+    part = _distance_partition(index, w)
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
     times = np.linspace(0.0, 2.0 * run_time(params), 64)

@@ -186,9 +186,13 @@ def test_criterion_8_numerics_hygiene():
 
 def test_criterion_9_cli_determinism():
     cmd = [sys.executable, "-m", "qwsearch"]
+    # the children import the same qwsearch as this process, installed or not
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(qw.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
 
     def run(*args):
-        res = subprocess.run(cmd + list(args), capture_output=True, env=dict(os.environ))
+        res = subprocess.run(cmd + list(args), capture_output=True, env=env)
         assert res.returncode == 0, res.stderr
         return res.stdout
 

@@ -9,10 +9,13 @@ import pytest
 import qwsearch as qw
 
 CMD = [sys.executable, "-m", "qwsearch"]
+# the children import the same qwsearch as this process, installed or not
+SRC = os.path.dirname(os.path.dirname(qw.__file__))
 
 
 def run(*args, env=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     if env:
         full_env.update(env)
     return subprocess.run(CMD + list(args), capture_output=True, env=full_env)

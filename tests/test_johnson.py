@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwsearch as qw
+from qwsearch import johnson
 from qwsearch.errors import CapacityError, DomainError
 
 
@@ -156,16 +157,41 @@ def test_distance_partition_sizes(n, k, sizes):
 
 
 def test_distance_partition_arbitrary_marked():
-    params = qw.GraphParams(6, 3)
-    part = qw.distance_partition(params, 13)
-    assert list(part.classes[0]) == [13]
-    w_mask = qw.unrank_subset(13, params)
-    for ell, ids in enumerate(part.classes):
-        for vid in ids:
-            inter = (qw.unrank_subset(int(vid), params) & w_mask).bit_count()
-            assert inter == params.k - ell
-    with pytest.raises(DomainError):
-        qw.distance_partition(params, 20)
+    for n, k, w in ((6, 3, 13), (8, 4, 69), (70, 2, 2000), (14, 6, 1500), (3003, 1, 1234)):
+        params = qw.GraphParams(n, k)
+        part = qw.distance_partition(params, w)
+        assert list(part.classes[0]) == [w]
+        w_mask = qw.unrank_subset(w, params)
+        for ell, ids in enumerate(part.classes):
+            assert ids.dtype == np.int64
+            assert np.all(np.diff(ids) > 0)
+            for vid in ids:
+                inter = (qw.unrank_subset(int(vid), params) & w_mask).bit_count()
+                assert inter == params.k - ell
+        with pytest.raises(DomainError):
+            qw.distance_partition(params, params.num_vertices)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (5, 1), (6, 3), (8, 4), (9, 2), (11, 5)])
+def test_colex_faces_are_ranks_of_the_k_minus_1_subsets(n, k):
+    params = qw.GraphParams(n, k)
+    index = johnson._colex_index(params, qw.DEFAULT_FULL_CAP)
+    face_rank = {c: r for r, c in enumerate(colex_subsets(n, k - 1))}
+    for v, elems in enumerate(index.elems):
+        expected = [face_rank[tuple(np.delete(elems, i))] for i in range(k)]
+        assert list(index.faces[v]) == expected
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (7, 3), (9, 4), (12, 2)])
+def test_adjacency_is_the_inclusion_identity(n, k):
+    # A = W^T W - kI, with W the C(n,k-1) x N face-vertex inclusion matrix
+    params = qw.GraphParams(n, k)
+    index = johnson._colex_index(params, qw.DEFAULT_FULL_CAP)
+    n_vert = params.num_vertices
+    incl = np.zeros((math.comb(n, k - 1), n_vert))
+    incl[index.faces, np.arange(n_vert)[:, None]] = 1.0
+    assert np.all(incl.sum(axis=0) == k) and np.all(incl.sum(axis=1) == n - k + 1)
+    assert np.array_equal(incl.T @ incl - k * np.eye(n_vert), qw.adjacency_matrix(params))
 
 
 def test_full_hamiltonian_k2():

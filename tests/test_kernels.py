@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -60,9 +61,28 @@ def test_sym_eig_rejects_non_finite_entries(bad):
         qw.sym_eig(m)
 
 
+def colex_incidence_adjacency(n, k):
+    # independent reference: colex-sorted itertools.combinations and the
+    # pairwise intersection sizes of their 0/1 incidence rows, one matmul
+    subsets = sorted(itertools.combinations(range(1, n + 1), k), key=lambda c: c[::-1])
+    inc = np.zeros((len(subsets), n))
+    inc[np.arange(len(subsets))[:, None], np.array(subsets) - 1] = 1.0
+    return np.array(subsets, dtype=np.int64), (inc @ inc.T == k - 1).astype(np.float64)
+
+
 def test_adjacency_numpy_matches_module_surface():
-    # independent reference: adjacency from pairwise set intersections
-    params = qw.GraphParams(7, 2)
-    subsets = [set(row) for row in vertex_elements(params)]
-    ref = np.array([[float(len(a & b) == 1) for b in subsets] for a in subsets])
-    assert np.array_equal(qw.adjacency_matrix(params), ref)
+    # J(8,4) has n = 2k, J(70,2) needs more than 63 mask bits, and J(14,6)
+    # and J(3003,1) sit at the default cap
+    for n, k in ((2, 1), (7, 2), (8, 4), (70, 2), (14, 6), (3003, 1)):
+        params = qw.GraphParams(n, k)
+        ref_elems, ref = colex_incidence_adjacency(n, k)
+        elems = vertex_elements(params)
+        assert elems.dtype == np.int64
+        assert np.array_equal(elems, ref_elems)
+        assert np.array_equal(
+            elems,
+            [qw.mask_elements(qw.unrank_subset(v, params)) for v in range(len(elems))],
+        )
+        a = qw.adjacency_matrix(params)
+        assert a.dtype == np.float64
+        assert np.array_equal(a, ref)

@@ -51,9 +51,17 @@ def test_check_spectrum_boundary(k):
 
 
 def test_partition_invariance_residuals():
-    assert qw.check_partition_invariance(qw.GraphParams(2, 1), 0) == 0.0
-    assert qw.check_partition_invariance(qw.GraphParams(6, 3), 0) <= 1e-12
-    assert qw.check_partition_invariance(qw.GraphParams(8, 2), 0) <= 1e-12
+    # exact: A times the class indicators is an integer matrix, so correct
+    # graphs read 0.0, at the cap too (J(78,2) and J(3003,1), N = 3003)
+    for n, k, w in ((2, 1, 0), (6, 3, 0), (8, 2, 0), (9, 4, 17), (78, 2, 0), (3003, 1, 0)):
+        assert qw.check_partition_invariance(qw.GraphParams(n, k), w) == 0.0
+    # one flipped edge breaks the equitable partition and must show
+    params = qw.GraphParams(8, 3)
+    a = qw.adjacency_matrix(params)
+    a[1, 2] = a[2, 1] = 1.0 - a[1, 2]
+    residual = qw.validation._invariance_residual(a, qw.distance_partition(params, 0))
+    assert residual > 1e-12
+    assert residual == pytest.approx(0.33993463423951, rel=1e-13)
 
 
 def test_reduced_embedding_small_instances():
