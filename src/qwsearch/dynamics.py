@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError, NumericalError
-from .johnson import GraphParams
+from .johnson import GraphParams, _check_coupling
 from .spectral import SpectralData, spectral_data
 
 _PEAK_COARSE_SAMPLES = 2001
@@ -94,8 +94,7 @@ def reduced_eig(
     is added back to its eigenvalues.  ``sd`` is the instance's
     :func:`spectral_data`, computed here when not given.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DomainError(f"gamma must be finite and positive, got {gamma}")
+    _check_coupling(params, gamma)
     if sd is None:
         sd = spectral_data(params)
     p = sd.overlaps

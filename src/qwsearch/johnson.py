@@ -29,7 +29,7 @@ from .errors import CapacityError, DomainError
 
 # Dense N x N work stays affordable up to this many vertices: one N x N
 # float64 matrix is 72 MB at the cap, and `validate` there (three dense
-# eigensolves) takes about 20 s and peaks near 460 MB.  Overridable per
+# eigensolves) takes about 20 s and peaks near 393 MB.  Overridable per
 # call and via the CLI.
 DEFAULT_FULL_CAP = 3003
 
@@ -62,6 +62,26 @@ class GraphParams:
     @property
     def degree(self) -> int:
         return self.k * (self.n - self.k)
+
+
+# A coupling is refused unless gamma*k(n-k+1) < 1e300.  That product is the
+# largest entry of the shifted reduced matrix gamma*diag(lambda_0 - lambda_l)
+# - p p^T, and it bounds gamma*||A|| = gamma*k(n-k).  So every matrix handed
+# to sym_eig, full or reduced, has absolute row sums below 1e300 + k + 1, and
+# no product in its gates (M V, V diag(values), their difference, the scale
+# 1 + max|M|) nor the shift back by -gamma*lambda_0 comes near the binary64
+# overflow at 1.8e308.
+_COUPLING_BOUND = 1e300
+
+
+def _check_coupling(params: GraphParams, gamma: float):
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DomainError(f"gamma must be finite and positive, got {gamma}")
+    if not float(gamma) * (params.k * (params.n - params.k + 1)) < _COUPLING_BOUND:
+        raise DomainError(
+            f"gamma={gamma} too large for J({params.n},{params.k}): "
+            f"gamma*k(n-k+1) must be below {_COUPLING_BOUND:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -192,6 +212,11 @@ def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndar
     return _colex_index(params, cap).elems
 
 
+def _check_vertex(w: int, n_vert: int):
+    if not 0 <= w < n_vert:
+        raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")
+
+
 def _check_cap(params: GraphParams, cap: int) -> int:
     n_vert = params.num_vertices
     if n_vert > cap:
@@ -221,9 +246,7 @@ def adjacency_matrix(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.nda
 
 def _distance_partition(index: _ColexIndex, w: int) -> DistancePartition:
     params = index.params
-    n_vert = len(index.elems)
-    if not 0 <= w < n_vert:
-        raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")
+    _check_vertex(w, len(index.elems))
     in_w = np.zeros(params.n + 1, dtype=np.int64)
     in_w[index.elems[w]] = 1
     ell = params.k - in_w[index.elems].sum(axis=1)
@@ -251,24 +274,29 @@ def distance_partition(
 def full_hamiltonian(
     params: GraphParams, gamma: float, w: int, cap: int = DEFAULT_FULL_CAP
 ) -> np.ndarray:
-    """Search Hamiltonian -gamma*A - |w><w| on the full N-dimensional space."""
-    return search_hamiltonian(adjacency_matrix(params, cap), gamma, w, overwrite_a=True)
+    """Search Hamiltonian -gamma*A - |w><w| on the full N-dimensional space.
 
-
-def search_hamiltonian(
-    a: np.ndarray, gamma: float, w: int, overwrite_a: bool = False
-) -> np.ndarray:
-    """-gamma*A - |w><w| from a dense adjacency A that is already built.
-
-    With ``overwrite_a`` the result is formed in A's own buffer, which saves
-    one N x N array; otherwise A is left unchanged.
+    The coupling and the marked vertex are checked before anything is
+    built, and H is formed in the adjacency's own buffer, so the call
+    allocates one N x N array.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DomainError(f"gamma must be finite and positive, got {gamma}")
-    n_vert = a.shape[0]
-    if not 0 <= w < n_vert:
-        raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")
-    h = a if overwrite_a else a.copy()
-    h *= -gamma
-    h[w, w] -= 1.0
+    _check_coupling(params, gamma)
+    _check_vertex(w, params.num_vertices)
+    return _search_hamiltonian(adjacency_matrix(params, cap), gamma, w)
+
+
+def _search_hamiltonian(a: np.ndarray, gamma: float, w: int) -> np.ndarray:
+    # Forms -gamma*A - |w><w| in A's own buffer and returns it; A is gone
+    # afterwards.  gamma and w are checked by the caller.
+    a *= -gamma
+    a[w, w] -= 1.0
+    return a
+
+
+def _move_mark(h: np.ndarray, w: int, w2: int) -> np.ndarray:
+    # Turns the search Hamiltonian marked at w into the one marked at w2, in
+    # place; w2 is checked by the caller.  H[w, w] ends as +0.0 where a fresh
+    # build has -0.0, which changes no product.  w == w2 leaves H as it was.
+    h[w, w] += 1.0
+    h[w2, w2] -= 1.0
     return h

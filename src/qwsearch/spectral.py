@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .johnson import GraphParams
+from .johnson import GraphParams, _check_coupling
 
 
 def _check_ell(params: GraphParams, ell: int):
@@ -81,10 +81,12 @@ def spectral_data(params: GraphParams) -> SpectralData:
     lambdas = np.array([eigenvalue(params, l) for l in range(k + 1)], dtype=np.float64)
     if not np.all(np.diff(lambdas) < 0):  # pragma: no cover - barred by n >= 2k
         raise DomainError("eigenvalues not strictly decreasing; params out of range")
+    n_vert = params.num_vertices
     mults = tuple(multiplicity(params, l) for l in range(k + 1))
-    if sum(mults) != params.num_vertices:  # pragma: no cover
+    if sum(mults) != n_vert:  # pragma: no cover
         raise AssertionError("multiplicities do not sum to N")
-    overlaps = np.array([overlap(params, l) for l in range(k + 1)])
+    # sqrt(m_l / N) as in overlap(), from the multiplicities already in hand
+    overlaps = np.array([math.sqrt(m / n_vert) for m in mults])
     total = math.fsum(float(p) ** 2 for p in overlaps)
     if abs(total - 1.0) > 1e-14:  # pragma: no cover
         raise AssertionError(f"overlap completeness violated: sum p^2 = {total}")
@@ -102,8 +104,7 @@ class ReducedHamiltonian:
 
 def reduced_hamiltonian(params: GraphParams, gamma: float) -> ReducedHamiltonian:
     """Exact (k+1) x (k+1) matrix -gamma*diag(lambda) - p p^T."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DomainError(f"gamma must be finite and positive, got {gamma}")
+    _check_coupling(params, gamma)
     matrix = _reduced_matrix(spectral_data(params), gamma)
     return ReducedHamiltonian(params=params, gamma=gamma, matrix=matrix)
 

@@ -34,11 +34,14 @@ from .johnson import (
     DEFAULT_FULL_CAP,
     GraphParams,
     _adjacency,
+    _check_coupling,
+    _check_vertex,
     _colex_index,
     _distance_partition,
+    _move_mark,
+    _search_hamiltonian,
     adjacency_matrix,
     full_hamiltonian,
-    search_hamiltonian,
 )
 from .spectral import (
     _reduced_matrix,
@@ -139,14 +142,16 @@ def compare_marked_vertices(
     """Max difference between full-space success curves for two marked vertices.
 
     Vertex-transitivity makes the marked choice immaterial; this measures
-    exactly that.
+    exactly that.  One N x N Hamiltonian serves both curves: the mark is
+    moved from w1 to w2 in place.
     """
+    _check_coupling(params, gamma)
+    for w in (w1, w2):
+        _check_vertex(w, params.num_vertices)
     times = np.asarray(times, dtype=np.float64)
-    a = adjacency_matrix(params, cap)
-    return _curve_distance(
-        _full_curve(search_hamiltonian(a, gamma, w1), w1, times),
-        _full_curve(search_hamiltonian(a, gamma, w2), w2, times),
-    )
+    h = _search_hamiltonian(adjacency_matrix(params, cap), gamma, w1)
+    probs_w1 = _full_curve(h, w1, times)
+    return _curve_distance(probs_w1, _full_curve(_move_mark(h, w1, w2), w2, times))
 
 
 def _spectrum_report(params, sd, dense_values) -> ValidationReport:
@@ -230,9 +235,12 @@ def reduced_embedding_residual(
 ) -> float:
     """Max entrywise difference between B^T H_full B and the reduced matrix,
     B being the orthonormal basis P_l|w>/p_l of the invariant subspace."""
+    _check_coupling(params, gamma)
+    _check_vertex(w, params.num_vertices)
     a = adjacency_matrix(params, cap)
-    h = search_hamiltonian(a, gamma, w)
-    return _embedding_residual(spectral_data(params), sym_eig(a), h, gamma, w)
+    dec_a = sym_eig(a)
+    h = _search_hamiltonian(a, gamma, w)
+    return _embedding_residual(spectral_data(params), dec_a, h, gamma, w)
 
 
 def overlap_consistency_residual(params: GraphParams) -> float:
@@ -305,30 +313,31 @@ def validate_instance(
 
     The adjacency A and the spectral data are built once, and A, H_w and
     H_w2 (w2 = w + 1 mod N, for vertex independence) are each
-    eigendecomposed once; the checks share them.  Each N x N matrix is
-    released as soon as its last check has used it, so at most A and one
-    other matrix are held while a Hamiltonian is eigendecomposed.
+    eigendecomposed once; the checks share them.  The checks on A come
+    first, then H_w is formed in A's buffer and H_w2 from H_w by moving the
+    mark, so one N x N matrix besides the eigenvectors is held during each
+    eigensolve.
     """
     index = _colex_index(params, cap)
-    a = _adjacency(index)
     part = _distance_partition(index, w)
+    a = _adjacency(index)
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
     times = np.linspace(0.0, 2.0 * run_time(params), 64)
     dec_a = sym_eig(a)
     spectrum = _spectrum_report(params, sd, dec_a.values).checks
-    h = search_hamiltonian(a, gamma, w)
+    invariance = _invariance_residual(a, part)
+    h = _search_hamiltonian(a, gamma, w)
     embedding = _embedding_residual(sd, dec_a, h, gamma, w)
     del dec_a
     probs_w = _full_curve(h, w, times)
-    del h
     w2 = (w + 1) % params.num_vertices
-    probs_w2 = _full_curve(search_hamiltonian(a, gamma, w2), w2, times)
+    probs_w2 = _full_curve(_move_mark(h, w, w2), w2, times)
     checks = spectrum + (
         CheckResult(
             "overlap_consistency", overlap_consistency_residual(params), 1e-13
         ),
-        CheckResult("partition_invariance", _invariance_residual(a, part), 1e-12),
+        CheckResult("partition_invariance", invariance, 1e-12),
         CheckResult("reduced_embedding", embedding, 1e-10),
         CheckResult(
             "oracle_equivalence",

@@ -180,6 +180,8 @@ def test_out_file_and_dir_override(tmp_path):
         ("simulate", "--n", "100", "--k", "3", "--t", "nan"),
         ("simulate", "--n", "100", "--k", "3", "--t", "inf"),
         ("simulate", "--n", "100", "--k", "3", "--gamma", "inf"),
+        ("simulate", "--n", "6", "--k", "3", "--gamma", "1e308"),
+        ("scan", "--n", "2", "--k", "1", "--gamma", "1e308", "--m", "3"),
         ("scan", "--n", "100", "--k", "3", "--t1", "inf"),
         ("scan", "--n", "100", "--k", "3", "--t0", "nan"),
         ("spectrum", "--n", "3000", "--k", "1000"),

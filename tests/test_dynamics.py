@@ -153,14 +153,33 @@ def test_non_finite_times_and_couplings_are_refused(bad):
                 qw.scan(params, gamma, t0, t1, 11)
             with pytest.raises(DomainError):
                 qw.find_peak(params, gamma, (t0, t1))
-        with pytest.raises(DomainError):
-            qw.reduced_eig(params, bad)
-        with pytest.raises(DomainError):
-            qw.success_probability(params, bad, 1.0)
-        with pytest.raises(DomainError):
-            qw.reduced_hamiltonian(params, bad)
-        with pytest.raises(DomainError):
-            qw.full_hamiltonian(params, bad, 0)
+        # a finite coupling too large to solve is refused like a non-finite one
+        for bad_gamma in (bad, 1e308):
+            with pytest.raises(DomainError):
+                qw.reduced_eig(params, bad_gamma)
+            with pytest.raises(DomainError):
+                qw.success_probability(params, bad_gamma, 1.0)
+            with pytest.raises(DomainError):
+                qw.reduced_hamiltonian(params, bad_gamma)
+            with pytest.raises(DomainError):
+                qw.full_hamiltonian(params, bad_gamma, 0)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (6, 3), (14, 6), (10**6, 3)])
+def test_couplings_up_to_the_bound_are_solved(n, k):
+    # gamma*k(n-k+1) < 1e300 is accepted and solved without an overflow
+    # warning; at the bound the coupling is refused.
+    params = qw.GraphParams(n, k)
+    bound = 1e300 / (k * (n - k + 1))
+    below = float(np.nextafter(bound, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(qw.reduced_eig(params, below).values))
+        assert 0.0 <= qw.success_probability(params, below, 1.0) <= 1.0
+        if params.num_vertices <= 20:
+            assert np.all(np.isfinite(qw.sym_eig(qw.full_hamiltonian(params, below, 0)).values))
+        with pytest.raises(DomainError, match="too large"):
+            qw.reduced_eig(params, bound * (1 + 1e-15))
 
 
 def test_run_time_values():

@@ -220,6 +220,28 @@ def test_full_hamiltonian_errors():
         qw.full_hamiltonian(params, 1.0, 20)
 
 
+@pytest.mark.parametrize("n,k,gamma,w,w2", [
+    (2, 1, 0.25, 1, 0),  # the wrap w = N-1 -> w2 = 0 of validate_instance
+    (6, 3, 0.1075, 19, 0),
+    (6, 3, 0.5, 7, 3),
+    (8, 2, 0.03, 27, 0),
+    (9, 4, 0.02, 17, 18),
+    (12, 4, 0.01, 200, 7),
+])
+def test_moving_the_mark_matches_a_fresh_build(n, k, gamma, w, w2):
+    params = qw.GraphParams(n, k)
+    h = johnson._move_mark(qw.full_hamiltonian(params, gamma, w), w, w2)
+    assert np.array_equal(h, qw.full_hamiltonian(params, gamma, w2))
+
+
+def test_search_hamiltonian_is_formed_in_the_adjacency_buffer():
+    params = qw.GraphParams(6, 3)
+    a = qw.adjacency_matrix(params)
+    h = johnson._search_hamiltonian(a, 0.5, 4)
+    assert np.shares_memory(h, a)
+    assert np.array_equal(h, qw.full_hamiltonian(params, 0.5, 4))
+
+
 def test_mask_helpers_roundtrip():
     params = qw.GraphParams(9, 4)
     elems = (2, 3, 7, 9)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -28,6 +29,47 @@ def test_curves_independent_of_marked_vertex():
         gamma = qw.gamma_star(params)
         times = np.linspace(0.0, 2 * qw.run_time(params), 64)
         assert qw.compare_marked_vertices(params, gamma, 0, w2, times) <= 1e-10
+
+
+def test_compare_marked_vertices_same_vertex_and_range():
+    params = qw.GraphParams(6, 3)
+    gamma = qw.gamma_star(params)
+    times = np.linspace(0.0, 2 * qw.run_time(params), 64)
+    assert qw.compare_marked_vertices(params, gamma, 4, 4, times) == 0.0
+    for w2 in (-1, params.num_vertices):
+        with pytest.raises(DomainError):
+            qw.compare_marked_vertices(params, gamma, 4, w2, times)
+
+
+@pytest.mark.parametrize(
+    "check",
+    ["validate_instance", "compare_marked_vertices", "reduced_embedding_residual"],
+)
+def test_dense_checks_hold_one_hamiltonian_buffer(check):
+    # Traced numpy allocations (LAPACK's own workspace is not traced): the
+    # Hamiltonians are formed in A's buffer, so the peak is A, the
+    # eigenvectors, sym_eig's residual buffer and a 256-row block, about
+    # 3.6 N x N matrices; a second Hamiltonian copy would make it 4.6.
+    params = qw.GraphParams(12, 4)
+    gamma = qw.gamma_star(params)
+    times = np.linspace(0.0, 2 * qw.run_time(params), 64)
+    call = {
+        "validate_instance": lambda: qw.validate_instance(params, 3),
+        "compare_marked_vertices": lambda: qw.compare_marked_vertices(
+            params, gamma, 3, 40, times
+        ),
+        "reduced_embedding_residual": lambda: qw.validation.reduced_embedding_residual(
+            params, gamma, 3
+        ),
+    }[check]
+    call()  # warm-up: imports and first-call caches are not counted
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 8 * params.num_vertices**2
 
 
 def test_check_spectrum_42():
