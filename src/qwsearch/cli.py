@@ -70,8 +70,11 @@ def _write(text: str, out):
     out_dir = os.environ.get("QWSEARCH_OUT_DIR")
     if out_dir and not os.path.isabs(out):
         out = os.path.join(out_dir, out)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _params(args) -> GraphParams:

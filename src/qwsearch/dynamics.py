@@ -23,6 +23,9 @@ from .errors import BracketError, DomainError, NumericalError
 from .johnson import GraphParams, _check_coupling
 from .spectral import SpectralData, spectral_data
 
+# scan holds all m samples at once, and the CLI renders them as one text:
+# `qwsearch scan --m 1000000` takes about 5 s and peaks near 480 MB.
+MAX_SCAN_SAMPLES = 10**6
 _PEAK_COARSE_SAMPLES = 2001
 _PEAK_REL_TOL = 1e-6
 _CLAMP_WARN_EXCESS = 1e-10
@@ -211,7 +214,8 @@ def scan(
 ) -> ScanResult:
     """Success probability on m uniformly spaced times in [t0, t1].
 
-    Requires finite 0 <= t0 < t1 and m >= 2.  ``times`` is
+    Requires finite 0 <= t0 < t1 and 2 <= m <= MAX_SCAN_SAMPLES (10**6);
+    a larger m is refused before anything is allocated.  ``times`` is
     ``np.linspace(t0, t1, m)``; ``probs`` comes from one reduced solve and
     a factored phase table (about 2*sqrt(m) complex exponentials per
     level), so it agrees with a point-by-point evaluation to the rounding
@@ -220,6 +224,8 @@ def scan(
     _check_window(t0, t1)
     if m < 2:
         raise DomainError(f"need at least 2 samples, got m={m}")
+    if m > MAX_SCAN_SAMPLES:
+        raise DomainError(f"at most {MAX_SCAN_SAMPLES} samples, got m={m}")
     dec, weights = _reduced_transition(params, gamma)
     return ScanResult(
         params=params,

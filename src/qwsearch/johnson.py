@@ -11,7 +11,10 @@ sorted elements of every vertex, enumerated without a sort, and the colex
 ranks of each vertex's k (k-1)-subsets, its "faces".  The faces are the
 nonzeros of the inclusion matrix W in A = W^T W - kI: every face lies in
 exactly n-k+1 vertices, and two vertices are adjacent exactly when they
-share a face, so A is the union of the cliques on the faces.
+share a face, so A is the union of the cliques on the faces.  The same
+faces give A times the 0/1 indicators of the distance classes as exact
+integers in O(N k^2), with no N x N array: that product is the partition
+invariance check.
 
 The dense N x N objects built here (adjacency, search Hamiltonian) exist
 only as oracles for small instances, so they are guarded by a vertex cap;
@@ -227,14 +230,15 @@ def _check_cap(params: GraphParams, cap: int) -> int:
     return n_vert
 
 
-def _adjacency(index: _ColexIndex) -> np.ndarray:
+def _adjacency(index: _ColexIndex, weight: float = 1.0) -> np.ndarray:
     # Two vertices are adjacent iff they share exactly one face, so A is the
     # union of the cliques on each face's n-k+1 supersets, minus the diagonal.
+    # The edges get ``weight``, so -gamma*A is written in the same scatter.
     n_vert, k = index.elems.shape
     order = np.argsort(index.faces, axis=None, kind="stable")
     members = (order // k).reshape(-1, index.params.n - k + 1)
     a = np.zeros((n_vert, n_vert), dtype=np.float64)
-    a[members[:, :, None], members[:, None, :]] = 1.0
+    a[members[:, :, None], members[:, None, :]] = weight
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -244,24 +248,45 @@ def adjacency_matrix(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.nda
     return _adjacency(_colex_index(params, cap))
 
 
-def _distance_partition(index: _ColexIndex, w: int) -> DistancePartition:
+def _distance_labels(index: _ColexIndex, w: int) -> np.ndarray:
+    # label[v] = k - |v & w|, the graph distance of v from w.
     params = index.params
     _check_vertex(w, len(index.elems))
     in_w = np.zeros(params.n + 1, dtype=np.int64)
     in_w[index.elems[w]] = 1
-    ell = params.k - in_w[index.elems].sum(axis=1)
-    classes = tuple(
-        np.flatnonzero(ell == l).astype(np.int64, copy=False)
-        for l in range(params.k + 1)
-    )
-    sizes = [len(c) for c in classes]
+    label = params.k - in_w[index.elems].sum(axis=1)
+    sizes = np.bincount(label, minlength=params.k + 1).tolist()
     expected = [
         math.comb(params.k, l) * math.comb(params.n - params.k, l)
         for l in range(params.k + 1)
     ]
     if sizes != expected:  # pragma: no cover - would indicate an indexing bug
         raise AssertionError(f"class sizes {sizes} != {expected}")
-    return DistancePartition(params=params, marked=w, classes=classes)
+    return label
+
+
+def _distance_partition(index: _ColexIndex, w: int) -> DistancePartition:
+    label = _distance_labels(index, w)
+    classes = tuple(
+        np.flatnonzero(label == l).astype(np.int64, copy=False)
+        for l in range(index.params.k + 1)
+    )
+    return DistancePartition(params=index.params, marked=w, classes=classes)
+
+
+def _class_image(index: _ColexIndex, label: np.ndarray) -> np.ndarray:
+    # Rows A|nu_l> for the 0/1 indicators nu_l of the classes label == l,
+    # l = 0..k, as exact int64, without A.  With A = W^T W - kI, entry v of
+    # W^T W |nu_l> counts, over v's k faces, the members of class l on that
+    # face; one bincount gives those counts for every (face, class) pair.
+    n_vert, k = index.faces.shape
+    n_faces = math.comb(index.params.n, k - 1)
+    counts = np.bincount(
+        (label * n_faces + index.faces.T).ravel(), minlength=(k + 1) * n_faces
+    ).reshape(k + 1, n_faces)
+    image = counts[:, index.faces].sum(axis=2)
+    image[label, np.arange(n_vert)] -= k
+    return image
 
 
 def distance_partition(
@@ -277,12 +302,15 @@ def full_hamiltonian(
     """Search Hamiltonian -gamma*A - |w><w| on the full N-dimensional space.
 
     The coupling and the marked vertex are checked before anything is
-    built, and H is formed in the adjacency's own buffer, so the call
-    allocates one N x N array.
+    built, and H is written in one pass: -gamma on the edges by the
+    adjacency's clique scatter, then -1 at [w, w].  The call allocates one
+    N x N array, and the zeros of H are +0.0.
     """
     _check_coupling(params, gamma)
     _check_vertex(w, params.num_vertices)
-    return _search_hamiltonian(adjacency_matrix(params, cap), gamma, w)
+    h = _adjacency(_colex_index(params, cap), -gamma)
+    h[w, w] = -1.0
+    return h
 
 
 def _search_hamiltonian(a: np.ndarray, gamma: float, w: int) -> np.ndarray:
@@ -295,8 +323,9 @@ def _search_hamiltonian(a: np.ndarray, gamma: float, w: int) -> np.ndarray:
 
 def _move_mark(h: np.ndarray, w: int, w2: int) -> np.ndarray:
     # Turns the search Hamiltonian marked at w into the one marked at w2, in
-    # place; w2 is checked by the caller.  H[w, w] ends as +0.0 where a fresh
-    # build has -0.0, which changes no product.  w == w2 leaves H as it was.
+    # place; w2 is checked by the caller.  H[w, w] ends as +0.0 where
+    # _search_hamiltonian leaves -0.0, which changes no product.  w == w2
+    # leaves H as it was.
     h[w, w] += 1.0
     h[w2, w2] -= 1.0
     return h

@@ -36,8 +36,9 @@ from .johnson import (
     _adjacency,
     _check_coupling,
     _check_vertex,
+    _class_image,
     _colex_index,
-    _distance_partition,
+    _distance_labels,
     _move_mark,
     _search_hamiltonian,
     adjacency_matrix,
@@ -184,23 +185,20 @@ def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> Validati
     return _spectrum_report(params, spectral_data(params), dense)
 
 
-def _invariance_residual(a, part) -> float:
-    # A is 0/1, so A times the 0/1 class indicators is an exact integer
-    # matrix whatever the summation order, and so are its class sums.  Row
-    # l of the residual is A|nu_l> minus its class-wise means, scaled by
-    # 1/sqrt(|class_l|); equitable classes give exactly 0.  The product is
-    # formed as rows (indicators @ A^T), which reads A in its memory order.
-    n_vert = a.shape[0]
-    indicators = np.zeros((len(part.classes), n_vert))
-    label = np.empty(n_vert, dtype=np.int64)
-    for ell, ids in enumerate(part.classes):
-        indicators[ell, ids] = 1.0
-        label[ids] = ell
-    image = indicators @ a.T
-    sizes = indicators.sum(axis=1)
-    means = (image @ indicators.T) / sizes
+def _invariance_residual(image, label) -> float:
+    # image[l] is A|nu_l> for the 0/1 indicators nu_l of the classes
+    # label == l.  Its entries and class sums are exact integers, so row l
+    # minus its class-wise means, scaled by 1/sqrt(|class_l|), is exactly 0
+    # for equitable classes.
+    sizes = np.bincount(label)
+    means = np.array([np.bincount(label, weights=row) for row in image]) / sizes
     residual = np.linalg.norm(image - means[:, label], axis=1) / np.sqrt(sizes)
     return float(np.max(residual))
+
+
+def _partition_invariance(index, w) -> float:
+    label = _distance_labels(index, w)
+    return _invariance_residual(_class_image(index, label), label)
 
 
 def check_partition_invariance(
@@ -209,12 +207,12 @@ def check_partition_invariance(
     """Residual of A mapping the distance-class span into itself.
 
     With B the orthonormal class indicators around w, returns
-    max_l || (I - B B^T) A |nu_l> ||.  The products it takes are exact
-    for a 0/1 matrix A, so the residual is exactly 0.0 when the classes
-    are equitable.
+    max_l || (I - B B^T) A |nu_l> ||.  A|nu_l> is counted exactly in
+    integers from the (k-1)-faces of the colex index (A = W^T W - kI), in
+    O(N k^2) and without an N x N array, so the residual is exactly 0.0
+    when the classes are equitable.
     """
-    index = _colex_index(params, cap)
-    return _invariance_residual(_adjacency(index), _distance_partition(index, w))
+    return _partition_invariance(_colex_index(params, cap), w)
 
 
 def _embedding_residual(sd, dec_a, h, gamma, w) -> float:
@@ -311,22 +309,22 @@ def validate_instance(
 ) -> ValidationReport:
     """Every full-space check on one instance, aggregated for reporting.
 
-    The adjacency A and the spectral data are built once, and A, H_w and
-    H_w2 (w2 = w + 1 mod N, for vertex independence) are each
-    eigendecomposed once; the checks share them.  The checks on A come
-    first, then H_w is formed in A's buffer and H_w2 from H_w by moving the
-    mark, so one N x N matrix besides the eigenvectors is held during each
-    eigensolve.
+    The colex index, the adjacency A and the spectral data are built once,
+    and A, H_w and H_w2 (w2 = w + 1 mod N, for vertex independence) are
+    each eigendecomposed once; the checks share them.  Partition invariance
+    is counted from the index's faces before A exists.  The checks on A
+    come next, then H_w is formed in A's buffer and H_w2 from H_w by moving
+    the mark, so one N x N matrix besides the eigenvectors is held during
+    each eigensolve.
     """
     index = _colex_index(params, cap)
-    part = _distance_partition(index, w)
+    invariance = _partition_invariance(index, w)
     a = _adjacency(index)
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
     times = np.linspace(0.0, 2.0 * run_time(params), 64)
     dec_a = sym_eig(a)
     spectrum = _spectrum_report(params, sd, dec_a.values).checks
-    invariance = _invariance_residual(a, part)
     h = _search_hamiltonian(a, gamma, w)
     embedding = _embedding_residual(sd, dec_a, h, gamma, w)
     del dec_a

@@ -187,6 +187,9 @@ def test_out_file_and_dir_override(tmp_path):
         ("spectrum", "--n", "3000", "--k", "1000"),
         ("sweep", "--k", "3", "--n-list", "100", "--jobs", "0"),
         ("sweep", "--k", "3", "--n-list", "100", "--jobs", "-3"),
+        ("scan", "--n", "6", "--k", "3", "--m", "2000000000"),
+        ("gamma", "--n", "6", "--k", "3", "--out", "/nonexistent/x"),
+        ("gamma", "--n", "6", "--k", "3", "--out", "."),
     ],
     ids=lambda argv: " ".join((argv[0], *argv[-2:])),
 )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,36 @@ def test_adjacency_is_the_inclusion_identity(n, k):
     incl[index.faces, np.arange(n_vert)[:, None]] = 1.0
     assert np.all(incl.sum(axis=0) == k) and np.all(incl.sum(axis=1) == n - k + 1)
     assert np.array_equal(incl.T @ incl - k * np.eye(n_vert), qw.adjacency_matrix(params))
+
+
+@pytest.mark.parametrize("n,k,w", [
+    (2, 1, 0), (6, 3, 0), (8, 2, 0), (9, 4, 17), (78, 2, 0), (3003, 1, 0), (14, 6, 100),
+])
+def test_class_image_from_the_faces_is_the_dense_product(n, k, w):
+    params = qw.GraphParams(n, k)
+    index = johnson._colex_index(params, qw.DEFAULT_FULL_CAP)
+    label = johnson._distance_labels(index, w)
+    indicators = (label == np.arange(k + 1)[:, None]).astype(np.float64)
+    image = johnson._class_image(index, label)
+    assert image.dtype == np.int64
+    assert np.array_equal(image, indicators @ qw.adjacency_matrix(params).T)
+
+
+def test_full_hamiltonian_allocates_one_matrix():
+    # -gamma is written by the clique scatter itself: no second pass, no copy
+    params = qw.GraphParams(14, 6)
+    gamma = qw.gamma_star(params)
+    qw.full_hamiltonian(params, gamma, 100)  # warm-up: first-call caches are not counted
+    tracemalloc.start()
+    try:
+        h = qw.full_hamiltonian(params, gamma, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 8 * params.num_vertices**2
+    expected = -gamma * qw.adjacency_matrix(params)
+    expected[100, 100] -= 1.0
+    assert np.array_equal(h, expected)
 
 
 def test_full_hamiltonian_k2():

@@ -101,9 +101,23 @@ def test_partition_invariance_residuals():
     params = qw.GraphParams(8, 3)
     a = qw.adjacency_matrix(params)
     a[1, 2] = a[2, 1] = 1.0 - a[1, 2]
-    residual = qw.validation._invariance_residual(a, qw.distance_partition(params, 0))
+    label = qw.johnson._distance_labels(qw.johnson._colex_index(params, 56), 0)
+    indicators = (label == np.arange(params.k + 1)[:, None]).astype(np.float64)
+    residual = qw.validation._invariance_residual(indicators @ a.T, label)
     assert residual > 1e-12
     assert residual == pytest.approx(0.33993463423951, rel=1e-13)
+
+
+def test_partition_invariance_builds_no_dense_matrix():
+    params = qw.GraphParams(14, 6)
+    qw.check_partition_invariance(params, 100)  # warm-up: first-call caches are not counted
+    tracemalloc.start()
+    try:
+        assert qw.check_partition_invariance(params, 100) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * params.num_vertices**2
 
 
 def test_reduced_embedding_small_instances():
