@@ -5,13 +5,16 @@ Every real number is printed with 17 significant digits, which round-trips
 binary64 exactly, so identical invocations produce byte-identical reports.
 
 Exit codes: 0 success, 1 a validation check failed, 2 usage or domain
-error, 3 numerical failure.
+error, 3 numerical failure.  Among the domain errors: a C(n,k) beyond
+binary64, refused at once however large n and k are; a time t whose phase
+bound (gamma*k(n-k) + 1)*t overflows; and a k whose critical coupling or
+run time overflows binary64 (from about k = 162).
 """
 
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import astuple, fields
 
 from . import coupling, dynamics, validation
 from .errors import DomainError, NumericalError
@@ -24,40 +27,27 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def fmt_real(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _cell(value) -> str:
+def _cell(value, fmt: str) -> str:
     if value is None:
-        return ""
+        return "null" if fmt == "json" else ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return fmt_real(value)
+        return format(value, ".17g")
+    if fmt == "json" and not isinstance(value, int):
+        return f'"{value}"'
     return str(value)
 
 
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt_real(value)
-    if isinstance(value, int):
-        return str(value)
-    return '"' + str(value) + '"'
-
-
 def render(rows, columns, fmt: str) -> str:
-    """Rows (dicts) to CSV or JSON text with deterministic formatting."""
+    """Rows (value sequences in column order, iterated once) to CSV or JSON text."""
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+        lines += [",".join([_cell(v, fmt) for v in row]) for row in rows]
         return "\n".join(lines) + "\n"
+    keys = [f'"{c}": ' for c in columns]
     body = ",\n".join(
-        "  {" + ", ".join(f'"{c}": {_json_scalar(row[c])}' for c in columns) + "}"
+        "  {" + ", ".join([key + _cell(v, fmt) for key, v in zip(keys, row)]) + "}"
         for row in rows
     )
     return "[\n" + body + "\n]\n"
@@ -81,85 +71,57 @@ def _params(args) -> GraphParams:
     return GraphParams(n=args.n, k=args.k)
 
 
-def cmd_spectrum(args) -> int:
+# Each command returns (columns, rows, exit code); main renders and writes.
+
+
+def cmd_spectrum(args):
     params = _params(args)
     rows = [
-        {
-            "ell": ell,
-            "lambda": eigenvalue(params, ell),
-            "multiplicity": multiplicity(params, ell),
-            "overlap_sq": overlap(params, ell) ** 2,
-        }
+        (ell, eigenvalue(params, ell), multiplicity(params, ell), overlap(params, ell) ** 2)
         for ell in range(params.k + 1)
     ]
-    _write(render(rows, ["ell", "lambda", "multiplicity", "overlap_sq"], args.format), args.out)
-    return EXIT_OK
+    return ("ell", "lambda", "multiplicity", "overlap_sq"), rows, EXIT_OK
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args):
     params = _params(args)
     star = coupling.gamma_star(params)
     closed = rel = None
     if params.k in (3, 4, 5):
         closed = coupling.gamma_closed_form(coupling.from_graph(params))
         rel = abs(closed - star) / star
-    rows = [
-        {"n": params.n, "k": params.k, "gamma_star": star,
-         "gamma_closed_form": closed, "rel_diff": rel}
-    ]
-    _write(
-        render(rows, ["n", "k", "gamma_star", "gamma_closed_form", "rel_diff"], args.format),
-        args.out,
-    )
-    return EXIT_OK
+    columns = ("n", "k", "gamma_star", "gamma_closed_form", "rel_diff")
+    return columns, [(params.n, params.k, star, closed, rel)], EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     params = _params(args)
     gamma = args.gamma if args.gamma is not None else coupling.gamma_star(params)
     t = args.t if args.t is not None else dynamics.run_time(params)
-    rows = [{"gamma": gamma, "t": t,
-             "p_succ": dynamics.success_probability(params, gamma, t)}]
-    _write(render(rows, ["gamma", "t", "p_succ"], args.format), args.out)
-    return EXIT_OK
+    p = dynamics.success_probability(params, gamma, t)
+    return ("gamma", "t", "p_succ"), [(gamma, t, p)], EXIT_OK
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     params = _params(args)
     gamma = args.gamma if args.gamma is not None else coupling.gamma_star(params)
     t1 = args.t1 if args.t1 is not None else 2.0 * dynamics.run_time(params)
     result = dynamics.scan(params, gamma, args.t0, t1, args.m)
-    rows = [
-        {"t": float(t), "prob": float(p)}
-        for t, p in zip(result.times, result.probs)
-    ]
-    _write(render(rows, ["t", "prob"], args.format), args.out)
-    return EXIT_OK
+    return ("t", "prob"), zip(result.times.tolist(), result.probs.tolist()), EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     params = _params(args)
     report = validation.validate_instance(params, w=args.w, cap=args.full_cap)
-    rows = [
-        {"check": c.name, "passed": c.passed, "residual": c.residual,
-         "threshold": c.threshold}
-        for c in report.checks
-    ]
-    _write(render(rows, ["check", "passed", "residual", "threshold"], args.format), args.out)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    rows = [(c.name, c.passed, c.residual, c.threshold) for c in report.checks]
+    code = EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return ("check", "passed", "residual", "threshold"), rows, code
 
 
-def cmd_sweep(args) -> int:
-    rows = [
-        asdict(row)
-        for row in validation.convergence_sweep(args.k, args.n_list, jobs=args.jobs)
-    ]
-    columns = [
-        "n", "N", "gamma_star", "t_run", "p_at_trun", "t_peak", "p_peak",
-        "gap", "gap_ratio", "phase", "s_overlap_sq", "w_overlap_sq",
-    ]
-    _write(render(rows, columns, args.format), args.out)
-    return EXIT_OK
+def cmd_sweep(args):
+    rows = validation.convergence_sweep(args.k, args.n_list, jobs=args.jobs)
+    columns = [f.name for f in fields(validation.SweepRow)]
+    return columns, [astuple(row) for row in rows], EXIT_OK
 
 
 def _n_list(text: str):
@@ -228,13 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        columns, rows, code = args.func(args)
+        _write(render(rows, columns, args.format), args.out)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return code
 
 
 if __name__ == "__main__":

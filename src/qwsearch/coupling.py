@@ -73,10 +73,18 @@ def p_ell_scaled(sp: ScaledParams, ell: int) -> float:
 
 
 def _coupling_terms(sp: ScaledParams):
+    # k!/l! and the products in p_l(eps) leave binary64 from about k = 162
+    # on; such a k is refused rather than answered with inf.
     r0 = r_ell(sp, 0)
-    return [
-        p_ell_scaled(sp, l) ** 2 / (r0 - r_ell(sp, l)) for l in range(1, sp.k + 1)
-    ]
+    try:
+        terms = [
+            p_ell_scaled(sp, l) ** 2 / (r0 - r_ell(sp, l)) for l in range(1, sp.k + 1)
+        ]
+        if all(map(math.isfinite, terms)):
+            return terms
+    except OverflowError:
+        pass
+    raise DomainError(f"the coupling terms overflow binary64 at k={sp.k}, eps={sp.eps}")
 
 
 def eta_star(sp: ScaledParams) -> float:

@@ -24,6 +24,7 @@ everything asymptotic runs through the (k+1)-dimensional model in
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ from .errors import CapacityError, DomainError
 # eigensolves) takes about 20 s and peaks near 393 MB.  Overridable per
 # call and via the CLI.
 DEFAULT_FULL_CAP = 3003
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,11 @@ class GraphParams:
             raise DomainError(f"k must be >= 1, got {self.k}")
         if self.n < 2 * self.k:
             raise DomainError(f"need n >= 2k for diameter k, got n={self.n}, k={self.k}")
+        # C(n,k) >= (n/k)^k, so a k*ln(n/k) beyond ln(max float) overflows
+        # for sure and is refused before the exact, possibly huge, C(n,k).
         try:
+            if self.k * (math.log(self.n) - math.log(self.k)) > _LOG_FLOAT_MAX:
+                raise OverflowError
             float(self.num_vertices)
         except OverflowError:
             raise DomainError(
@@ -265,15 +273,6 @@ def _distance_labels(index: _ColexIndex, w: int) -> np.ndarray:
     return label
 
 
-def _distance_partition(index: _ColexIndex, w: int) -> DistancePartition:
-    label = _distance_labels(index, w)
-    classes = tuple(
-        np.flatnonzero(label == l).astype(np.int64, copy=False)
-        for l in range(index.params.k + 1)
-    )
-    return DistancePartition(params=index.params, marked=w, classes=classes)
-
-
 def _class_image(index: _ColexIndex, label: np.ndarray) -> np.ndarray:
     # Rows A|nu_l> for the 0/1 indicators nu_l of the classes label == l,
     # l = 0..k, as exact int64, without A.  With A = W^T W - kI, entry v of
@@ -293,7 +292,12 @@ def distance_partition(
     params: GraphParams, w: int, cap: int = DEFAULT_FULL_CAP
 ) -> DistancePartition:
     """Partition all vertex ids by intersection size with the marked subset."""
-    return _distance_partition(_colex_index(params, cap), w)
+    label = _distance_labels(_colex_index(params, cap), w)
+    classes = tuple(
+        np.flatnonzero(label == l).astype(np.int64, copy=False)
+        for l in range(params.k + 1)
+    )
+    return DistancePartition(params=params, marked=w, classes=classes)
 
 
 def full_hamiltonian(

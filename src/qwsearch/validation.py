@@ -146,11 +146,9 @@ def compare_marked_vertices(
     exactly that.  One N x N Hamiltonian serves both curves: the mark is
     moved from w1 to w2 in place.
     """
-    _check_coupling(params, gamma)
-    for w in (w1, w2):
-        _check_vertex(w, params.num_vertices)
+    _check_vertex(w2, params.num_vertices)
     times = np.asarray(times, dtype=np.float64)
-    h = _search_hamiltonian(adjacency_matrix(params, cap), gamma, w1)
+    h = full_hamiltonian(params, gamma, w1, cap)
     probs_w1 = _full_curve(h, w1, times)
     return _curve_distance(probs_w1, _full_curve(_move_mark(h, w1, w2), w2, times))
 

@@ -3,10 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qwsearch as qw
+from qwsearch import cli
 
 CMD = [sys.executable, "-m", "qwsearch"]
 # the children import the same qwsearch as this process, installed or not
@@ -190,6 +194,12 @@ def test_out_file_and_dir_override(tmp_path):
         ("scan", "--n", "6", "--k", "3", "--m", "2000000000"),
         ("gamma", "--n", "6", "--k", "3", "--out", "/nonexistent/x"),
         ("gamma", "--n", "6", "--k", "3", "--out", "."),
+        ("simulate", "--n", "26", "--k", "8", "--gamma", "1e17", "--t", "1e308"),
+        ("scan", "--n", "13", "--k", "1", "--gamma", "1e17", "--m", "3", "--t1", "1e308"),
+        ("spectrum", "--n", "3000000", "--k", "300000"),
+        ("gamma", "--n", "330", "--k", "165"),
+        ("gamma", "--n", "342", "--k", "171"),
+        ("simulate", "--n", "342", "--k", "171", "--gamma", "0.1"),
     ],
     ids=lambda argv: " ".join((argv[0], *argv[-2:])),
 )
@@ -204,3 +214,72 @@ def test_bad_input_is_a_domain_error(argv):
 def test_usage_errors_exit_two():
     assert run("no-such-command").returncode == 2
     assert run("spectrum", "--n", "6").returncode == 2  # missing --k
+
+
+def test_render_spells_every_cell_type():
+    columns = ["i", "big", "r", "nz", "tiny", "t", "f", "none", "s"]
+    row = (7, 2**70, 0.1, -0.0, 1e-300, True, False, None, "x_1")
+    assert cli.render([row], columns, "csv") == (
+        "i,big,r,nz,tiny,t,f,none,s\n"
+        "7,1180591620717411303424,0.10000000000000001,-0,1e-300,true,false,,x_1\n"
+    )
+    assert cli.render([row], columns, "json") == (
+        '[\n  {"i": 7, "big": 1180591620717411303424, "r": 0.10000000000000001, '
+        '"nz": -0, "tiny": 1e-300, "t": true, "f": false, "none": null, "s": "x_1"}\n]\n'
+    )
+
+
+# Small values are drawn as often as the full ranges, so that many examples
+# are valid and reach the solvers.
+_NS = st.one_of(st.integers(-2, 64), st.integers(-2, 10**15))
+_KS = st.one_of(st.integers(-2, 8), st.integers(-2, 10**6))
+_REALS = st.one_of(
+    st.floats(0.0, 1e3),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 5e-324, 1e-310, 0.0]),
+)
+
+
+def _option(name, values):
+    # "--name=value" lets negative values reach the option's type.
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v!r}"]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(
+        st.sampled_from(["spectrum", "gamma", "simulate", "scan", "validate", "sweep"])
+    )
+    argv = [command, "--format=" + draw(st.sampled_from(["csv", "json"]))]
+    if command == "sweep":
+        n_list = draw(st.lists(_NS, min_size=1, max_size=4))
+        argv += [f"--k={draw(_KS)}", "--n-list=" + ",".join(map(str, n_list))]
+        return argv + draw(_option("jobs", st.integers(-2, 4)))
+    argv += [f"--n={draw(_NS)}", f"--k={draw(_KS)}"]
+    if command in ("simulate", "scan"):
+        argv += draw(_option("gamma", _REALS))
+    if command == "simulate":
+        argv += draw(_option("t", _REALS))
+    if command == "scan":
+        argv += draw(_option("t0", _REALS)) + draw(_option("t1", _REALS))
+        argv += draw(_option("m", st.integers(-2, 10**4)))
+    if command == "validate":
+        argv += draw(_option("w", st.integers(-2, 400)))
+        argv.append(f"--full-cap={draw(st.integers(-2, 300))}")
+    return argv
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_any_arguments_give_an_exit_code_and_no_nan(argv, capsys):
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert "nan" not in out and "inf" not in out

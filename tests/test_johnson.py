@@ -99,6 +99,8 @@ def test_graph_params_validation():
         qw.GraphParams(5.0, 2)
     with pytest.raises(DomainError, match="overflows"):
         qw.GraphParams(3000, 1000)  # C(3000,1000) is about 1e823
+    with pytest.raises(DomainError, match="overflows"):
+        qw.GraphParams(10**15, 10**6)  # refused before the exact C(n,k)
     assert qw.GraphParams(6, 3).num_vertices == 20
     assert qw.GraphParams(6, 3).degree == 9
 
