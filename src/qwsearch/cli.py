@@ -1,8 +1,9 @@
 """Command-line interface: spectra, couplings, simulations, validation, sweeps.
 
-Reports are CSV (default) or JSON, written to stdout or ``--out PATH``.
-Every real number is printed with 17 significant digits, which round-trips
-binary64 exactly, so identical invocations produce byte-identical reports.
+Reports are CSV (default) or JSON, written to stdout or ``--out PATH``, and
+spelled in one ``%`` pass over a row template, the same bytes as ``_cell``
+on each cell: every real number with 17 significant digits, which
+round-trips binary64 exactly, so identical invocations give identical bytes.
 
 Exit codes: 0 success, 1 a validation check failed, 2 usage or domain
 error, 3 numerical failure.  Among the domain errors: a C(n,k) beyond
@@ -15,6 +16,7 @@ import argparse
 import os
 import sys
 from dataclasses import astuple, fields
+from itertools import chain
 
 from . import coupling, dynamics, validation
 from .errors import DomainError, NumericalError
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+_SPECS = {frozenset([float]): "%.17g", frozenset([int]): "%d"}  # as _cell spells them
 
 
 def _cell(value, fmt: str) -> str:
@@ -41,16 +44,16 @@ def _cell(value, fmt: str) -> str:
 
 def render(rows, columns, fmt: str) -> str:
     """Rows (value sequences in column order, iterated once) to CSV or JSON text."""
+    cells, width, specs = list(chain.from_iterable(rows)), len(columns), []
+    for j in range(width):
+        specs.append(_SPECS.get(frozenset(map(type, cells[j::width])), "%s"))
+        if specs[-1] == "%s":
+            cells[j::width] = [_cell(v, fmt) for v in cells[j::width]]
+    m, cells = len(cells) // width, tuple(cells)
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join([_cell(v, fmt) for v in row]) for row in rows]
-        return "\n".join(lines) + "\n"
-    keys = [f'"{c}": ' for c in columns]
-    body = ",\n".join(
-        "  {" + ", ".join([key + _cell(v, fmt) for key, v in zip(keys, row)]) + "}"
-        for row in rows
-    )
-    return "[\n" + body + "\n]\n"
+        return ",".join(columns) + "\n" + ((",".join(specs) + "\n") * m) % cells
+    row = "  {" + ", ".join([f'"{c}": {s}' for c, s in zip(columns, specs)]) + "}"
+    return "[\n" + ",\n".join([row] * m) % cells + "\n]\n"
 
 
 def _write(text: str, out):
@@ -69,9 +72,6 @@ def _write(text: str, out):
 
 def _params(args) -> GraphParams:
     return GraphParams(n=args.n, k=args.k)
-
-
-# Each command returns (columns, rows, exit code); main renders and writes.
 
 
 def cmd_spectrum(args):

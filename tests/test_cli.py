@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ def run(*args, env=None):
     full_env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     if env:
         full_env.update(env)
-    return subprocess.run(CMD + list(args), capture_output=True, env=full_env)
+    return subprocess.run(CMD + list(args), capture_output=True, env=full_env, timeout=120)
 
 
 def parse_csv(raw: bytes):
@@ -227,6 +228,70 @@ def test_render_spells_every_cell_type():
         '[\n  {"i": 7, "big": 1180591620717411303424, "r": 0.10000000000000001, '
         '"nz": -0, "tiny": 1e-300, "t": true, "f": false, "none": null, "s": "x_1"}\n]\n'
     )
+
+
+def test_render_spells_mixed_columns_cell_by_cell():
+    # column b mixes True with 1, column x mixes 1 with 1.0 (and 2**70 with 0.5,
+    # which neither %d nor %.17g alone spells as _cell does)
+    rows = [(True, 1), (1, 1.0), (False, 2**70), (0, 0.5)]
+    assert cli.render(rows, ["b", "x"], "csv") == (
+        "b,x\ntrue,1\n1,1\nfalse,1180591620717411303424\n0,0.5\n"
+    )
+    assert cli.render(rows, ["b", "x"], "json") == (
+        '[\n  {"b": true, "x": 1},\n  {"b": 1, "x": 1},\n'
+        '  {"b": false, "x": 1180591620717411303424},\n  {"b": 0, "x": 0.5}\n]\n'
+    )
+
+
+def _spell_cell_by_cell(rows, columns, fmt):
+    # render's reference: one _cell call per cell
+    if fmt == "csv":
+        lines = [",".join(columns)] + [",".join(cli._cell(v, fmt) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    body = ",\n".join(
+        "  {" + ", ".join(f'"{c}": {cli._cell(v, fmt)}' for c, v in zip(columns, row)) + "}"
+        for row in rows
+    )
+    return "[\n" + body + "\n]\n"
+
+
+_CELL_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+)
+_CELL_INTS = st.one_of(st.integers(), st.sampled_from([-1, 0, 2**70, -(2**70)]))
+_CELL_OTHERS = st.one_of(
+    st.booleans(), st.none(), st.text(alphabet="ab_1%,", max_size=6),
+    _CELL_FLOATS.map(np.float64),
+)
+_CELL_COLUMNS = st.sampled_from(
+    [_CELL_FLOATS, _CELL_INTS, st.booleans(), st.none(), _CELL_OTHERS,
+     st.one_of(_CELL_FLOATS, _CELL_INTS), st.one_of(st.booleans(), _CELL_INTS),
+     st.one_of(_CELL_FLOATS, _CELL_INTS, _CELL_OTHERS)]
+)
+
+
+@st.composite
+def _report(draw):
+    column_cells = draw(st.lists(_CELL_COLUMNS, min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*column_cells), max_size=40))
+    return rows, [f"c{j}" for j in range(len(column_cells))]
+
+
+@settings(max_examples=300)
+@given(report=_report(), fmt=st.sampled_from(["csv", "json"]))
+def test_render_matches_cell_by_cell_spelling(report, fmt):
+    rows, columns = report
+    assert cli.render(iter(rows), columns, fmt) == _spell_cell_by_cell(rows, columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_large_scan_report_matches_cell_by_cell_spelling(fmt, capsys):
+    capsys.readouterr()
+    assert cli.main(["scan", "--n", "6", "--k", "3", "--m", "100001", "--format", fmt]) == 0
+    params = qw.GraphParams(6, 3)
+    res = qw.scan(params, qw.gamma_star(params), 0.0, 2 * qw.run_time(params), 100001)
+    rows = list(zip(res.times.tolist(), res.probs.tolist()))
+    assert capsys.readouterr().out == _spell_cell_by_cell(rows, ("t", "prob"), fmt)
 
 
 # Small values are drawn as often as the full ranges, so that many examples

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qwsearch as qw
 from qwsearch.errors import BracketError, DomainError
@@ -262,6 +264,23 @@ def test_find_peak_bracket_errors():
         qw.find_peak(params, 0.25, (3.0, 4.5))  # p falling, argmax at left edge
     with pytest.raises(DomainError):
         qw.find_peak(params, 0.25, (2.0, 1.0))
+
+
+_TIMES = st.one_of(
+    st.floats(0.0, 1e3),
+    st.floats(0.0, 1e300),
+    st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1e308]),
+)
+
+
+@settings(max_examples=300)
+@given(t0=_TIMES, t1=_TIMES, m=st.sampled_from([2, 3, 101, 2001]))
+def test_grid_time_is_linspace_bit_for_bit(t0, t1, m):
+    # find_peak reads its coarse grid times from _grid_time, not np.linspace
+    t0, t1 = sorted((t0, t1))
+    assume(t0 < t1 and (t1 - t0) / (m - 1) > 0)
+    grid = [qw.dynamics._grid_time(t0, t1, m, j).hex() for j in range(m)]
+    assert grid == [t.hex() for t in np.linspace(t0, t1, m).tolist()]
 
 
 def _phase_rounding_bound(dec, t1):
