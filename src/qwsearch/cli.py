@@ -1,9 +1,10 @@
 """Command-line interface: spectra, couplings, simulations, validation, sweeps.
 
 Reports are CSV (default) or JSON, written to stdout or ``--out PATH``, and
-spelled in one ``%`` pass over a row template, the same bytes as ``_cell``
-on each cell: every real number with 17 significant digits, which
-round-trips binary64 exactly, so identical invocations give identical bytes.
+spelled in one ``%`` pass over a template of the whole report, header or
+JSON brackets included, the same bytes as ``_cell`` on each cell: every
+real number with 17 significant digits, which round-trips binary64 exactly,
+so identical invocations give identical bytes.
 
 Exit codes: 0 success, 1 a validation check failed, 2 usage or domain
 error, 3 numerical failure.  Among the domain errors: a C(n,k) beyond
@@ -28,6 +29,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 _SPECS = {frozenset([float]): "%.17g", frozenset([int]): "%d"}  # as _cell spells them
+_TEMPLATE_BLOCK = 4096  # rows per repeated block of a report's template
 
 
 def _cell(value, fmt: str) -> str:
@@ -50,10 +52,23 @@ def render(rows, columns, fmt: str) -> str:
         if specs[-1] == "%s":
             cells[j::width] = [_cell(v, fmt) for v in cells[j::width]]
     m, cells = len(cells) // width, tuple(cells)
+    names = [c.replace("%", "%%") for c in columns]
     if fmt == "csv":
-        return ",".join(columns) + "\n" + ((",".join(specs) + "\n") * m) % cells
-    row = "  {" + ", ".join([f'"{c}": {s}' for c, s in zip(columns, specs)]) + "}"
-    return "[\n" + ",\n".join([row] * m) % cells + "\n]\n"
+        return _template(",".join(names) + "\n", ",".join(specs) + "\n", "", "", m) % cells
+    row = "  {" + ", ".join([f'"{c}": {s}' for c, s in zip(names, specs)]) + "}"
+    return _template("[\n", row, ",\n", "\n]\n", m) % cells
+
+
+def _template(head, row, sep, tail, m: int) -> str:
+    # head + sep.join([row] * m) + tail, the whole report's template, so the
+    # report is spelled once and never copied to add its header or brackets.
+    # It is joined from blocks of rows: no other report-sized string or list
+    # is built.
+    if m == 0:
+        return head + tail
+    q, r = divmod(m - 1, _TEMPLATE_BLOCK)
+    block = (row + sep) * _TEMPLATE_BLOCK
+    return "".join([head] + [block] * q + [(row + sep) * r, row, tail])
 
 
 def _write(text: str, out):

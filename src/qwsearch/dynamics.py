@@ -24,8 +24,8 @@ from .johnson import GraphParams, _check_coupling
 from .spectral import SpectralData, spectral_data
 
 # scan holds all m samples at once, and the CLI renders them as one text:
-# `qwsearch scan --n 6 --k 3 --m 1000000` takes 1.9-2.3 s and peaks at
-# 198 MB of RSS for its 39 MB CSV report (JSON: 2.1-2.6 s, 234 MB, 58 MB) on
+# `qwsearch scan --n 6 --k 3 --m 1000000` takes 1.6-2.2 s and peaks at
+# 194 MB of RSS for its 39 MB CSV report (JSON: 1.8-2.2 s, 208 MB, 58 MB) on
 # a shared 2-vCPU x86_64 VM with one BLAS thread.
 MAX_SCAN_SAMPLES = 10**6
 _PEAK_COARSE_SAMPLES = 2001

@@ -16,12 +16,21 @@ faces give A times the 0/1 indicators of the distance classes as exact
 integers in O(N k^2), with no N x N array: that product is the partition
 invariance check.
 
+The index is memoised per process for the last few (n, k) and its arrays
+are read-only; the vertex cap is checked on every call, before the memo is
+consulted.  It carries the clique edges, the sorted flat positions of the
+off-diagonal nonzeros of A, built only when a dense builder first asks for
+them, so every dense matrix is one flat scatter into a fresh array owned
+by the caller, and the O(N k) users (vertex elements, distance partition,
+partition invariance) never build them.
+
 The dense N x N objects built here (adjacency, search Hamiltonian) exist
 only as oracles for small instances, so they are guarded by a vertex cap;
 everything asymptotic runs through the (k+1)-dimensional model in
 :mod:`qwsearch.spectral`.
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -34,8 +43,14 @@ from .errors import CapacityError, DomainError
 # Dense N x N work stays affordable up to this many vertices: one N x N
 # float64 matrix is 72 MB at the cap, and `validate` there (three dense
 # eigensolves) takes about 20 s and peaks near 393 MB.  Overridable per
-# call and via the CLI.
+# call and via the CLI.  The cap is checked on every call, memoised index
+# or not; the index itself is O(N k), plus N k(n-k) int32 clique edges
+# (0.6 MB at J(14,6)) once a dense matrix has been built.
 DEFAULT_FULL_CAP = 3003
+
+# Colex indices kept per process, least recently used dropped first.  A
+# caller cycling through more instances than this rebuilds each one.
+_INDEX_MEMO_SIZE = 8
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -184,22 +199,66 @@ def unrank_subset(vid: int, params: GraphParams) -> int:
 class _ColexIndex:
     # elems[v]: sorted elements of vertex v; faces[v, i]: colex rank (among
     # the (k-1)-subsets) of elems[v] without its i-th element.  The faces
-    # are the nonzeros of the inclusion matrix W with A = W^T W - kI.
+    # are the nonzeros of the inclusion matrix W with A = W^T W - kI.  Every
+    # array is read-only: one index is shared by all callers in the process.
     params: GraphParams
     elems: np.ndarray
     faces: np.ndarray
 
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        # Flat positions i*N + j of the off-diagonal nonzeros of A, ascending.
+        # Two vertices are adjacent iff they share exactly one face, so A is
+        # the union of the cliques on each face's n-k+1 supersets, minus the
+        # diagonal, and every edge lies in one clique only.  Built on first
+        # use, so the O(N k) callers never pay its N k(n-k) entries; the
+        # result is allocated before the temporaries, which then leave no
+        # hole under it when they are freed.
+        n_vert, k = self.elems.shape
+        size = self.params.n - k + 1
+        dtype = _narrowest_int(n_vert * n_vert - 1)
+        n_faces = math.comb(self.params.n, k - 1)
+        edges = np.empty((n_faces, size * (size - 1)), dtype=dtype)
+        members = np.argsort(self.faces, axis=None, kind="stable") // k
+        members = members.astype(dtype).reshape(-1, size)
+        pairs = (members * dtype(n_vert))[:, :, None] + members[:, None, :]
+        off_diagonal = ~np.eye(size, dtype=bool).ravel()
+        np.compress(off_diagonal, pairs.reshape(n_faces, -1), axis=1, out=edges)
+        edges = edges.reshape(-1)
+        edges.sort()
+        edges.flags.writeable = False
+        return edges
+
+
+def _narrowest_int(max_value: int):
+    # The narrowest signed integer type holding 0..max_value.
+    return next(
+        t for t in (np.int8, np.int16, np.int32, np.int64)
+        if max_value <= np.iinfo(t).max
+    )
+
 
 def _colex_index(params: GraphParams, cap: int) -> _ColexIndex:
-    n_vert = _check_cap(params, cap)
+    # The cap is checked on every call, so a memoised index never lets a
+    # smaller cap through.
+    if params.num_vertices > cap:
+        raise CapacityError(
+            f"J({params.n},{params.k}) has N={params.num_vertices} vertices, "
+            f"above the full-space cap {cap}"
+        )
+    return _memo_colex_index(params)
+
+
+@functools.lru_cache(maxsize=_INDEX_MEMO_SIZE)
+def _memo_colex_index(params: GraphParams) -> _ColexIndex:
     n, k = params.n, params.k
     # s -> n+1-s maps colex order onto reversed lex order, the order in
     # which itertools.combinations emits the images.
     lex = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), k)),
         dtype=np.int64,
-        count=n_vert * k,
-    ).reshape(n_vert, k)
+        count=params.num_vertices * k,
+    ).reshape(-1, k)
     elems = (n + 1) - lex[::-1, ::-1]
     # binom[a, b] = C(a, b) for a < n, b <= k by Pascal's rule: column b is
     # the exclusive running sum of column b-1.  Every entry is at most N.
@@ -215,12 +274,20 @@ def _colex_index(params: GraphParams, cap: int) -> _ColexIndex:
     shift = binom[elems - 1, pos]
     faces = np.cumsum(keep - shift, axis=1)
     faces += shift.sum(axis=1, keepdims=True) - keep
+    # Stored narrow: elements are at most n and face ranks below C(n,k-1) <= N.
+    elems = elems.astype(_narrowest_int(n))
+    faces = faces.astype(_narrowest_int(params.num_vertices))
+    elems.flags.writeable = False
+    faces.flags.writeable = False
     return _ColexIndex(params=params, elems=elems, faces=faces)
 
 
 def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:
-    """(N, k) array of sorted subset elements, row i = vertex id i."""
-    return _colex_index(params, cap).elems
+    """(N, k) int64 array of sorted subset elements, row i = vertex id i.
+
+    The result is the caller's own writable copy of the shared index.
+    """
+    return _colex_index(params, cap).elems.astype(np.int64)
 
 
 def _check_vertex(w: int, n_vert: int):
@@ -228,32 +295,26 @@ def _check_vertex(w: int, n_vert: int):
         raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")
 
 
-def _check_cap(params: GraphParams, cap: int) -> int:
-    n_vert = params.num_vertices
-    if n_vert > cap:
-        raise CapacityError(
-            f"J({params.n},{params.k}) has N={n_vert} vertices, above the "
-            f"full-space cap {cap}"
-        )
-    return n_vert
-
-
 def _adjacency(index: _ColexIndex, weight: float = 1.0) -> np.ndarray:
-    # Two vertices are adjacent iff they share exactly one face, so A is the
-    # union of the cliques on each face's n-k+1 supersets, minus the diagonal.
-    # The edges get ``weight``, so -gamma*A is written in the same scatter.
-    n_vert, k = index.elems.shape
-    order = np.argsort(index.faces, axis=None, kind="stable")
-    members = (order // k).reshape(-1, index.params.n - k + 1)
+    # One flat scatter of ``weight`` on the edges into a fresh zero matrix,
+    # so -gamma*A is written in the same pass; the diagonal stays +0.0.
+    n_vert = len(index.elems)
     a = np.zeros((n_vert, n_vert), dtype=np.float64)
-    a[members[:, :, None], members[:, None, :]] = weight
-    np.fill_diagonal(a, 0.0)
+    a.reshape(-1)[index.edges] = weight
     return a
 
 
 def adjacency_matrix(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:
     """Dense N x N 0/1 adjacency of J(n,k); rows sum to the degree k(n-k)."""
     return _adjacency(_colex_index(params, cap))
+
+
+def _class_sizes(params: GraphParams) -> list:
+    # |class l| = C(k,l)*C(n-k,l): l elements of w swapped for l outside it.
+    return [
+        math.comb(params.k, l) * math.comb(params.n - params.k, l)
+        for l in range(params.k + 1)
+    ]
 
 
 def _distance_labels(index: _ColexIndex, w: int) -> np.ndarray:
@@ -264,10 +325,7 @@ def _distance_labels(index: _ColexIndex, w: int) -> np.ndarray:
     in_w[index.elems[w]] = 1
     label = params.k - in_w[index.elems].sum(axis=1)
     sizes = np.bincount(label, minlength=params.k + 1).tolist()
-    expected = [
-        math.comb(params.k, l) * math.comb(params.n - params.k, l)
-        for l in range(params.k + 1)
-    ]
+    expected = _class_sizes(params)
     if sizes != expected:  # pragma: no cover - would indicate an indexing bug
         raise AssertionError(f"class sizes {sizes} != {expected}")
     return label
@@ -293,10 +351,10 @@ def distance_partition(
 ) -> DistancePartition:
     """Partition all vertex ids by intersection size with the marked subset."""
     label = _distance_labels(_colex_index(params, cap), w)
-    classes = tuple(
-        np.flatnonzero(label == l).astype(np.int64, copy=False)
-        for l in range(params.k + 1)
-    )
+    # One stable sort groups the ids by class, ascending within each, and
+    # the checked class sizes split it.
+    order = np.argsort(label, kind="stable").astype(np.int64, copy=False)
+    classes = tuple(np.split(order, np.cumsum(_class_sizes(params))[:-1]))
     return DistancePartition(params=params, marked=w, classes=classes)
 
 
@@ -307,7 +365,7 @@ def full_hamiltonian(
 
     The coupling and the marked vertex are checked before anything is
     built, and H is written in one pass: -gamma on the edges by the
-    adjacency's clique scatter, then -1 at [w, w].  The call allocates one
+    adjacency's flat scatter, then -1 at [w, w].  The call allocates one
     N x N array, and the zeros of H are +0.0.
     """
     _check_coupling(params, gamma)

@@ -307,13 +307,16 @@ def validate_instance(
 ) -> ValidationReport:
     """Every full-space check on one instance, aggregated for reporting.
 
-    The colex index, the adjacency A and the spectral data are built once,
-    and A, H_w and H_w2 (w2 = w + 1 mod N, for vertex independence) are
-    each eigendecomposed once; the checks share them.  Partition invariance
-    is counted from the index's faces before A exists.  The checks on A
-    come next, then H_w is formed in A's buffer and H_w2 from H_w by moving
-    the mark, so one N x N matrix besides the eigenvectors is held during
-    each eigensolve.
+    The adjacency A and the spectral data are built once, and A, H_w and
+    H_w2 (w2 = w + 1 mod N, for vertex independence) are each
+    eigendecomposed once; the checks share them.  The colex index comes
+    from the per-process memo (bounded, read-only, checked against ``cap``
+    on every call), so repeated calls on one (n, k) build it once, and its
+    clique edges are built on the first dense adjacency.  Partition
+    invariance is counted from the index's faces before A exists.  The
+    checks on A come next, then H_w is formed in A's buffer and H_w2 from
+    H_w by moving the mark, so one N x N matrix besides the eigenvectors is
+    held during each eigensolve.
     """
     index = _colex_index(params, cap)
     invariance = _partition_invariance(index, w)

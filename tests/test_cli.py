@@ -348,3 +348,12 @@ def test_any_arguments_give_an_exit_code_and_no_nan(argv, capsys):
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert "nan" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize("m", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_template_blocks_and_escaped_names(m, fmt):
+    # the template is joined from blocks of rows, and a column name may hold %
+    rows = [(0.1 * i, i, "x%s" if i % 2 else None) for i in range(m)]
+    columns = ["t%", "100%d", "s"]
+    assert cli.render(iter(rows), columns, fmt) == _spell_cell_by_cell(rows, columns, fmt)

@@ -279,3 +279,145 @@ def test_mask_helpers_roundtrip():
     params = qw.GraphParams(9, 4)
     elems = (2, 3, 7, 9)
     assert qw.mask_elements(qw.subset_mask(elems, params)) == elems
+
+
+def clique_scatter(index, weight=1.0):
+    """The dense builder the edge list replaced, kept as its oracle: every
+    face's clique in one 2-D fancy-index scatter, then a zero diagonal."""
+    n_vert, k = index.faces.shape
+    order = np.argsort(index.faces, axis=None, kind="stable")
+    members = (order // k).reshape(-1, index.params.n - k + 1)
+    a = np.zeros((n_vert, n_vert), dtype=np.float64)
+    a[members[:, :, None], members[:, None, :]] = weight
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def assert_dense_builders_match_the_clique_scatter(n, k, gamma, w):
+    params = qw.GraphParams(n, k)
+    index = johnson._colex_index(params, params.num_vertices)
+    assert qw.adjacency_matrix(params, params.num_vertices).tobytes() == (
+        clique_scatter(index).tobytes()
+    )
+    expected = clique_scatter(index, -gamma)
+    expected[w, w] = -1.0
+    h = qw.full_hamiltonian(params, gamma, w, params.num_vertices)
+    assert h.tobytes() == expected.tobytes()  # bit for bit, signs of zero included
+
+
+@pytest.mark.parametrize("n,k,w", [
+    (2, 1, 1), (5, 1, 3), (3003, 1, 1234),  # k = 1: the complete graph
+    (4, 2, 5), (6, 3, 0), (8, 4, 69), (10, 5, 251),  # n = 2k
+    (14, 6, 1500), (16, 3, 559),
+])
+def test_dense_builders_match_the_clique_scatter(n, k, w):
+    assert_dense_builders_match_the_clique_scatter(n, k, 0.1075, w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_dense_builders_match_the_clique_scatter_property(data):
+    k = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(2 * k, 2 * k + 6).filter(lambda n: math.comb(n, k) <= 1000))
+    w = data.draw(st.integers(0, math.comb(n, k) - 1))
+    gamma = data.draw(st.floats(1e-12, 1e6) | st.sampled_from([5e-324, 1.0, 0.1075]))
+    assert_dense_builders_match_the_clique_scatter(n, k, gamma, w)
+
+
+@pytest.mark.parametrize("n,k,dtype", [
+    (2, 1, np.int8), (11, 1, np.int8), (12, 1, np.int16), (6, 3, np.int16),
+    (9, 4, np.int16), (14, 6, np.int32),
+])
+def test_clique_edges_are_the_sorted_off_diagonal_nonzeros(n, k, dtype):
+    params = qw.GraphParams(n, k)
+    n_vert = params.num_vertices
+    edges = johnson._colex_index(params, n_vert).edges
+    assert edges.dtype == dtype  # the narrowest integer type holding N^2 - 1
+    assert len(edges) == n_vert * params.degree
+    assert np.all(np.diff(edges.astype(np.int64)) > 0)
+    assert not np.any(edges % (n_vert + 1) == 0)  # i*N + i is the diagonal
+    assert np.array_equal(edges, np.flatnonzero(qw.adjacency_matrix(params)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, cap: qw.adjacency_matrix(p, cap),
+    lambda p, cap: qw.full_hamiltonian(p, 0.5, 0, cap),
+    lambda p, cap: qw.distance_partition(p, 0, cap),
+    lambda p, cap: qw.check_partition_invariance(p, 0, cap),
+    lambda p, cap: johnson.vertex_elements(p, cap),
+    lambda p, cap: qw.validate_instance(p, 0, cap),
+])
+def test_a_memoised_index_still_checks_the_cap(call):
+    params = qw.GraphParams(6, 3)
+    call(params, 20)  # the index of J(6,3) is memoised now
+    with pytest.raises(CapacityError, match="cap 19"):
+        call(params, 19)
+
+
+def test_memoised_index_is_read_only():
+    params = qw.GraphParams(7, 3)
+    qw.adjacency_matrix(params)
+    index = johnson._colex_index(params, qw.DEFAULT_FULL_CAP)
+    for array in (index.elems, index.faces, index.edges):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert johnson._colex_index(params, qw.DEFAULT_FULL_CAP) is index
+
+
+def test_memo_stays_within_its_bound():
+    bound = johnson._INDEX_MEMO_SIZE
+    assert johnson._memo_colex_index.cache_info().maxsize == bound
+    for n in range(2, 2 * bound + 5):
+        qw.distance_partition(qw.GraphParams(n, 1), 0)
+        assert johnson._memo_colex_index.cache_info().currsize <= bound
+    assert johnson._memo_colex_index.cache_info().currsize == bound
+
+
+def test_dense_matrices_are_the_callers_own():
+    params = qw.GraphParams(6, 3)
+    a = qw.adjacency_matrix(params)
+    a[:] = 7.0
+    h = qw.full_hamiltonian(params, 0.5, 2)
+    h[:] = 7.0
+    assert np.array_equal(qw.adjacency_matrix(params), brute_adjacency(6, 3))
+
+
+def test_vertex_elements_is_a_writable_copy():
+    params = qw.GraphParams(6, 3)
+    elems = johnson.vertex_elements(params)
+    assert elems.dtype == np.int64 and elems.flags.writeable
+    assert [tuple(row) for row in elems] == colex_subsets(6, 3)
+    elems[:] = 0
+    assert [tuple(row) for row in johnson.vertex_elements(params)] == colex_subsets(6, 3)
+    assert np.array_equal(qw.distance_partition(params, 19).classes[0], [19])
+
+
+@pytest.mark.parametrize("n,k,w", [
+    (6, 3, 0), (4, 2, 0), (8, 2, 0),
+    (6, 3, 13), (8, 4, 69), (70, 2, 2000), (14, 6, 1500), (3003, 1, 1234),
+])
+def test_distance_classes_match_the_flatnonzero_form(n, k, w):
+    params = qw.GraphParams(n, k)
+    label = johnson._distance_labels(johnson._colex_index(params, params.num_vertices), w)
+    classes = qw.distance_partition(params, w, params.num_vertices).classes
+    assert len(classes) == k + 1
+    for ell, ids in enumerate(classes):
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, np.flatnonzero(label == ell))
+
+
+def test_partition_invariance_at_a_raised_cap_builds_no_edges():
+    # J(30,5): N = 142,506, where the edge list would hold N*k(n-k) = 17.8
+    # million int64 positions (143 MB) and A would take 162 GB
+    params = qw.GraphParams(30, 5)
+    n_vert, k = params.num_vertices, params.k
+    tracemalloc.start()
+    try:
+        assert qw.check_partition_invariance(params, 1234, cap=n_vert) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "edges" not in vars(johnson._colex_index(params, n_vert))
+    # the (k+1) x N x k class counts and the index, well below the edge list
+    assert peak < 12 * 8 * n_vert * k
