@@ -41,11 +41,12 @@ import numpy as np
 from .errors import CapacityError, DomainError
 
 # Dense N x N work stays affordable up to this many vertices: one N x N
-# float64 matrix is 72 MB at the cap, and `validate` there (three dense
-# eigensolves) takes about 20 s and peaks near 393 MB.  Overridable per
-# call and via the CLI.  The cap is checked on every call, memoised index
-# or not; the index itself is O(N k), plus N k(n-k) int32 clique edges
-# (0.6 MB at J(14,6)) once a dense matrix has been built.
+# float64 matrix is 72 MB at the cap, and `validate` there (the adjacency,
+# one values-only dense eigensolve, Lanczos curves) takes about 3 s and
+# peaks near 170 MB.  Overridable per call and via the CLI.  The cap is
+# checked on every call, memoised index or not; the index itself is
+# O(N k), plus N k(n-k) int32 clique edges (0.6 MB at J(14,6)) once a
+# dense matrix has been built.
 DEFAULT_FULL_CAP = 3003
 
 # Colex indices kept per process, least recently used dropped first.  A
@@ -336,12 +337,17 @@ def _class_image(index: _ColexIndex, label: np.ndarray) -> np.ndarray:
     # l = 0..k, as exact int64, without A.  With A = W^T W - kI, entry v of
     # W^T W |nu_l> counts, over v's k faces, the members of class l on that
     # face; one bincount gives those counts for every (face, class) pair.
+    # The counts are gathered one face position at a time, so the temporary
+    # is (k+1) x N, the size of the image, not (k+1) x N x k.
     n_vert, k = index.faces.shape
     n_faces = math.comb(index.params.n, k - 1)
+    faces = index.faces.T
     counts = np.bincount(
-        (label * n_faces + index.faces.T).ravel(), minlength=(k + 1) * n_faces
+        (label * n_faces + faces).ravel(), minlength=(k + 1) * n_faces
     ).reshape(k + 1, n_faces)
-    image = counts[:, index.faces].sum(axis=2)
+    image = counts[:, faces[0]]
+    for position in faces[1:]:
+        image += counts[:, position]
     image[label, np.arange(n_vert)] -= k
     return image
 
@@ -374,20 +380,3 @@ def full_hamiltonian(
     h[w, w] = -1.0
     return h
 
-
-def _search_hamiltonian(a: np.ndarray, gamma: float, w: int) -> np.ndarray:
-    # Forms -gamma*A - |w><w| in A's own buffer and returns it; A is gone
-    # afterwards.  gamma and w are checked by the caller.
-    a *= -gamma
-    a[w, w] -= 1.0
-    return a
-
-
-def _move_mark(h: np.ndarray, w: int, w2: int) -> np.ndarray:
-    # Turns the search Hamiltonian marked at w into the one marked at w2, in
-    # place; w2 is checked by the caller.  H[w, w] ends as +0.0 where
-    # _search_hamiltonian leaves -0.0, which changes no product.  w == w2
-    # leaves H as it was.
-    h[w, w] += 1.0
-    h[w2, w2] -= 1.0
-    return h

@@ -6,6 +6,16 @@ the closed forms, invariance of the distance-class span under A, the
 embedding of the reduced Hamiltonian inside the full one, and the
 full-space success-probability curve against the reduced-model curve.
 
+One N x N array, the adjacency A, serves every full-space check, and the
+only dense eigensolve is the values-only ``eigvalsh`` of the spectrum
+check.  The embedding basis is the exact integer vectors
+prod_{j != l} (A - lambda_j)|w>, each P_l|w> times a nonzero integer.  The
+full-space curves come from Lanczos on the full H = -gamma*A - |w><w|
+started at |s>: the distance-class span holds |s> and |w> and is invariant
+under H, so the Krylov space closes after at most k+1 steps and the curve
+of its (k+1) x (k+1) tridiagonal is exact (Saad, SIAM J. Numer. Anal. 29,
+209 (1992)).  A run that does not close is refused, never truncated.
+
 Large instances are covered through the reduced model alone, where the
 perturbation analysis shows up as measurable spectral facts at the
 critical coupling: the gap between the two lowest levels approaches
@@ -22,6 +32,7 @@ import numpy as np
 
 from . import coupling
 from .dynamics import (
+    _clamp_probs,
     _peak,
     _probs_at,
     _reduced_transition,
@@ -39,10 +50,7 @@ from .johnson import (
     _class_image,
     _colex_index,
     _distance_labels,
-    _move_mark,
-    _search_hamiltonian,
     adjacency_matrix,
-    full_hamiltonian,
 )
 from .spectral import (
     _reduced_matrix,
@@ -54,6 +62,10 @@ from .spectral import (
 # Dense eigenvalues are assigned to closed-form levels within this distance;
 # the closed-form levels are integers at least 1 apart, a 1e6 safety margin.
 _CLUSTER_TOL = 1e-6
+
+# A Lanczos run has closed once its beta is at most this times the norm
+# bound gamma*k(n-k) + 1 of H.
+_CLOSURE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,18 +107,70 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def _full_curve(h, w, times):
-    # Success curve of the uniform start state under a dense search Hamiltonian.
-    dec = sym_eig(h)
-    n_vert = h.shape[0]
-    start = np.full(n_vert, 1.0 / math.sqrt(n_vert))
-    weights = dec.vectors[w, :] * (dec.vectors.T @ start)
-    return _probs_at(dec, weights, times)
+def _lanczos(a, gamma, marks, params) -> list:
+    # The transition (decomposition, weights) of |s> to |w> under
+    # H_w = -gamma*A - |w><w|, one per mark w, by Lanczos with full
+    # reorthogonalisation.  The runs of all marks step together, so each
+    # step is one product of A with a len(marks) x N block, and every inner
+    # product is a BLAS product: einsum's sums over N lose about ten times
+    # more digits of the tridiagonal.  The distance-class span is invariant
+    # under H_w, so each run must close within k+1 steps: its last beta
+    # must fall to _CLOSURE_TOL times the norm bound gamma*k(n-k) + 1, else
+    # the run is refused.  The curve error a closed run leaves is at most
+    # beta*t.
+    n_vert, n_marks = len(a), len(marks)
+    steps = params.k + 1
+    tol = _CLOSURE_TOL * (gamma * params.degree + 1.0)
+    basis = np.empty((n_marks, steps, n_vert))
+    basis[:, 0] = 1.0 / math.sqrt(n_vert)
+    tri = np.zeros((n_marks, steps, steps))
+    dims = [0] * n_marks
+    for j in range(steps):
+        q = basis[:, j]
+        r = q @ a  # A is symmetric
+        r *= -gamma
+        for m, w in enumerate(marks):
+            r[m, w] -= q[m, w]
+        # Gram-Schmidt twice against every earlier vector.
+        done = basis[:, : j + 1]
+        coef = done @ r[:, :, None]
+        r -= (coef.transpose(0, 2, 1) @ done)[:, 0]
+        again = done @ r[:, :, None]
+        r -= (again.transpose(0, 2, 1) @ done)[:, 0]
+        tri[:, j, j] = coef[:, j, 0] + again[:, j, 0]
+        norms = np.sqrt(np.add.reduce(r * r, axis=1)).tolist()
+        dims = [d or (j + 1 if b <= tol else 0) for d, b in zip(dims, norms)]
+        if all(dims):
+            break
+        if j + 1 < steps:
+            tri[:, j, j + 1] = tri[:, j + 1, j] = norms
+            # A closed run continues on zero vectors, which keep its beta 0.
+            scale = [math.inf if d else b for d, b in zip(dims, norms)]
+            np.divide(r, np.array(scale)[:, None], out=basis[:, j + 1])
+    else:
+        raise NumericalError(
+            f"Lanczos on the full search Hamiltonian did not close within "
+            f"{steps} steps: beta {max(norms):.3e} above {tol:.3e}"
+        )
+    transitions = []
+    for m, (w, dim) in enumerate(zip(marks, dims)):
+        dec = sym_eig(tri[m, :dim, :dim])
+        transitions.append((dec, dec.vectors[0, :] * (dec.vectors.T @ basis[m, :dim, w])))
+    return transitions
 
 
-def _reduced_curve(params, gamma, times, sd=None):
-    dec, weights = _reduced_transition(params, gamma, sd)
-    return _probs_at(dec, weights, times)
+def _curves(transitions, times) -> np.ndarray:
+    # Row c is the success curve of transitions[c], as _probs_at computes it,
+    # and one phase table serves them all: column c of the block weights
+    # holds pair c's weights against its own levels, and zeros elsewhere.
+    values = np.concatenate([dec.values for dec, _ in transitions])
+    block = np.zeros((len(values), len(transitions)))
+    start = 0
+    for c, (_, weights) in enumerate(transitions):
+        block[start : start + len(weights), c] = weights
+        start += len(weights)
+    amps = np.exp(-1j * np.outer(times, values)) @ block
+    return _clamp_probs(np.abs(amps.T) ** 2)
 
 
 def _curve_distance(probs1, probs2) -> float:
@@ -122,14 +186,26 @@ def compare_full_reduced(
 ) -> float:
     """Max |p_full(t) - p_reduced(t)| over the time grid.
 
-    The full curve evolves |s> under the dense N x N Hamiltonian and
-    projects on the marked basis vector; the reduced curve comes from the
-    (k+1)-dimensional model.  Their agreement is the core oracle for
-    everything the reduced model is used for.
+    The full curve evolves |s> under the N x N Hamiltonian -gamma*A - |w><w|
+    and projects on the marked basis vector: Lanczos on the dense A, closed
+    after at most k+1 steps, or refused with :class:`NumericalError`.  The
+    reduced curve comes from the (k+1)-dimensional model.  Their agreement
+    is the core oracle for everything the reduced model is used for.
     """
     times = np.asarray(times, dtype=np.float64)
-    probs_full = _full_curve(full_hamiltonian(params, gamma, w, cap), w, times)
-    return _curve_distance(probs_full, _reduced_curve(params, gamma, times))
+    transitions = _full_lanczos(params, gamma, (w,), cap)
+    probs_full, probs_reduced = _curves(
+        transitions + [_reduced_transition(params, gamma)], times
+    )
+    return _curve_distance(probs_full, probs_reduced)
+
+
+def _full_lanczos(params, gamma, marks, cap) -> list:
+    # _lanczos on a fresh A, after the checks full_hamiltonian makes.
+    _check_coupling(params, gamma)
+    for w in marks:
+        _check_vertex(w, params.num_vertices)
+    return _lanczos(adjacency_matrix(params, cap), gamma, marks, params)
 
 
 def compare_marked_vertices(
@@ -143,14 +219,15 @@ def compare_marked_vertices(
     """Max difference between full-space success curves for two marked vertices.
 
     Vertex-transitivity makes the marked choice immaterial; this measures
-    exactly that.  One N x N Hamiltonian serves both curves: the mark is
-    moved from w1 to w2 in place.
+    exactly that.  One dense adjacency serves both curves, whose Lanczos
+    runs step together (see :func:`compare_full_reduced`); w1 == w2 runs
+    once and reads exactly 0.0.
     """
     _check_vertex(w2, params.num_vertices)
     times = np.asarray(times, dtype=np.float64)
-    h = full_hamiltonian(params, gamma, w1, cap)
-    probs_w1 = _full_curve(h, w1, times)
-    return _curve_distance(probs_w1, _full_curve(_move_mark(h, w1, w2), w2, times))
+    marks = (w1,) if w1 == w2 else (w1, w2)
+    curves = _curves(_full_lanczos(params, gamma, marks, cap), times)
+    return _curve_distance(curves[0], curves[-1])
 
 
 def _spectrum_report(params, sd, dense_values) -> ValidationReport:
@@ -158,15 +235,10 @@ def _spectrum_report(params, sd, dense_values) -> ValidationReport:
     if np.min(spacings) <= 2 * _CLUSTER_TOL:  # pragma: no cover - needs n < 2k
         raise NumericalError("closed-form eigenvalues too close to cluster safely")
     dense = np.sort(dense_values)
-    expanded = np.concatenate(
-        [np.full(m, lam) for lam, m in zip(sd.lambdas[::-1], sd.mults[::-1])]
-    )
+    expanded = np.repeat(sd.lambdas[::-1], sd.mults[::-1])
     value_residual = float(np.max(np.abs(dense - expanded)))
-    mismatches = 0
-    for lam, m in zip(sd.lambdas, sd.mults):
-        count = int(np.sum(np.abs(dense - lam) <= _CLUSTER_TOL))
-        if count != m:
-            mismatches += 1
+    counts = np.count_nonzero(np.abs(dense[:, None] - sd.lambdas) <= _CLUSTER_TOL, axis=0)
+    mismatches = np.count_nonzero(counts != sd.mults)
     return ValidationReport(
         label=f"J({params.n},{params.k}) spectrum",
         checks=(
@@ -178,8 +250,9 @@ def _spectrum_report(params, sd, dense_values) -> ValidationReport:
 
 def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> ValidationReport:
     """Dense adjacency spectrum against the closed-form eigenvalues and
-    multiplicities; values within 1e-8, multiplicities exact."""
-    dense = sym_eig(adjacency_matrix(params, cap)).values
+    multiplicities; values within 1e-8, multiplicities exact.  The one
+    dense eigensolve is values-only (``numpy.linalg.eigvalsh``)."""
+    dense = np.linalg.eigvalsh(adjacency_matrix(params, cap))
     return _spectrum_report(params, spectral_data(params), dense)
 
 
@@ -213,16 +286,33 @@ def check_partition_invariance(
     return _partition_invariance(_colex_index(params, cap), w)
 
 
-def _embedding_residual(sd, dec_a, h, gamma, w) -> float:
-    # Columns P_l|w> / ||P_l|w>|| computed from the dense adjacency
-    # eigendecomposition by clustering eigenvalues to closed-form levels.
-    basis = np.zeros((h.shape[0], len(sd.lambdas)))
-    for ell, lam in enumerate(sd.lambdas):
-        sel = np.abs(dec_a.values - lam) <= _CLUSTER_TOL
-        vecs = dec_a.vectors[:, sel]
-        proj_w = vecs @ vecs[w, :]
-        basis[:, ell] = proj_w / np.linalg.norm(proj_w)
-    conjugated = basis.T @ h @ basis
+def _projector_basis(a, lambdas, w) -> np.ndarray:
+    # Column l is prod_{j != l} (A - lambda_j)|w>, which is P_l|w> times the
+    # nonzero integer prod_{j != l} (lambda_l - lambda_j).  A and the lambdas
+    # are integers, and the row sums of |A - lambda_j| are at most
+    # f_j = lambda_0 + |lambda_j|, so every entry and partial sum of column
+    # l is at most prod_{j != l} f_j in magnitude.  Below 2**53, checked
+    # first, the float products are exact.
+    factors = [int(lambdas[0] + abs(lam)) for lam in lambdas]
+    if math.prod(factors) // min(factors) >= 2**53:
+        raise NumericalError("projector basis leaves the exact integer range of binary64")
+    basis = np.zeros((len(a), len(lambdas)))
+    basis[w] = 1.0
+    for j, lam in enumerate(lambdas):
+        product = a @ basis
+        product -= lam * basis
+        product[:, j] = basis[:, j]
+        basis = product
+    return basis
+
+
+def _embedding_residual(sd, a, gamma, w) -> float:
+    # B^T H B - H_red with H = -gamma*A - |w><w| applied to B, whose columns
+    # P_l|w> / ||P_l|w>|| carry the sign that makes entry w, p_l^2 before
+    # scaling, positive.
+    basis = _projector_basis(a, sd.lambdas, w)
+    basis /= np.copysign(np.linalg.norm(basis, axis=0), basis[w])
+    conjugated = -gamma * (basis.T @ (a @ basis)) - np.outer(basis[w], basis[w])
     return float(np.max(np.abs(conjugated - _reduced_matrix(sd, gamma))))
 
 
@@ -230,13 +320,14 @@ def reduced_embedding_residual(
     params: GraphParams, gamma: float, w: int, cap: int = DEFAULT_FULL_CAP
 ) -> float:
     """Max entrywise difference between B^T H_full B and the reduced matrix,
-    B being the orthonormal basis P_l|w>/p_l of the invariant subspace."""
+    B being the orthonormal basis P_l|w>/p_l of the invariant subspace.
+
+    B comes from the exact integer vectors prod_{j != l} (A - lambda_j)|w>
+    and H acts through the dense A, so no eigensolve is made."""
     _check_coupling(params, gamma)
     _check_vertex(w, params.num_vertices)
     a = adjacency_matrix(params, cap)
-    dec_a = sym_eig(a)
-    h = _search_hamiltonian(a, gamma, w)
-    return _embedding_residual(spectral_data(params), dec_a, h, gamma, w)
+    return _embedding_residual(spectral_data(params), a, gamma, w)
 
 
 def overlap_consistency_residual(params: GraphParams) -> float:
@@ -307,16 +398,18 @@ def validate_instance(
 ) -> ValidationReport:
     """Every full-space check on one instance, aggregated for reporting.
 
-    The adjacency A and the spectral data are built once, and A, H_w and
-    H_w2 (w2 = w + 1 mod N, for vertex independence) are each
-    eigendecomposed once; the checks share them.  The colex index comes
-    from the per-process memo (bounded, read-only, checked against ``cap``
-    on every call), so repeated calls on one (n, k) build it once, and its
-    clique edges are built on the first dense adjacency.  Partition
-    invariance is counted from the index's faces before A exists.  The
-    checks on A come next, then H_w is formed in A's buffer and H_w2 from
-    H_w by moving the mark, so one N x N matrix besides the eigenvectors is
-    held during each eigensolve.
+    One N x N array, the adjacency A, is held, and the one dense
+    eigensolve is the values-only ``eigvalsh`` of the spectrum check.  The
+    colex index comes from the per-process memo (bounded, read-only,
+    checked against ``cap`` on every call), so repeated calls on one (n, k)
+    build it once, and its clique edges are built on the first dense
+    adjacency.  Partition invariance is counted from the index's faces
+    before A exists.  The embedding basis is the exact integer vectors
+    prod_{j != l} (A - lambda_j)|w>, and the curves of w and of w2 = w + 1
+    mod N (vertex independence) come from Lanczos runs on the full H that
+    step together and close after at most k+1 steps, each solved as a
+    (k+1) x (k+1) tridiagonal; a run that does not close raises
+    :class:`NumericalError`.
     """
     index = _colex_index(params, cap)
     invariance = _partition_invariance(index, w)
@@ -324,14 +417,12 @@ def validate_instance(
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
     times = np.linspace(0.0, 2.0 * run_time(params), 64)
-    dec_a = sym_eig(a)
-    spectrum = _spectrum_report(params, sd, dec_a.values).checks
-    h = _search_hamiltonian(a, gamma, w)
-    embedding = _embedding_residual(sd, dec_a, h, gamma, w)
-    del dec_a
-    probs_w = _full_curve(h, w, times)
+    spectrum = _spectrum_report(params, sd, np.linalg.eigvalsh(a)).checks
+    embedding = _embedding_residual(sd, a, gamma, w)
     w2 = (w + 1) % params.num_vertices
-    probs_w2 = _full_curve(_move_mark(h, w, w2), w2, times)
+    transitions = _lanczos(a, gamma, (w, w2), params)
+    transitions.append(_reduced_transition(params, gamma, sd))
+    probs_w, probs_w2, probs_reduced = _curves(transitions, times)
     checks = spectrum + (
         CheckResult(
             "overlap_consistency", overlap_consistency_residual(params), 1e-13
@@ -340,7 +431,7 @@ def validate_instance(
         CheckResult("reduced_embedding", embedding, 1e-10),
         CheckResult(
             "oracle_equivalence",
-            _curve_distance(probs_w, _reduced_curve(params, gamma, times, sd)),
+            _curve_distance(probs_w, probs_reduced),
             1e-9,
         ),
         CheckResult("vertex_independence", _curve_distance(probs_w, probs_w2), 1e-10),

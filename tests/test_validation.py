@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qwsearch as qw
+from qwsearch import cli
 from qwsearch.errors import DomainError, NumericalError
 
 
@@ -47,9 +48,9 @@ def test_compare_marked_vertices_same_vertex_and_range():
 )
 def test_dense_checks_hold_one_hamiltonian_buffer(check):
     # Traced numpy allocations (LAPACK's own workspace is not traced): the
-    # Hamiltonians are formed in A's buffer, so the peak is A, the
-    # eigenvectors, sym_eig's residual buffer and a 256-row block, about
-    # 3.6 N x N matrices; a second Hamiltonian copy would make it 4.6.
+    # dense adjacency is the one N x N array, and the embedding basis and
+    # the Lanczos vectors are N x (k+1), so the peak is about 1.03 N x N
+    # matrices; a second N x N array would make it 2.
     params = qw.GraphParams(12, 4)
     gamma = qw.gamma_star(params)
     times = np.linspace(0.0, 2 * qw.run_time(params), 64)
@@ -69,7 +70,103 @@ def test_dense_checks_hold_one_hamiltonian_buffer(check):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * 8 * params.num_vertices**2
+    assert peak <= 1.5 * 8 * params.num_vertices**2
+
+
+def test_validate_instance_makes_one_values_only_dense_eigensolve(monkeypatch):
+    params = qw.GraphParams(12, 5)
+    n_vert, k = params.num_vertices, params.k
+    qw.validate_instance(params, 3)  # warm-up: first-call caches are not counted
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name in shapes:
+        original = getattr(np.linalg, name)
+
+        def recorded(matrix, *args, _name=name, _original=original, **kwargs):
+            shapes[_name].append(np.shape(matrix))
+            return _original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    tracemalloc.start()
+    try:
+        report = qw.validate_instance(params, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    # the reduced model and the two Lanczos tridiagonals; A by values only
+    assert shapes == {"eigh": [(k + 1, k + 1)] * 3, "eigvalsh": [(n_vert, n_vert)]}
+    assert peak <= 1.5 * 8 * n_vert**2
+
+
+def dense_curve(h, w, times):
+    """Test-only oracle: the success curve of |s> from H's dense eigenvectors."""
+    dec = qw.sym_eig(h)
+    n_vert = h.shape[0]
+    start = np.full(n_vert, 1.0 / math.sqrt(n_vert))
+    weights = dec.vectors[w, :] * (dec.vectors.T @ start)
+    return qw.dynamics._probs_at(dec, weights, times)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3, 3.0])
+@pytest.mark.parametrize("n,k", [(2, 1), (7, 1), (6, 3), (14, 6)])
+def test_krylov_curves_match_the_dense_eigenvector_curves(n, k, scale):
+    # marks N-1 and 0: the wrap w = N-1 -> w2 = 0 of validate_instance
+    params = qw.GraphParams(n, k)
+    gamma = scale * qw.gamma_star(params)
+    times = np.linspace(0.0, 2 * qw.run_time(params), 64)
+    marks = (params.num_vertices - 1, 0)
+    transitions = qw.validation._lanczos(qw.adjacency_matrix(params), gamma, marks, params)
+    curves = qw.validation._curves(transitions, times)
+    for w, curve in zip(marks, curves):
+        expected = dense_curve(qw.full_hamiltonian(params, gamma, w), w, times)
+        assert np.max(np.abs(curve - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k,w", [(5, 2, 3), (6, 3, 0), (14, 6, 100)])
+def test_projector_basis_is_exact_in_integers(n, k, w):
+    params = qw.GraphParams(n, k)
+    lambdas = qw.spectral_data(params).lambdas
+    a = qw.adjacency_matrix(params)
+    basis = qw.validation._projector_basis(a, lambdas, w)
+    ints = basis.astype(np.int64)
+    assert np.array_equal(ints, basis)
+    a_int, lam = a.astype(np.int64), [int(x) for x in lambdas]
+    for ell in range(k + 1):
+        # (A - lambda_l) P_l|w> == 0 in integers
+        assert not np.any(a_int @ ints[:, ell] - lam[ell] * ints[:, ell])
+    # column l is P_l|w> times c_l = prod_{j != l} (lambda_l - lambda_j), and
+    # sum_l P_l = I, so sum_l (D / c_l) column_l == D |w> for D = lcm(c_l)
+    c = [math.prod(lam[ell] - lam[j] for j in range(k + 1) if j != ell) for ell in range(k + 1)]
+    scale = math.lcm(*c)
+    total = sum((scale // c_l) * ints[:, ell].astype(object) for ell, c_l in enumerate(c))
+    expected = np.zeros(params.num_vertices, dtype=object)
+    expected[w] = scale
+    assert np.array_equal(total, expected)
+
+
+def _drop_one_edge(a):
+    i, j = np.argwhere(a)[0]
+    a[i, j] = a[j, i] = 0.0
+    return a
+
+
+def test_a_krylov_space_that_does_not_close_is_refused():
+    # J(6,3) minus one edge: no equitable partition, so the Krylov space of
+    # |s> keeps growing past k+1 = 4 dimensions
+    params = qw.GraphParams(6, 3)
+    a = _drop_one_edge(qw.adjacency_matrix(params))
+    with pytest.raises(NumericalError, match="did not close"):
+        qw.validation._lanczos(a, qw.gamma_star(params), (0, 1), params)
+
+
+def test_validate_refuses_a_krylov_space_that_does_not_close(monkeypatch, capsys):
+    adjacency = qw.validation._adjacency
+    monkeypatch.setattr(
+        qw.validation, "_adjacency", lambda index: _drop_one_edge(adjacency(index))
+    )
+    assert cli.main(["validate", "--n", "6", "--k", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "did not close" in err
 
 
 def test_check_spectrum_42():
