@@ -21,7 +21,6 @@ from .coupling import (
 from .dynamics import (
     EigDecomp,
     ScanResult,
-    evolve,
     find_peak,
     reduced_eig,
     run_time,
@@ -43,10 +42,6 @@ from .johnson import (
     adjacency_matrix,
     distance_partition,
     full_hamiltonian,
-    mask_elements,
-    rank_subset,
-    subset_mask,
-    unrank_subset,
 )
 from .spectral import (
     ReducedHamiltonian,
@@ -56,8 +51,6 @@ from .spectral import (
     overlap,
     overlap_sq_factorial,
     reduced_hamiltonian,
-    reduced_initial_state,
-    reduced_marked_state,
     spectral_data,
 )
 from .validation import (
@@ -100,30 +93,23 @@ __all__ = [
     "distance_partition",
     "eigenvalue",
     "eta_star",
-    "evolve",
     "find_peak",
     "from_graph",
     "full_hamiltonian",
     "gamma_closed_form",
     "gamma_star",
     "gamma_star_scaled",
-    "mask_elements",
     "multiplicity",
     "overlap",
     "overlap_sq_factorial",
     "p_ell_scaled",
     "r_ell",
-    "rank_subset",
     "reduced_eig",
     "reduced_hamiltonian",
-    "reduced_initial_state",
-    "reduced_marked_state",
     "run_time",
     "scan",
     "spectral_data",
-    "subset_mask",
     "success_probability",
     "sym_eig",
-    "unrank_subset",
     "validate_instance",
 ]

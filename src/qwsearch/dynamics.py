@@ -109,17 +109,6 @@ def reduced_eig(
     )
 
 
-def evolve(dec: EigDecomp, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(-iHt) to a state, H given by its eigendecomposition."""
-    psi0 = np.asarray(psi0)
-    if psi0.shape != (dec.values.shape[0],):
-        raise DomainError(
-            f"state length {psi0.shape} does not match dimension {dec.values.shape[0]}"
-        )
-    coeffs = dec.vectors.T @ psi0
-    return dec.vectors @ (np.exp(-1j * dec.values * t) * coeffs)
-
-
 def run_time(params: GraphParams) -> float:
     """The walk duration pi * n^(k/2) / (2 sqrt(k!)), about pi*sqrt(N)/2.
 
@@ -334,8 +323,3 @@ def find_peak(params: GraphParams, gamma: float, bracket) -> tuple:
 def peak_bracket(params: GraphParams) -> tuple:
     """Default search bracket (0, 2*run_time); the peak sits near run_time."""
     return (0.0, 2.0 * run_time(params))
-
-
-def energy_expectation(matrix: np.ndarray, psi: np.ndarray) -> float:
-    """<psi| M |psi> for a real symmetric M and a complex state."""
-    return float(np.real(np.conj(psi) @ (matrix @ psi)))

@@ -1,9 +1,9 @@
 """Exact construction of the Johnson graph J(n,k) in the full vertex space.
 
-Vertices are the k-subsets of {1,...,n}, numbered by colexicographic rank;
-:func:`rank_subset` and :func:`unrank_subset` convert single subsets, given
-as bitmasks (bit i set means element i+1 is in the subset).  Two subsets
-are adjacent when they share exactly k-1 elements, which makes J(n,k)
+Vertices are the k-subsets of {1,...,n}, numbered by colexicographic rank:
+row v of :func:`vertex_elements` holds the sorted elements of vertex v, so
+{1,...,k} is vertex 0 and {n-k+1,...,n} is vertex N-1.  Two subsets are
+adjacent when they share exactly k-1 elements, which makes J(n,k)
 regular of degree k(n-k) with diameter k once n >= 2k.
 
 The full-space constructors share one vectorised colex index per (n, k): the
@@ -123,77 +123,6 @@ class DistancePartition:
     params: GraphParams
     marked: int
     classes: tuple
-
-
-def subset_mask(elements, params: GraphParams) -> int:
-    """Bitmask of a k-subset given as an iterable of elements from 1..n."""
-    mask = 0
-    for e in elements:
-        if not 1 <= e <= params.n:
-            raise DomainError(f"element {e} outside 1..{params.n}")
-        mask |= 1 << (e - 1)
-    _check_mask(mask, params)
-    return mask
-
-
-def mask_elements(mask: int):
-    """Sorted tuple of elements (1-based) present in a subset bitmask."""
-    elems = []
-    e = 1
-    while mask:
-        if mask & 1:
-            elems.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(elems)
-
-
-def _check_mask(mask: int, params: GraphParams):
-    if mask <= 0 or mask >> params.n:
-        raise DomainError(f"bitmask {mask:#x} has bits outside positions 1..{params.n}")
-    if mask.bit_count() != params.k:
-        raise DomainError(
-            f"bitmask has {mask.bit_count()} elements, expected k={params.k}"
-        )
-
-
-def rank_subset(v: int, params: GraphParams) -> int:
-    """Colexicographic rank of a subset bitmask, a bijection onto 0..N-1.
-
-    For sorted elements c_1 < ... < c_k the rank is sum_i C(c_i - 1, i),
-    so {1,...,k} ranks 0 and {n-k+1,...,n} ranks N-1.
-    """
-    _check_mask(v, params)
-    rank = 0
-    for i, c in enumerate(mask_elements(v), start=1):
-        rank += math.comb(c - 1, i)
-    return rank
-
-
-def _largest_with_binomial_below(r: int, i: int, n: int) -> int:
-    # largest c in [i, n] with C(c-1, i) <= r (monotone in c, so bisect)
-    lo, hi = i, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if math.comb(mid - 1, i) <= r:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def unrank_subset(vid: int, params: GraphParams) -> int:
-    """Inverse of :func:`rank_subset`: bitmask of the subset with the given id."""
-    n_vert = params.num_vertices
-    if not 0 <= vid < n_vert:
-        raise DomainError(f"vertex id {vid} outside 0..{n_vert - 1}")
-    mask = 0
-    r = vid
-    for i in range(params.k, 0, -1):
-        c = _largest_with_binomial_below(r, i, params.n)
-        r -= math.comb(c - 1, i)
-        mask |= 1 << (c - 1)
-    return mask
 
 
 @dataclass(frozen=True)

@@ -111,15 +111,3 @@ def reduced_hamiltonian(params: GraphParams, gamma: float) -> ReducedHamiltonian
 
 def _reduced_matrix(sd: SpectralData, gamma: float) -> np.ndarray:
     return -gamma * np.diag(sd.lambdas) - np.outer(sd.overlaps, sd.overlaps)
-
-
-def reduced_initial_state(params: GraphParams) -> np.ndarray:
-    """The uniform superposition in the reduced basis: e_0."""
-    psi = np.zeros(params.k + 1)
-    psi[0] = 1.0
-    return psi
-
-
-def reduced_marked_state(params: GraphParams) -> np.ndarray:
-    """The marked vertex in the reduced basis: the overlap vector p (unit norm)."""
-    return spectral_data(params).overlaps.copy()

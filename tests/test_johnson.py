@@ -29,65 +29,46 @@ def brute_adjacency(n, k):
     return a
 
 
+def vertex_ids(params):
+    """Each vertex's k-subset, as a tuple, mapped to its colex rank."""
+    elems = johnson.vertex_elements(params, cap=params.num_vertices)
+    return {tuple(row): vid for vid, row in enumerate(elems.tolist())}
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (6, 3), (9, 4), (12, 5)])
 def test_smallest_subset_ranks_zero(n, k):
     params = qw.GraphParams(n, k)
-    mask = qw.subset_mask(range(1, k + 1), params)
-    assert qw.rank_subset(mask, params) == 0
-    assert qw.unrank_subset(0, params) == mask
+    elems = johnson.vertex_elements(params, cap=params.num_vertices)
+    assert tuple(elems[0]) == tuple(range(1, k + 1))
+    assert vertex_ids(params)[tuple(range(1, k + 1))] == 0
 
 
 def test_rank_matches_enumeration_oracle():
     params = qw.GraphParams(6, 3)
+    ids = vertex_ids(params)
     for vid, combo in enumerate(colex_subsets(6, 3)):
-        assert qw.rank_subset(qw.subset_mask(combo, params), params) == vid
+        assert ids[combo] == vid
     # two spot values frozen from the oracle
-    assert qw.rank_subset(qw.subset_mask((4, 5, 6), params), params) == 19
-    assert qw.rank_subset(qw.subset_mask((1, 2, 4), params), params) == 1
+    assert ids[(4, 5, 6)] == 19
+    assert ids[(1, 2, 4)] == 1
 
 
 def test_unrank_examples():
-    params = qw.GraphParams(6, 3)
-    assert qw.mask_elements(qw.unrank_subset(19, params)) == (4, 5, 6)
-    params42 = qw.GraphParams(4, 2)
-    assert qw.mask_elements(qw.unrank_subset(5, params42)) == (3, 4)
+    assert tuple(johnson.vertex_elements(qw.GraphParams(6, 3))[19]) == (4, 5, 6)
+    assert tuple(johnson.vertex_elements(qw.GraphParams(4, 2))[5]) == (3, 4)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (6, 3), (12, 3), (16, 2), (10, 5), (14, 7)])
 def test_rank_unrank_exhaustive(n, k):
+    # J(14,7) has N = 3432, above the default cap
     params = qw.GraphParams(n, k)
     oracle = colex_subsets(n, k)
     assert params.num_vertices == len(oracle)
-    for vid, combo in enumerate(oracle):
-        mask = qw.unrank_subset(vid, params)
-        assert qw.mask_elements(mask) == combo
-        assert qw.rank_subset(mask, params) == vid
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_rank_unrank_roundtrip_property(data):
-    k = data.draw(st.integers(1, 6))
-    n = data.draw(st.integers(2 * k, 18))
-    params = qw.GraphParams(n, k)
-    vid = data.draw(st.integers(0, params.num_vertices - 1))
-    assert qw.rank_subset(qw.unrank_subset(vid, params), params) == vid
-
-
-def test_rank_input_errors():
-    params = qw.GraphParams(6, 3)
-    with pytest.raises(DomainError):
-        qw.rank_subset(0b11, params)  # popcount 2 != 3
-    with pytest.raises(DomainError):
-        qw.rank_subset(1 << 6 | 0b11, params)  # bit for element 7
-    with pytest.raises(DomainError):
-        qw.rank_subset(0, params)
-    with pytest.raises(DomainError):
-        qw.unrank_subset(20, params)
-    with pytest.raises(DomainError):
-        qw.unrank_subset(-1, params)
-    with pytest.raises(DomainError):
-        qw.subset_mask((0, 1, 2), params)
+    elems = johnson.vertex_elements(params, cap=len(oracle))
+    assert elems.shape == (len(oracle), k)
+    assert [tuple(row) for row in elems.tolist()] == oracle
+    ids = vertex_ids(params)
+    assert [ids[combo] for combo in oracle] == list(range(len(oracle)))
 
 
 def test_graph_params_validation():
@@ -131,9 +112,9 @@ def test_octahedron():
     a = qw.adjacency_matrix(params)
     assert a.shape == (6, 6)
     assert np.all(a.sum(axis=1) == 4)
-    for vid in range(6):
-        mask = qw.unrank_subset(vid, params)
-        comp = qw.rank_subset(0b1111 ^ mask, params)
+    subsets = [set(c) for c in colex_subsets(4, 2)]
+    for vid, subset in enumerate(subsets):
+        comp = subsets.index({1, 2, 3, 4} - subset)
         assert a[vid, comp] == 0.0
 
 
@@ -164,13 +145,12 @@ def test_distance_partition_arbitrary_marked():
         params = qw.GraphParams(n, k)
         part = qw.distance_partition(params, w)
         assert list(part.classes[0]) == [w]
-        w_mask = qw.unrank_subset(w, params)
+        subsets = [set(c) for c in colex_subsets(n, k)]
         for ell, ids in enumerate(part.classes):
             assert ids.dtype == np.int64
             assert np.all(np.diff(ids) > 0)
             for vid in ids:
-                inter = (qw.unrank_subset(int(vid), params) & w_mask).bit_count()
-                assert inter == params.k - ell
+                assert len(subsets[vid] & subsets[w]) == params.k - ell
         with pytest.raises(DomainError):
             qw.distance_partition(params, params.num_vertices)
 
@@ -251,12 +231,6 @@ def test_full_hamiltonian_errors():
         qw.full_hamiltonian(params, -1.0, 0)
     with pytest.raises(DomainError):
         qw.full_hamiltonian(params, 1.0, 20)
-
-
-def test_mask_helpers_roundtrip():
-    params = qw.GraphParams(9, 4)
-    elems = (2, 3, 7, 9)
-    assert qw.mask_elements(qw.subset_mask(elems, params)) == elems
 
 
 def clique_scatter(index, weight=1.0):

@@ -79,10 +79,6 @@ def test_adjacency_numpy_matches_module_surface():
         elems = vertex_elements(params)
         assert elems.dtype == np.int64
         assert np.array_equal(elems, ref_elems)
-        assert np.array_equal(
-            elems,
-            [qw.mask_elements(qw.unrank_subset(v, params)) for v in range(len(elems))],
-        )
         a = qw.adjacency_matrix(params)
         assert a.dtype == np.float64
         assert np.array_equal(a, ref)
