@@ -43,7 +43,9 @@ from .errors import CapacityError, DomainError
 # Dense N x N work stays affordable up to this many vertices: one N x N
 # float64 matrix is 72 MB at the cap, and `validate` there (the adjacency,
 # one values-only dense eigensolve, Lanczos curves) takes about 3 s and
-# peaks near 170 MB.  Overridable per call and via the CLI.  The cap is
+# peaks near 170 MB; in one process a further marked vertex of the same
+# graph takes about 0.25 s, as the eigensolve's checks are kept per graph
+# (validation._memo_graph).  Overridable per call and via the CLI.  The cap is
 # checked on every call, memoised index or not; the index itself is
 # O(N k), plus N k(n-k) int32 clique edges (0.6 MB at J(14,6)) once a
 # dense matrix has been built.

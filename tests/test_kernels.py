@@ -71,8 +71,8 @@ def colex_incidence_adjacency(n, k):
 
 
 def test_adjacency_numpy_matches_module_surface():
-    # J(8,4) has n = 2k, J(70,2) needs more than 63 mask bits, and J(14,6)
-    # and J(3003,1) sit at the default cap
+    # J(8,4) has n = 2k, J(70,2) has elements above 64, beyond any 64-bit
+    # subset mask, and J(14,6) and J(3003,1) sit at the default cap
     for n, k in ((2, 1), (7, 2), (8, 4), (70, 2), (14, 6), (3003, 1)):
         params = qw.GraphParams(n, k)
         ref_elems, ref = colex_incidence_adjacency(n, k)

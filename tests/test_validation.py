@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import qwsearch as qw
-from qwsearch import cli
-from qwsearch.errors import DomainError, NumericalError
+from qwsearch import cli, johnson
+from qwsearch.errors import CapacityError, DomainError, NumericalError
 
 
 def test_compare_full_reduced_k2_is_machine_exact():
@@ -76,7 +76,8 @@ def test_dense_checks_hold_one_hamiltonian_buffer(check):
 def test_validate_instance_makes_one_values_only_dense_eigensolve(monkeypatch):
     params = qw.GraphParams(12, 5)
     n_vert, k = params.num_vertices, params.k
-    qw.validate_instance(params, 3)  # warm-up: first-call caches are not counted
+    qw.validate_instance(qw.GraphParams(6, 3), 3)  # warm-up on another graph
+    qw.validation._memo_graph.cache_clear()
     shapes = {"eigh": [], "eigvalsh": []}
     for name in shapes:
         original = getattr(np.linalg, name)
@@ -86,16 +87,88 @@ def test_validate_instance_makes_one_values_only_dense_eigensolve(monkeypatch):
             return _original(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
-    tracemalloc.start()
-    try:
-        report = qw.validate_instance(params, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.all_passed
-    # the reduced model and the two Lanczos tridiagonals; A by values only
+
+    def traced(w):
+        for calls in shapes.values():
+            calls.clear()
+        tracemalloc.start()
+        try:
+            report = qw.validate_instance(params, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed
+        assert peak <= 1.5 * 8 * n_vert**2
+
+    # the first mark: the reduced model and the two Lanczos tridiagonals;
+    # A by values only
+    traced(3)
     assert shapes == {"eigh": [(k + 1, k + 1)] * 3, "eigvalsh": [(n_vert, n_vert)]}
-    assert peak <= 1.5 * 8 * n_vert**2
+    # a further mark of the same graph: only its two Lanczos tridiagonals
+    traced(40)
+    assert shapes == {"eigh": [(k + 1, k + 1)] * 2, "eigvalsh": []}
+
+
+def _spelled(report):
+    return [repr((c.name, c.residual, c.threshold, c.passed)) for c in report.checks]
+
+
+@pytest.mark.parametrize(
+    "n,k,marks",
+    [(5, 2, range(10)), (6, 3, range(20)), (14, 6, (0, 3002))],
+    ids=["5-2", "6-3", "14-6"],
+)
+def test_a_kept_graph_record_gives_the_cold_reports(n, k, marks):
+    params = qw.GraphParams(n, k)
+    memo = qw.validation._memo_graph
+    cold = {}
+    for w in marks:
+        memo.cache_clear()
+        cold[w] = _spelled(qw.validate_instance(params, w))
+    # the record now kept was filled by the last mark
+    warm = {w: _spelled(qw.validate_instance(params, w)) for w in marks}
+    assert memo.cache_info().hits == len(marks)
+    assert warm == cold
+
+
+def test_graph_memo_stays_within_its_bound():
+    bound = johnson._INDEX_MEMO_SIZE
+    memo = qw.validation._memo_graph
+    assert memo.cache_info().maxsize == bound
+    for n in range(2, bound + 5):
+        qw.validate_instance(qw.GraphParams(n, 1))
+        assert memo.cache_info().currsize <= bound
+    assert memo.cache_info().currsize == bound
+
+
+def test_a_kept_graph_record_still_checks_the_cap_and_the_mark():
+    params = qw.GraphParams(6, 3)
+    memo = qw.validation._memo_graph
+    qw.validate_instance(params, 0)
+    hits = memo.cache_info().hits
+    assert qw.check_spectrum(params).all_passed
+    assert memo.cache_info().hits == hits + 1
+    before = memo.cache_info()
+    with pytest.raises(CapacityError, match="cap 19"):
+        qw.validate_instance(params, 0, cap=19)
+    with pytest.raises(CapacityError, match="cap 19"):
+        qw.check_spectrum(params, cap=19)
+    for w in (-1, 20):
+        with pytest.raises(DomainError, match="marked vertex"):
+            qw.validate_instance(params, w)
+    assert memo.cache_info() == before  # refused before the record is read
+
+
+def test_a_kept_graph_record_is_read_only():
+    params = qw.GraphParams(7, 3)
+    record = qw.validation._memo_graph(params)
+    dec, weights = record.reduced
+    arrays = (record.sd.lambdas, record.sd.overlaps, record.times, dec.values, dec.vectors, weights)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert qw.validation._memo_graph(params) is record
 
 
 def dense_curve(h, w, times):
