@@ -31,8 +31,6 @@ MAX_SCAN_SAMPLES = 10**6
 _PEAK_COARSE_SAMPLES = 2001
 _PEAK_REL_TOL = 1e-6
 _CLAMP_WARN_EXCESS = 1e-10
-# Rows per block when subtracting V diag from MV in sym_eig's residual buffer.
-_RESID_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -56,29 +54,24 @@ class ScanResult:
 def sym_eig(matrix: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a real symmetric matrix via LAPACK ``eigh``.
 
-    Non-finite input is refused with :class:`DomainError`.  The returned
-    decomposition is checked for orthonormality (1e-12) and for the
-    reconstruction residual ||MV - V diag|| (1e-10 relative to the
-    largest entry); a NaN residual fails that check too.  Each residual is
-    formed in one N x N buffer, so the checks add a single matrix to
-    ``eigh``'s own workspace.
+    An empty or non-square matrix, and non-finite input, are refused with
+    :class:`DomainError`.  The returned decomposition is checked for
+    orthonormality (1e-12) and for the reconstruction residual
+    ||MV - V diag|| (1e-10 relative to the largest entry); a NaN residual
+    fails that check too.  Every caller in the package passes at most a
+    (k+1) x (k+1) matrix, so each residual is formed whole.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {matrix.shape}")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise DomainError(f"expected a non-empty square matrix, got shape {matrix.shape}")
     # min/max propagate NaN, so this refuses NaN and +-inf without a mask.
     lo, hi = float(matrix.min()), float(matrix.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(matrix)
     dim = matrix.shape[0]
-    resid = vectors.T @ vectors
-    resid.ravel()[:: dim + 1] -= 1.0
-    ortho = float(np.abs(resid, out=resid).max())
-    np.matmul(matrix, vectors, out=resid)
-    for r0 in range(0, dim, _RESID_ROWS):
-        resid[r0 : r0 + _RESID_ROWS] -= vectors[r0 : r0 + _RESID_ROWS] * values
-    recon = float(np.abs(resid, out=resid).max())
+    ortho = float(np.abs(vectors.T @ vectors - np.eye(dim)).max())
+    recon = float(np.abs(matrix @ vectors - vectors * values).max())
     scale = 1.0 + max(hi, -lo)
     if not (ortho <= 1e-12 and recon <= 1e-10 * scale):
         raise NumericalError(
@@ -88,25 +81,15 @@ def sym_eig(matrix: np.ndarray) -> EigDecomp:
     return EigDecomp(values=values, vectors=vectors)
 
 
-def reduced_eig(
-    params: GraphParams, gamma: float, sd: SpectralData | None = None
-) -> EigDecomp:
+def reduced_eig(params: GraphParams, gamma: float) -> EigDecomp:
     """Eigendecomposition of the reduced Hamiltonian -gamma*diag(lambda) - p p^T.
 
     Solved in shifted coordinates: the decomposed matrix is
     gamma*diag(lambda_0 - lambda_l) - p p^T, whose level gaps
     lambda_0 - lambda_l = l(n-l+1) are exact integers, and -gamma*lambda_0
-    is added back to its eigenvalues.  ``sd`` is the instance's
-    :func:`spectral_data`, computed here when not given.
+    is added back to its eigenvalues.
     """
-    _check_coupling(params, gamma)
-    if sd is None:
-        sd = spectral_data(params)
-    p = sd.overlaps
-    shifted = sym_eig(gamma * np.diag(sd.lambdas[0] - sd.lambdas) - np.outer(p, p))
-    return EigDecomp(
-        values=shifted.values - gamma * sd.lambdas[0], vectors=shifted.vectors
-    )
+    return _reduced_transition(spectral_data(params), gamma)[0]
 
 
 def run_time(params: GraphParams) -> float:
@@ -143,21 +126,36 @@ def _clamp_probs(probs):
     return np.clip(probs, 0.0, 1.0, out=probs)
 
 
-def _reduced_transition(
-    params: GraphParams, gamma: float, sd: SpectralData | None = None
-):
-    # One decomposition serves every time sample: the amplitude is
-    # <p| V e^{-iEt} V^T |e_0> = sum_j (V[0,j] * (V^T p)_j) e^{-iE_j t}.
-    if sd is None:
-        sd = spectral_data(params)
-    dec = reduced_eig(params, gamma, sd)
-    weights = dec.vectors[0, :] * (dec.vectors.T @ sd.overlaps)
-    return dec, weights
+def _transition(dec: EigDecomp, target: np.ndarray) -> tuple:
+    # One decomposition serves every time sample: the amplitude of target
+    # from e_0 is <target| V e^{-iEt} V^T |e_0>
+    # = sum_j (V[0,j] * (V^T target)_j) e^{-iE_j t}.
+    return dec, dec.vectors[0, :] * (dec.vectors.T @ target)
 
 
-def _probs_at(dec: EigDecomp, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    amps = np.exp(-1j * np.outer(times, dec.values)) @ weights
-    return _clamp_probs(np.abs(amps) ** 2)
+def _reduced_transition(sd: SpectralData, gamma: float) -> tuple:
+    # The reduced model's (decomposition, weights) of e_0 to p, solved as
+    # reduced_eig describes; sd is the instance's spectral_data.
+    _check_coupling(sd.params, gamma)
+    lambdas, p = sd.lambdas, sd.overlaps
+    shifted = sym_eig(gamma * np.diag(lambdas[0] - lambdas) - np.outer(p, p))
+    dec = EigDecomp(values=shifted.values - gamma * lambdas[0], vectors=shifted.vectors)
+    return _transition(dec, p)
+
+
+def _probs_at(transitions, times: np.ndarray) -> np.ndarray:
+    # Row c is the success curve of the pair transitions[c] = (dec, weights)
+    # at the given times, and one phase table serves them all: column c of
+    # the block weights holds pair c's weights against its own levels, and
+    # zeros elsewhere.
+    values = np.concatenate([dec.values for dec, _ in transitions])
+    block = np.zeros((len(values), len(transitions)))
+    start = 0
+    for c, (_, weights) in enumerate(transitions):
+        block[start : start + len(weights), c] = weights
+        start += len(weights)
+    amps = np.exp(-1j * np.outer(times, values)) @ block
+    return _clamp_probs(np.abs(amps.T) ** 2)
 
 
 def _probs_on_grid(
@@ -222,8 +220,8 @@ def success_probability(params: GraphParams, gamma: float, t: float) -> float:
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"time must be finite and nonnegative, got {t}")
     _check_phase(params, gamma, t)
-    dec, weights = _reduced_transition(params, gamma)
-    return float(_probs_at(dec, weights, np.array([t]))[0])
+    transition = _reduced_transition(spectral_data(params), gamma)
+    return float(_probs_at([transition], np.array([t]))[0, 0])
 
 
 def scan(
@@ -245,7 +243,7 @@ def scan(
     if m > MAX_SCAN_SAMPLES:
         raise DomainError(f"at most {MAX_SCAN_SAMPLES} samples, got m={m}")
     _check_phase(params, gamma, t1)
-    dec, weights = _reduced_transition(params, gamma)
+    dec, weights = _reduced_transition(spectral_data(params), gamma)
     return ScanResult(
         params=params,
         gamma=gamma,
@@ -316,7 +314,7 @@ def find_peak(params: GraphParams, gamma: float, bracket) -> tuple:
     t0, t1 = bracket
     _check_window(t0, t1)
     _check_phase(params, gamma, t1)
-    dec, weights = _reduced_transition(params, gamma)
+    dec, weights = _reduced_transition(spectral_data(params), gamma)
     return _peak(dec, weights, t0, t1)
 
 

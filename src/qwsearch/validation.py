@@ -35,10 +35,11 @@ import numpy as np
 
 from . import coupling
 from .dynamics import (
-    _clamp_probs,
+    _check_phase,
     _peak,
     _probs_at,
     _reduced_transition,
+    _transition,
     peak_bracket,
     run_time,
     sym_eig,
@@ -159,23 +160,8 @@ def _lanczos(a, gamma, marks, params) -> list:
         )
     transitions = []
     for m, (w, dim) in enumerate(zip(marks, dims)):
-        dec = sym_eig(tri[m, :dim, :dim])
-        transitions.append((dec, dec.vectors[0, :] * (dec.vectors.T @ basis[m, :dim, w])))
+        transitions.append(_transition(sym_eig(tri[m, :dim, :dim]), basis[m, :dim, w]))
     return transitions
-
-
-def _curves(transitions, times) -> np.ndarray:
-    # Row c is the success curve of transitions[c], as _probs_at computes it,
-    # and one phase table serves them all: column c of the block weights
-    # holds pair c's weights against its own levels, and zeros elsewhere.
-    values = np.concatenate([dec.values for dec, _ in transitions])
-    block = np.zeros((len(values), len(transitions)))
-    start = 0
-    for c, (_, weights) in enumerate(transitions):
-        block[start : start + len(weights), c] = weights
-        start += len(weights)
-    amps = np.exp(-1j * np.outer(times, values)) @ block
-    return _clamp_probs(np.abs(amps.T) ** 2)
 
 
 def _curve_distance(probs1, probs2) -> float:
@@ -191,26 +177,33 @@ def compare_full_reduced(
 ) -> float:
     """Max |p_full(t) - p_reduced(t)| over the time grid.
 
-    The full curve evolves |s> under the N x N Hamiltonian -gamma*A - |w><w|
-    and projects on the marked basis vector: Lanczos on the dense A, closed
-    after at most k+1 steps, or refused with :class:`NumericalError`.  The
-    reduced curve comes from the (k+1)-dimensional model.  Their agreement
-    is the core oracle for everything the reduced model is used for.
+    ``times`` must be a non-empty 1-D array of finite t >= 0 with
+    (gamma*k(n-k) + 1)*max(times) finite; anything else is refused with
+    :class:`DomainError` before the adjacency is built.  The full curve
+    evolves |s> under the N x N Hamiltonian -gamma*A - |w><w| and projects
+    on the marked basis vector: Lanczos on the dense A, closed after at
+    most k+1 steps, or refused with :class:`NumericalError`.  The reduced
+    curve comes from the (k+1)-dimensional model.  Their agreement is the
+    core oracle for everything the reduced model is used for.
     """
-    times = np.asarray(times, dtype=np.float64)
-    transitions = _full_lanczos(params, gamma, (w,), cap)
-    probs_full, probs_reduced = _curves(
-        transitions + [_reduced_transition(params, gamma)], times
-    )
+    times, transitions = _full_lanczos(params, gamma, (w,), times, cap)
+    transitions.append(_reduced_transition(spectral_data(params), gamma))
+    probs_full, probs_reduced = _probs_at(transitions, times)
     return _curve_distance(probs_full, probs_reduced)
 
 
-def _full_lanczos(params, gamma, marks, cap) -> list:
-    # _lanczos on a fresh A, after the checks full_hamiltonian makes.
-    _check_coupling(params, gamma)
+def _full_lanczos(params, gamma, marks, times, cap) -> tuple:
+    # The times as an array, and _lanczos on a fresh A, after the checks of
+    # the times and those full_hamiltonian makes.
+    times = np.asarray(times, dtype=np.float64)
+    if not (times.ndim == 1 and times.size and np.isfinite(times).all() and times.min() >= 0):
+        raise DomainError(
+            f"times must be a non-empty 1-D array of finite t >= 0, got shape {times.shape}"
+        )
+    _check_phase(params, gamma, float(times.max()))  # checks gamma first
     for w in marks:
         _check_vertex(w, params.num_vertices)
-    return _lanczos(adjacency_matrix(params, cap), gamma, marks, params)
+    return times, _lanczos(adjacency_matrix(params, cap), gamma, marks, params)
 
 
 def compare_marked_vertices(
@@ -225,13 +218,13 @@ def compare_marked_vertices(
 
     Vertex-transitivity makes the marked choice immaterial; this measures
     exactly that.  One dense adjacency serves both curves, whose Lanczos
-    runs step together (see :func:`compare_full_reduced`); w1 == w2 runs
-    once and reads exactly 0.0.
+    runs step together (see :func:`compare_full_reduced`, which also gives
+    the contract on ``times``); w1 == w2 runs once and reads exactly 0.0.
     """
     _check_vertex(w2, params.num_vertices)
-    times = np.asarray(times, dtype=np.float64)
     marks = (w1,) if w1 == w2 else (w1, w2)
-    curves = _curves(_full_lanczos(params, gamma, marks, cap), times)
+    times, transitions = _full_lanczos(params, gamma, marks, times, cap)
+    curves = _probs_at(transitions, times)
     return _curve_distance(curves[0], curves[-1])
 
 
@@ -270,7 +263,7 @@ def _memo_graph(params: GraphParams) -> _GraphRecord:
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
     times = np.linspace(0.0, 2.0 * run_time(params), 64)
-    dec, weights = _reduced_transition(params, gamma, sd)
+    dec, weights = _reduced_transition(sd, gamma)
     dense = np.linalg.eigvalsh(adjacency_matrix(params, params.num_vertices))
     checks = _spectrum_checks(sd, dense) + (
         CheckResult(
@@ -389,7 +382,7 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
     """
     gamma = coupling.gamma_star(params)
     sd = spectral_data(params)
-    dec, weights = _reduced_transition(params, gamma, sd)
+    dec, weights = _reduced_transition(sd, gamma)
     gap = float(dec.values[1] - dec.values[0])
     if gap < 1e-14:
         raise NumericalError(
@@ -405,7 +398,7 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
         N=params.num_vertices,
         gamma_star=gamma,
         t_run=t_run,
-        p_at_trun=float(_probs_at(dec, weights, np.array([t_run]))[0]),
+        p_at_trun=float(_probs_at([(dec, weights)], np.array([t_run]))[0, 0]),
         t_peak=t_peak,
         p_peak=p_peak,
         gap=gap,
@@ -464,7 +457,7 @@ def validate_instance(
     w2 = (w + 1) % params.num_vertices
     transitions = _lanczos(a, record.gamma, (w, w2), params)
     transitions.append(record.reduced)
-    probs_w, probs_w2, probs_reduced = _curves(transitions, record.times)
+    probs_w, probs_w2, probs_reduced = _probs_at(transitions, record.times)
     checks = record.checks + (
         CheckResult("partition_invariance", invariance, 1e-12),
         CheckResult("reduced_embedding", embedding, 1e-10),

@@ -56,12 +56,35 @@ def test_sym_eig_random_contracts():
         assert resid <= 1e-10 * (1 + np.max(np.abs(m)))
 
 
-def test_sym_eig_gates_cover_every_row_block(monkeypatch):
-    # The reconstruction residual is formed block by block: a correct
-    # decomposition larger than one block passes, and one that is wrong only
-    # in the last row is refused.
+def _last_value_off(values, vectors):
+    values[-1] += 1e-6
+    return values, vectors
+
+
+def _last_column_scaled(values, vectors):
+    vectors[:, -1] *= 1 + 1e-9
+    return values, vectors
+
+
+def _last_value_nan(values, vectors):
+    values[-1] = np.nan
+    return values, vectors
+
+
+@pytest.mark.parametrize("dim", [4, 296])
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_last_value_off, r"reconstruction 1\.\d+e-06"),
+        (_last_column_scaled, r"orthonormality [12]\.\d+e-09"),
+        (_last_value_nan, r"reconstruction nan"),
+    ],
+)
+def test_sym_eig_refuses_a_wrong_decomposition(monkeypatch, dim, corrupt, message):
+    # A correct decomposition passes both gates; one with a single wrong
+    # eigenvalue or a single non-normal eigenvector is refused by the gate
+    # that reads it.
     rng = np.random.default_rng(7)
-    dim = qw.dynamics._RESID_ROWS + 40
     m = random_symmetric(rng, dim)
     dec = qw.sym_eig(m)
     resid = np.max(np.abs(m @ dec.vectors - dec.vectors * dec.values))
@@ -70,13 +93,11 @@ def test_sym_eig_gates_cover_every_row_block(monkeypatch):
 
     def corrupted(matrix):
         values, vectors = eigh(matrix)
-        values = values.copy()
-        values[-1] += 1e-6
-        return values, vectors
+        return corrupt(values.copy(), vectors.copy())
 
     monkeypatch.setattr(np.linalg, "eigh", corrupted)
-    # Diagonal input: V = I, so M V - V diag is nonzero at (dim-1, dim-1) only.
-    with pytest.raises(qw.NumericalError, match="reconstruction"):
+    # Diagonal input: V = I, so each defect sits in the last row or column.
+    with pytest.raises(qw.NumericalError, match=message):
         qw.sym_eig(np.diag(np.arange(dim, dtype=float)))
 
 
@@ -85,6 +106,8 @@ def test_sym_eig_rejects_bad_shapes():
         qw.sym_eig(np.zeros((2, 3)))
     with pytest.raises(DomainError):
         qw.sym_eig(np.zeros(4))
+    with pytest.raises(DomainError):
+        qw.sym_eig(np.zeros((0, 0)))
 
 
 def test_evolve_identity_at_zero():
@@ -298,11 +321,11 @@ def _phase_rounding_bound(dec, t1):
 def test_probs_on_grid_matches_pointwise(k, n_scale, m):
     params = qw.GraphParams(n_scale or 2 * k, k)
     gamma = qw.gamma_star(params)
-    dec, weights = qw.dynamics._reduced_transition(params, gamma)
+    dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
     t_end = 2 * qw.run_time(params)
     for t0, t1 in ((0.0, t_end), (0.3 * t_end, 0.7 * t_end)):
         grid = qw.dynamics._probs_on_grid(dec, weights, t0, t1, m)
-        direct = qw.dynamics._probs_at(dec, weights, np.linspace(t0, t1, m))
+        direct = qw.dynamics._probs_at([(dec, weights)], np.linspace(t0, t1, m))[0]
         assert grid.shape == (m,)
         assert np.max(np.abs(grid - direct)) <= _phase_rounding_bound(dec, t1)
 
@@ -312,7 +335,7 @@ def test_scan_probs_match_success_probability():
     gamma = qw.gamma_star(params)
     res = qw.scan(params, gamma, 10.0, 2 * qw.run_time(params), 37)
     assert np.array_equal(res.times, np.linspace(10.0, 2 * qw.run_time(params), 37))
-    dec, _ = qw.dynamics._reduced_transition(params, gamma)
+    dec, _ = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
     bound = _phase_rounding_bound(dec, res.times[-1])
     for t, p in zip(res.times, res.probs):
         assert abs(p - qw.success_probability(params, gamma, float(t))) <= bound
@@ -322,10 +345,10 @@ def test_scan_probs_match_success_probability():
 def test_scalar_refinement_matches_pointwise(n, k):
     params = qw.GraphParams(n, k)
     gamma = qw.gamma_star(params)
-    dec, weights = qw.dynamics._reduced_transition(params, gamma)
+    dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
     terms = tuple(zip(dec.values.tolist(), weights.tolist()))
     times = np.linspace(0.0, 2 * qw.run_time(params), 57)
-    direct = qw.dynamics._probs_at(dec, weights, times)
+    direct = qw.dynamics._probs_at([(dec, weights)], times)[0]
     scalar = [qw.dynamics._prob_scalar(terms, float(t)) for t in times]
     assert np.max(np.abs(scalar - direct)) <= _phase_rounding_bound(dec, times[-1])
 
@@ -336,12 +359,12 @@ def test_scalar_refinement_clamps_and_warns_like_arrays():
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
         assert qw.dynamics._prob_scalar(((0.0, 0.6), (0.0, 0.6)), 3.0) == 1.0
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
-        assert qw.dynamics._probs_at(dec, big, np.array([3.0]))[0] == 1.0
+        assert qw.dynamics._probs_at([(dec, big)], np.array([3.0]))[0][0] == 1.0
     tiny = 0.5 + 1e-12  # overshoot about 2e-12, below the 1e-10 warning level
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert qw.dynamics._prob_scalar(((0.0, 0.5), (0.0, tiny)), 3.0) == 1.0
-        assert qw.dynamics._probs_at(dec, np.array([0.5, tiny]), np.array([3.0]))[0] == 1.0
+        assert qw.dynamics._probs_at([(dec, np.array([0.5, tiny]))], np.array([3.0]))[0][0] == 1.0
 
 
 def test_energy_conservation_along_scan():

@@ -42,6 +42,28 @@ def test_compare_marked_vertices_same_vertex_and_range():
             qw.compare_marked_vertices(params, gamma, 4, w2, times)
 
 
+@pytest.mark.parametrize("compare", ["compare_full_reduced", "compare_marked_vertices"])
+@pytest.mark.parametrize(
+    "times",
+    [[], [math.nan], [math.inf], [-1.0], [0.0, 1e308], np.zeros((2, 3)), [[1.0]]],
+    ids=["empty", "nan", "inf", "negative", "phase-overflow", "2d", "2d-single"],
+)
+def test_compare_functions_refuse_bad_times_before_building_a(monkeypatch, compare, times):
+    # Refused as input, before the adjacency exists: no numpy error or
+    # warning, and no curve of a phase with no digits left (J(6,3) at gamma*
+    # bounds every phase by (9*gamma + 1)*t, which overflows at t = 1e308).
+    params = qw.GraphParams(6, 3)
+    gamma = qw.gamma_star(params)
+
+    def no_adjacency(*args, **kwargs):
+        raise AssertionError("adjacency built before the times were checked")
+
+    monkeypatch.setattr(qw.validation, "adjacency_matrix", no_adjacency)
+    args = {"compare_full_reduced": (0,), "compare_marked_vertices": (0, 5)}[compare]
+    with pytest.raises(DomainError):
+        getattr(qw, compare)(params, gamma, *args, times)
+
+
 @pytest.mark.parametrize(
     "check",
     ["validate_instance", "compare_marked_vertices", "reduced_embedding_residual"],
@@ -177,7 +199,7 @@ def dense_curve(h, w, times):
     n_vert = h.shape[0]
     start = np.full(n_vert, 1.0 / math.sqrt(n_vert))
     weights = dec.vectors[w, :] * (dec.vectors.T @ start)
-    return qw.dynamics._probs_at(dec, weights, times)
+    return qw.dynamics._probs_at([(dec, weights)], times)[0]
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.3, 3.0])
@@ -189,7 +211,7 @@ def test_krylov_curves_match_the_dense_eigenvector_curves(n, k, scale):
     times = np.linspace(0.0, 2 * qw.run_time(params), 64)
     marks = (params.num_vertices - 1, 0)
     transitions = qw.validation._lanczos(qw.adjacency_matrix(params), gamma, marks, params)
-    curves = qw.validation._curves(transitions, times)
+    curves = qw.dynamics._probs_at(transitions, times)
     for w, curve in zip(marks, curves):
         expected = dense_curve(qw.full_hamiltonian(params, gamma, w), w, times)
         assert np.max(np.abs(curve - expected)) <= 1e-12
