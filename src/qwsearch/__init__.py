@@ -22,7 +22,6 @@ from .dynamics import (
     EigDecomp,
     ScanResult,
     find_peak,
-    reduced_eig,
     run_time,
     scan,
     success_probability,
@@ -104,7 +103,6 @@ __all__ = [
     "overlap_sq_factorial",
     "p_ell_scaled",
     "r_ell",
-    "reduced_eig",
     "reduced_hamiltonian",
     "run_time",
     "scan",

@@ -22,7 +22,7 @@ from itertools import chain
 from . import coupling, dynamics, validation
 from .errors import DomainError, NumericalError
 from .johnson import DEFAULT_FULL_CAP, GraphParams
-from .spectral import eigenvalue, multiplicity, overlap
+from .spectral import eigenvalue, multiplicity
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -91,10 +91,11 @@ def _params(args) -> GraphParams:
 
 def cmd_spectrum(args):
     params = _params(args)
-    rows = [
-        (ell, eigenvalue(params, ell), multiplicity(params, ell), overlap(params, ell) ** 2)
-        for ell in range(params.k + 1)
-    ]
+    # p_l^2 = m_l / N in one correctly rounded division, not via a sqrt.
+    rows = []
+    for ell in range(params.k + 1):
+        m = multiplicity(params, ell)
+        rows.append((ell, eigenvalue(params, ell), m, m / params.num_vertices))
     return ("ell", "lambda", "multiplicity", "overlap_sq"), rows, EXIT_OK
 
 

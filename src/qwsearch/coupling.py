@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedParameterError
-from .johnson import GraphParams
+from .johnson import GraphParams, _is_int
+from .spectral import _check_ell
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class ScaledParams:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
+        if not (isinstance(self.k, int) and _is_int(self.k) and self.k >= 1):
             raise DomainError(f"k must be a positive integer, got {self.k}")
         if not self.eps > 0:
             raise DomainError(f"eps must be positive, got {self.eps}")
@@ -48,21 +49,16 @@ def from_graph(params: GraphParams) -> ScaledParams:
     return ScaledParams(eps=1.0 / math.sqrt(params.n), k=params.k)
 
 
-def _check_ell(sp: ScaledParams, ell: int):
-    if not 0 <= ell <= sp.k:
-        raise DomainError(f"ell={ell} outside 0..{sp.k}")
-
-
 def r_ell(sp: ScaledParams, ell: int) -> float:
     """Rescaled eigenvalue (k-l)(1-(k+l)eps^2) - l*eps^2."""
-    _check_ell(sp, ell)
+    _check_ell(sp.k, ell)
     x = sp.eps * sp.eps
     return (sp.k - ell) * (1.0 - (sp.k + ell) * x) - ell * x
 
 
 def p_ell_scaled(sp: ScaledParams, ell: int) -> float:
     """Marked-state overlap as an analytic function of eps (product form)."""
-    _check_ell(sp, ell)
+    _check_ell(sp.k, ell)
     k = sp.k
     x = sp.eps * sp.eps
     num = float(math.perm(k, k - ell)) * (1.0 - (2 * ell - 1) * x)  # k!/l! exact

@@ -7,10 +7,12 @@ downstream.  The walker starts in the uniform superposition; the success
 probability at time t is |<w| exp(-iHt) |s>|^2, evaluated in the
 (k+1)-dimensional reduced model where |s> = e_0 and |w> = p.
 
-The reduced model is always solved in shifted coordinates (see
-:func:`reduced_eig`): its matrix is diagonalized after adding
-gamma*lambda_0 to the diagonal, which makes the level gaps exact integers
-and keeps the tiny gap between the two lowest levels to more digits.
+The reduced model is always solved in shifted coordinates: the matrix
+-gamma*diag(lambda) - p p^T is diagonalized after adding gamma*lambda_0 to
+its diagonal, as gamma*diag(lambda_0 - lambda_l) - p p^T, whose level gaps
+lambda_0 - lambda_l = l(n-l+1) are exact integers; this keeps the tiny gap
+between the two lowest levels to more digits, and -gamma*lambda_0 is added
+back to the eigenvalues.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError, NumericalError
-from .johnson import GraphParams, _check_coupling
+from .johnson import GraphParams, _check_coupling, _is_int
 from .spectral import SpectralData, spectral_data
 
 # scan holds all m samples at once, and the CLI renders them as one text:
@@ -64,32 +66,21 @@ def sym_eig(matrix: np.ndarray) -> EigDecomp:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
         raise DomainError(f"expected a non-empty square matrix, got shape {matrix.shape}")
-    # min/max propagate NaN, so this refuses NaN and +-inf without a mask.
-    lo, hi = float(matrix.min()), float(matrix.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    # One reduction gives the residual scale and, as max propagates NaN,
+    # refuses NaN and +-inf without a mask.
+    scale = 1.0 + float(np.abs(matrix).max())
+    if not math.isfinite(scale):
         raise DomainError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(matrix)
     dim = matrix.shape[0]
     ortho = float(np.abs(vectors.T @ vectors - np.eye(dim)).max())
     recon = float(np.abs(matrix @ vectors - vectors * values).max())
-    scale = 1.0 + max(hi, -lo)
     if not (ortho <= 1e-12 and recon <= 1e-10 * scale):
         raise NumericalError(
             f"eigendecomposition residuals too large: orthonormality {ortho:.3e}, "
             f"reconstruction {recon:.3e} (scale {scale:.3e})"
         )
     return EigDecomp(values=values, vectors=vectors)
-
-
-def reduced_eig(params: GraphParams, gamma: float) -> EigDecomp:
-    """Eigendecomposition of the reduced Hamiltonian -gamma*diag(lambda) - p p^T.
-
-    Solved in shifted coordinates: the decomposed matrix is
-    gamma*diag(lambda_0 - lambda_l) - p p^T, whose level gaps
-    lambda_0 - lambda_l = l(n-l+1) are exact integers, and -gamma*lambda_0
-    is added back to its eigenvalues.
-    """
-    return _reduced_transition(spectral_data(params), gamma)[0]
 
 
 def run_time(params: GraphParams) -> float:
@@ -134,9 +125,11 @@ def _transition(dec: EigDecomp, target: np.ndarray) -> tuple:
 
 
 def _reduced_transition(sd: SpectralData, gamma: float) -> tuple:
-    # The reduced model's (decomposition, weights) of e_0 to p, solved as
-    # reduced_eig describes; sd is the instance's spectral_data.
-    _check_coupling(sd.params, gamma)
+    # The reduced model's (decomposition, weights) of e_0 to p, sd being the
+    # instance's spectral_data: gamma*diag(lambda_0 - lambda_l) - p p^T is
+    # decomposed and -gamma*lambda_0 added back to its eigenvalues (see the
+    # module docstring).  Callers check gamma; gamma_star needs no check, as
+    # every gap l(n-l+1) is at least n, so gamma_star*k(n-k+1) <= k.
     lambdas, p = sd.lambdas, sd.overlaps
     shifted = sym_eig(gamma * np.diag(lambdas[0] - lambdas) - np.outer(p, p))
     dec = EigDecomp(values=shifted.values - gamma * lambdas[0], vectors=shifted.vectors)
@@ -238,6 +231,8 @@ def scan(
     of the phase arguments, a few eps * max|E| * t1.
     """
     _check_window(t0, t1)
+    if not _is_int(m):
+        raise DomainError(f"m must be an integer, got {m!r}")
     if m < 2:
         raise DomainError(f"need at least 2 samples, got m={m}")
     if m > MAX_SCAN_SAMPLES:

@@ -59,6 +59,11 @@ _INDEX_MEMO_SIZE = 8
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _is_int(value) -> bool:
+    # A Python or numpy integer, and not a bool, which numpy reads as a mask.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GraphParams:
     """The pair (n, k) selecting J(n,k); requires k >= 1 and n >= 2k."""
@@ -67,7 +72,8 @@ class GraphParams:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.k, int)):
+        # Python integers only: numpy's fixed-width ones could wrap.
+        if not all(isinstance(v, int) and _is_int(v) for v in (self.n, self.k)):
             raise DomainError("n and k must be integers")
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
@@ -223,6 +229,8 @@ def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndar
 
 
 def _check_vertex(w: int, n_vert: int):
+    if not _is_int(w):
+        raise DomainError(f"marked vertex id must be an integer, got {w!r}")
     if not 0 <= w < n_vert:
         raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")
 

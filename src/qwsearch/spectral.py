@@ -23,24 +23,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .johnson import GraphParams, _check_coupling
+from .johnson import GraphParams, _check_coupling, _is_int
 
 
-def _check_ell(params: GraphParams, ell: int):
-    if not 0 <= ell <= params.k:
-        raise DomainError(f"ell={ell} outside 0..{params.k}")
+def _check_ell(k: int, ell: int):
+    # The one level check, shared with the rescaled forms in coupling.
+    if not _is_int(ell):
+        raise DomainError(f"ell must be an integer, got {ell!r}")
+    if not 0 <= ell <= k:
+        raise DomainError(f"ell={ell} outside 0..{k}")
 
 
 def eigenvalue(params: GraphParams, ell: int) -> int:
     """Adjacency eigenvalue (k-l)(n-k-l) - l; equals the degree at l=0."""
-    _check_ell(params, ell)
+    _check_ell(params.k, ell)
     n, k = params.n, params.k
     return (k - ell) * (n - k - ell) - ell
 
 
 def multiplicity(params: GraphParams, ell: int) -> int:
     """Eigenspace dimension C(n,l) - C(n,l-1) (exact integer)."""
-    _check_ell(params, ell)
+    _check_ell(params.k, ell)
     n = params.n
     prev = math.comb(n, ell - 1) if ell >= 1 else 0
     return math.comb(n, ell) - prev
@@ -58,7 +61,7 @@ def overlap_sq_factorial(params: GraphParams, ell: int) -> float:
     Independent of :func:`overlap`; kept as a cross-check route and
     evaluated as an exact integer ratio to avoid float factorials.
     """
-    _check_ell(params, ell)
+    _check_ell(params.k, ell)
     n, k = params.n, params.k
     num = math.factorial(k) * math.factorial(n - k) * (n - 2 * ell + 1)
     den = math.factorial(ell) * math.factorial(n - ell + 1)

@@ -193,9 +193,12 @@ def compare_full_reduced(
 
 
 def _full_lanczos(params, gamma, marks, times, cap) -> tuple:
-    # The times as an array, and _lanczos on a fresh A, after the checks of
-    # the times and those full_hamiltonian makes.
-    times = np.asarray(times, dtype=np.float64)
+    # The times as an array, and _lanczos on a fresh A for the distinct
+    # marks, after the checks of the times and those full_hamiltonian makes.
+    try:
+        times = np.asarray(times, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError("times must be a non-empty 1-D array of real numbers") from None
     if not (times.ndim == 1 and times.size and np.isfinite(times).all() and times.min() >= 0):
         raise DomainError(
             f"times must be a non-empty 1-D array of finite t >= 0, got shape {times.shape}"
@@ -203,6 +206,7 @@ def _full_lanczos(params, gamma, marks, times, cap) -> tuple:
     _check_phase(params, gamma, float(times.max()))  # checks gamma first
     for w in marks:
         _check_vertex(w, params.num_vertices)
+    marks = tuple(dict.fromkeys(marks))
     return times, _lanczos(adjacency_matrix(params, cap), gamma, marks, params)
 
 
@@ -221,9 +225,7 @@ def compare_marked_vertices(
     runs step together (see :func:`compare_full_reduced`, which also gives
     the contract on ``times``); w1 == w2 runs once and reads exactly 0.0.
     """
-    _check_vertex(w2, params.num_vertices)
-    marks = (w1,) if w1 == w2 else (w1, w2)
-    times, transitions = _full_lanczos(params, gamma, marks, times, cap)
+    times, transitions = _full_lanczos(params, gamma, (w1, w2), times, cap)
     curves = _probs_at(transitions, times)
     return _curve_distance(curves[0], curves[-1])
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,17 @@ def test_spectrum_63():
     assert len(rows) == 4
     assert [r["lambda"] for r in rows] == ["9", "3", "-1", "-3"]
     assert [r["multiplicity"] for r in rows] == ["1", "5", "9", "5"]
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (7, 2), (10, 4), (100, 3), (1000, 5), (37, 7)])
+def test_spectrum_overlap_sq_is_the_rounded_ratio(n, k, capsys):
+    # p_l^2 = m_l / N, correctly rounded; the square of a rounded sqrt
+    # prints 0.049999999999999996 for 1/20 on J(6,3).
+    assert cli.main(["spectrum", "--n", str(n), "--k", str(k)]) == 0
+    rows = parse_csv(capsys.readouterr().out.encode())
+    n_vert = math.comb(n, k)
+    for row in rows:
+        assert float(row["overlap_sq"]) == float(Fraction(int(row["multiplicity"]), n_vert))
 
 
 def test_spectrum_rejects_small_n():
