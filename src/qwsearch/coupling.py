@@ -15,6 +15,10 @@ equivalently gamma_star = eps^2 / eta_star with eta_star the inverse of
 that sum (eta_star -> k as eps -> 0).  Published rational closed forms
 exist for k = 3, 4, 5 and are kept here verbatim as cross-checks; the
 exact sum is always the computed value, never a truncated series.
+
+As in :mod:`qwsearch.spectral`, a level is checked once, in :func:`r_ell`
+and :func:`p_ell_scaled`; the coupling sum runs their formulas with no
+check per level.
 """
 
 import math
@@ -49,38 +53,42 @@ def from_graph(params: GraphParams) -> ScaledParams:
     return ScaledParams(eps=1.0 / math.sqrt(params.n), k=params.k)
 
 
-def r_ell(sp: ScaledParams, ell: int) -> float:
-    """Rescaled eigenvalue (k-l)(1-(k+l)eps^2) - l*eps^2."""
-    _check_ell(sp.k, ell)
-    x = sp.eps * sp.eps
-    return (sp.k - ell) * (1.0 - (sp.k + ell) * x) - ell * x
+# The formulas themselves, on a checked level and x = eps^2.
+def _r(k: int, x: float, ell: int) -> float:
+    return (k - ell) * (1.0 - (k + ell) * x) - ell * x
 
 
-def p_ell_scaled(sp: ScaledParams, ell: int) -> float:
-    """Marked-state overlap as an analytic function of eps (product form)."""
-    _check_ell(sp.k, ell)
-    k = sp.k
-    x = sp.eps * sp.eps
+def _p(k: int, eps: float, x: float, ell: int) -> float:
     num = float(math.perm(k, k - ell)) * (1.0 - (2 * ell - 1) * x)  # k!/l! exact
     den = 1.0
     for j in range(ell - 1, k):
         den *= 1.0 - j * x
-    return sp.eps ** (k - ell) * math.sqrt(num / den)
+    return eps ** (k - ell) * math.sqrt(num / den)
 
 
-def _coupling_terms(sp: ScaledParams):
-    # k!/l! and the products in p_l(eps) leave binary64 from about k = 162
-    # on; such a k is refused rather than answered with inf.
-    r0 = r_ell(sp, 0)
+def r_ell(sp: ScaledParams, ell: int) -> float:
+    """Rescaled eigenvalue (k-l)(1-(k+l)eps^2) - l*eps^2."""
+    return _r(sp.k, sp.eps * sp.eps, _check_ell(sp.k, ell))
+
+
+def p_ell_scaled(sp: ScaledParams, ell: int) -> float:
+    """Marked-state overlap as an analytic function of eps (product form)."""
+    return _p(sp.k, sp.eps, sp.eps * sp.eps, _check_ell(sp.k, ell))
+
+
+def _coupling_terms(eps: float, k: int):
+    # p_l^2 / (r_0 - r_l), l = 1..k, at a point checked by ScaledParams or
+    # GraphParams.  k!/l! and the products in p_l(eps) leave binary64 from
+    # about k = 162 on; such a k is refused rather than answered with inf.
+    x = eps * eps
+    r0 = _r(k, x, 0)
     try:
-        terms = [
-            p_ell_scaled(sp, l) ** 2 / (r0 - r_ell(sp, l)) for l in range(1, sp.k + 1)
-        ]
+        terms = [_p(k, eps, x, l) ** 2 / (r0 - _r(k, x, l)) for l in range(1, k + 1)]
         if all(map(math.isfinite, terms)):
             return terms
     except OverflowError:
         pass
-    raise DomainError(f"the coupling terms overflow binary64 at k={sp.k}, eps={sp.eps}")
+    raise DomainError(f"the coupling terms overflow binary64 at k={k}, eps={eps}")
 
 
 def eta_star(sp: ScaledParams) -> float:
@@ -89,17 +97,22 @@ def eta_star(sp: ScaledParams) -> float:
     The terms span a dynamic range of order eps^(2k-2), so they are
     accumulated with exactly rounded summation.
     """
-    return 1.0 / math.fsum(_coupling_terms(sp))
+    return 1.0 / math.fsum(_coupling_terms(sp.eps, sp.k))
 
 
 def gamma_star_scaled(sp: ScaledParams) -> float:
     """Critical hopping rate eps^2 * sum_{l>=1} p_l^2/(r_0 - r_l) = eps^2/eta_star."""
-    return sp.eps * sp.eps * math.fsum(_coupling_terms(sp))
+    return sp.eps * sp.eps * math.fsum(_coupling_terms(sp.eps, sp.k))
 
 
 def gamma_star(params: GraphParams) -> float:
-    """Critical hopping rate of J(n,k), evaluated at eps = 1/sqrt(n)."""
-    return gamma_star_scaled(from_graph(params))
+    """Critical hopping rate of J(n,k), evaluated at eps = 1/sqrt(n).
+
+    Equals ``gamma_star_scaled(from_graph(params))``; n >= 2k already puts
+    eps inside the analytic domain, so no :class:`ScaledParams` is built.
+    """
+    eps = 1.0 / math.sqrt(params.n)
+    return eps * eps * math.fsum(_coupling_terms(eps, params.k))
 
 
 # Rational closed forms, k = 3..5, as functions of x = eps^2:

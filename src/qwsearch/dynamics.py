@@ -15,6 +15,7 @@ between the two lowest levels to more digits, and -gamma*lambda_0 is added
 back to the eigenvalues.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -53,6 +54,15 @@ class ScanResult:
     probs: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(dim: int) -> np.ndarray:
+    # The orthonormality gate's identity, read-only, for the last 8
+    # dimensions: the package's own solves are (k+1) x (k+1).
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def sym_eig(matrix: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a real symmetric matrix via LAPACK ``eigh``.
 
@@ -72,8 +82,7 @@ def sym_eig(matrix: np.ndarray) -> EigDecomp:
     if not math.isfinite(scale):
         raise DomainError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(matrix)
-    dim = matrix.shape[0]
-    ortho = float(np.abs(vectors.T @ vectors - np.eye(dim)).max())
+    ortho = float(np.abs(vectors.T @ vectors - _identity(matrix.shape[0])).max())
     recon = float(np.abs(matrix @ vectors - vectors * values).max())
     if not (ortho <= 1e-12 and recon <= 1e-10 * scale):
         raise NumericalError(
@@ -112,9 +121,13 @@ def _warn_overshoot(excess: float):
 
 
 def _clamp_probs(probs):
-    # Clamps in place: callers pass a freshly computed array.
-    _warn_overshoot(float(probs.max(initial=0.0)) - 1.0)
-    return np.clip(probs, 0.0, 1.0, out=probs)
+    # Clamps in place: callers pass a freshly computed array of squared
+    # moduli, never negative, so only an overshoot past 1 is clipped.
+    top = float(probs.max(initial=0.0))
+    if top > 1.0:
+        _warn_overshoot(top - 1.0)
+        np.clip(probs, 0.0, 1.0, out=probs)
+    return probs
 
 
 def _transition(dec: EigDecomp, target: np.ndarray) -> tuple:
@@ -130,8 +143,12 @@ def _reduced_transition(sd: SpectralData, gamma: float) -> tuple:
     # decomposed and -gamma*lambda_0 added back to its eigenvalues (see the
     # module docstring).  Callers check gamma; gamma_star needs no check, as
     # every gap l(n-l+1) is at least n, so gamma_star*k(n-k+1) <= k.
+    # -p p^T plus gamma*(lambda_0 - lambda) on the diagonal rounds entry by
+    # entry as gamma*diag(lambda_0 - lambda) - p p^T, in fewer numpy calls.
     lambdas, p = sd.lambdas, sd.overlaps
-    shifted = sym_eig(gamma * np.diag(lambdas[0] - lambdas) - np.outer(p, p))
+    matrix = np.multiply.outer(p, -p)
+    matrix.ravel()[:: len(p) + 1] += gamma * (lambdas[0] - lambdas)
+    shifted = sym_eig(matrix)
     dec = EigDecomp(values=shifted.values - gamma * lambdas[0], vectors=shifted.vectors)
     return _transition(dec, p)
 
@@ -271,13 +288,9 @@ def _peak(dec: EigDecomp, weights: np.ndarray, t0: float, t1: float) -> tuple:
     a, best_t, b = (_grid_time(t0, t1, _PEAK_COARSE_SAMPLES, j) for j in (i - 1, i, i + 1))
     best_p = float(probs[i])
     terms = tuple(zip(dec.values.tolist(), weights.tolist()))
-
-    def f(t):
-        return _prob_scalar(terms, t)
-
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = _prob_scalar(terms, c), _prob_scalar(terms, d)
     while b - a > _PEAK_REL_TOL * max(abs(a), abs(b), 1e-300):
         if fc > best_p:
             best_t, best_p = c, fc
@@ -286,11 +299,11 @@ def _peak(dec: EigDecomp, weights: np.ndarray, t0: float, t1: float) -> tuple:
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = f(d)
+            fd = _prob_scalar(terms, d)
         else:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = f(c)
+            fc = _prob_scalar(terms, c)
     return best_t, best_p
 
 

@@ -15,9 +15,14 @@ H = -gamma*A - |w><w|, on which H acts as the exact (k+1) x (k+1) matrix
 In that basis the uniform superposition |s> is the first basis vector e_0
 and |w> is the vector p itself, so the whole search problem reduces to a
 (k+1)-dimensional one with no approximation.
+
+A level l is checked once, at the public boundary, and read as a Python
+int; each formula exists once, as a private function of checked values,
+which :func:`spectral_data` runs over l = 0..k with no check per level.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,27 +31,35 @@ from .errors import DomainError
 from .johnson import GraphParams, _check_coupling, _is_int
 
 
-def _check_ell(k: int, ell: int):
-    # The one level check, shared with the rescaled forms in coupling.
+def _check_ell(k: int, ell) -> int:
+    # The one level check, made at the public boundary and shared with the
+    # rescaled forms in coupling; the level comes back as a Python int, so
+    # a numpy integer cannot wrap against an unbounded n.
     if not _is_int(ell):
         raise DomainError(f"ell must be an integer, got {ell!r}")
+    ell = int(ell)
     if not 0 <= ell <= k:
         raise DomainError(f"ell={ell} outside 0..{k}")
+    return ell
+
+
+def _eigenvalue(n: int, k: int, ell: int) -> int:
+    return (k - ell) * (n - k - ell) - ell
+
+
+def _multiplicity(n: int, ell: int) -> int:
+    prev = math.comb(n, ell - 1) if ell >= 1 else 0
+    return math.comb(n, ell) - prev
 
 
 def eigenvalue(params: GraphParams, ell: int) -> int:
     """Adjacency eigenvalue (k-l)(n-k-l) - l; equals the degree at l=0."""
-    _check_ell(params.k, ell)
-    n, k = params.n, params.k
-    return (k - ell) * (n - k - ell) - ell
+    return _eigenvalue(params.n, params.k, _check_ell(params.k, ell))
 
 
 def multiplicity(params: GraphParams, ell: int) -> int:
     """Eigenspace dimension C(n,l) - C(n,l-1) (exact integer)."""
-    _check_ell(params.k, ell)
-    n = params.n
-    prev = math.comb(n, ell - 1) if ell >= 1 else 0
-    return math.comb(n, ell) - prev
+    return _multiplicity(params.n, _check_ell(params.k, ell))
 
 
 def overlap(params: GraphParams, ell: int) -> float:
@@ -59,10 +72,14 @@ def overlap_sq_factorial(params: GraphParams, ell: int) -> float:
     """p_l^2 via the factorial form k!(n-k)!(n-2l+1) / (l!(n-l+1)!).
 
     Independent of :func:`overlap`; kept as a cross-check route and
-    evaluated as an exact integer ratio to avoid float factorials.
+    evaluated as an exact integer ratio to avoid float factorials.  Refused
+    with :class:`DomainError` where n-l+1 exceeds ``sys.maxsize``, the
+    range of ``math.factorial``.
     """
-    _check_ell(params.k, ell)
+    ell = _check_ell(params.k, ell)
     n, k = params.n, params.k
+    if n - ell + 1 > sys.maxsize:
+        raise DomainError(f"(n-l+1)! with n={n}, l={ell} is beyond math.factorial")
     num = math.factorial(k) * math.factorial(n - k) * (n - 2 * ell + 1)
     den = math.factorial(ell) * math.factorial(n - ell + 1)
     return num / den
@@ -80,20 +97,24 @@ class SpectralData:
 
 def spectral_data(params: GraphParams) -> SpectralData:
     """All closed-form spectral quantities of J(n,k) in one bundle."""
-    k = params.k
-    lambdas = np.array([eigenvalue(params, l) for l in range(k + 1)], dtype=np.float64)
-    if not np.all(np.diff(lambdas) < 0):  # pragma: no cover - barred by n >= 2k
+    n, k = params.n, params.k
+    levels = range(k + 1)
+    lambdas = [float(_eigenvalue(n, k, l)) for l in levels]
+    # Barred by n >= 2k.
+    if not all(a > b for a, b in zip(lambdas, lambdas[1:])):  # pragma: no cover
         raise DomainError("eigenvalues not strictly decreasing; params out of range")
     n_vert = params.num_vertices
-    mults = tuple(multiplicity(params, l) for l in range(k + 1))
+    mults = tuple(_multiplicity(n, l) for l in levels)
     if sum(mults) != n_vert:  # pragma: no cover
         raise AssertionError("multiplicities do not sum to N")
     # sqrt(m_l / N) as in overlap(), from the multiplicities already in hand
-    overlaps = np.array([math.sqrt(m / n_vert) for m in mults])
-    total = math.fsum(float(p) ** 2 for p in overlaps)
+    overlaps = [math.sqrt(m / n_vert) for m in mults]
+    total = math.fsum(p * p for p in overlaps)
     if abs(total - 1.0) > 1e-14:  # pragma: no cover
         raise AssertionError(f"overlap completeness violated: sum p^2 = {total}")
-    return SpectralData(params=params, lambdas=lambdas, mults=mults, overlaps=overlaps)
+    return SpectralData(
+        params=params, lambdas=np.array(lambdas), mults=mults, overlaps=np.array(overlaps)
+    )
 
 
 @dataclass(frozen=True)

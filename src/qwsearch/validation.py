@@ -196,6 +196,10 @@ def _full_lanczos(params, gamma, marks, times, cap) -> tuple:
     # The times as an array, and _lanczos on a fresh A for the distinct
     # marks, after the checks of the times and those full_hamiltonian makes.
     try:
+        # A complex array would convert with only a ComplexWarning, and
+        # lose its imaginary parts.
+        if np.iscomplexobj(times):
+            raise TypeError
         times = np.asarray(times, dtype=np.float64)
     except (TypeError, ValueError):
         raise DomainError("times must be a non-empty 1-D array of real numbers") from None

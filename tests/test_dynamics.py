@@ -366,6 +366,19 @@ def test_scalar_refinement_clamps_and_warns_like_arrays():
         assert qw.dynamics._probs_at([(dec, np.array([0.5, tiny]))], np.array([3.0]))[0][0] == 1.0
 
 
+def test_clamp_probs_leaves_probabilities_untouched_and_clips_overshoot():
+    # Warnings are errors in this suite, so values in [0, 1] raise none.
+    probs = np.array([0.0, 5e-324, 0.25, 1.0 - 2**-53, 1.0])
+    before = probs.copy()
+    assert qw.dynamics._clamp_probs(probs) is probs
+    assert probs.tobytes() == before.tobytes()
+    over = np.array([0.5, 1.0 + 1e-9])
+    with pytest.warns(RuntimeWarning, match="overshoots 1 by 1.000e-09"):
+        assert qw.dynamics._clamp_probs(over).tolist() == [0.5, 1.0]
+    slight = np.array([1.0 + 1e-12, 0.5])  # below the 1e-10 warning level
+    assert qw.dynamics._clamp_probs(slight).tolist() == [1.0, 0.5]
+
+
 def test_energy_conservation_along_scan():
     params = qw.GraphParams(6, 3)
     gamma = qw.gamma_star(params)

@@ -16,6 +16,21 @@ def test_eigenvalue_examples():
         qw.eigenvalue(qw.GraphParams(6, 3), 4)
 
 
+def test_numpy_integer_levels_answer_as_python_ints():
+    # A numpy level is read as a Python int, so it cannot wrap against an n
+    # beyond int64.
+    big = qw.GraphParams(2**63 + 5, 2)
+    for ell in (np.int64(1), np.int32(0), np.uint8(2)):
+        for level_fn in (qw.eigenvalue, qw.multiplicity):
+            value = level_fn(big, ell)
+            assert type(value) is int and value == level_fn(big, int(ell))
+
+
+def test_overlap_sq_factorial_refuses_n_beyond_math_factorial():
+    with pytest.raises(DomainError, match="math.factorial"):
+        qw.overlap_sq_factorial(qw.GraphParams(10**19, 2), 1)
+
+
 def test_multiplicity_examples():
     assert [qw.multiplicity(qw.GraphParams(6, 3), l) for l in range(4)] == [1, 5, 9, 5]
     assert [qw.multiplicity(qw.GraphParams(4, 2), l) for l in range(3)] == [1, 3, 2]

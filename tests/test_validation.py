@@ -47,11 +47,11 @@ def test_compare_marked_vertices_same_vertex_and_range():
     "times",
     [
         [], [math.nan], [math.inf], [-1.0], [0.0, 1e308], np.zeros((2, 3)), [[1.0]],
-        [[0.0], [1.0, 2.0]], ["a"], [0.0, 1 + 2j],
+        [[0.0], [1.0, 2.0]], ["a"], [0.0, 1 + 2j], np.array([0.0, 1 + 2j]),
     ],
     ids=[
         "empty", "nan", "inf", "negative", "phase-overflow", "2d", "2d-single",
-        "ragged", "string", "complex",
+        "ragged", "string", "complex", "complex-array",
     ],
 )
 def test_compare_functions_refuse_bad_times_before_building_a(monkeypatch, compare, times):
