@@ -66,15 +66,20 @@ def _identity(dim: int) -> np.ndarray:
 def sym_eig(matrix: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a real symmetric matrix via LAPACK ``eigh``.
 
-    An empty or non-square matrix, and non-finite input, are refused with
-    :class:`DomainError`.  The returned decomposition is checked for
-    orthonormality (1e-12) and for the reconstruction residual
-    ||MV - V diag|| (1e-10 relative to the largest entry); a NaN residual
-    fails that check too.  Every caller in the package passes at most a
-    (k+1) x (k+1) matrix, so each residual is formed whole.
+    ``matrix`` is one d x d matrix or a stack (..., d, d) of them, solved
+    in one ``eigh`` call; each member's values and vectors, under the
+    stack's leading axes, are those a 2-D call returns.  An empty or
+    non-square input, and non-finite input, are refused with
+    :class:`DomainError`.  The decomposition is checked for orthonormality
+    (1e-12) and for the reconstruction residual ||MV - V diag|| (1e-10
+    relative to the largest entry), each gate taking its maximum over the
+    whole stack; a NaN residual fails that check too.  The package stacks
+    only the Lanczos tridiagonals of one graph, whose largest entries
+    agree, and passes at most (k+1) x (k+1) matrices, so each residual is
+    formed whole.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2] or not matrix.size:
         raise DomainError(f"expected a non-empty square matrix, got shape {matrix.shape}")
     # One reduction gives the residual scale and, as max propagates NaN,
     # refuses NaN and +-inf without a mask.
@@ -82,8 +87,9 @@ def sym_eig(matrix: np.ndarray) -> EigDecomp:
     if not math.isfinite(scale):
         raise DomainError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(matrix)
-    ortho = float(np.abs(vectors.T @ vectors - _identity(matrix.shape[0])).max())
-    recon = float(np.abs(matrix @ vectors - vectors * values).max())
+    gram = vectors.swapaxes(-1, -2) @ vectors
+    ortho = float(np.abs(gram - _identity(matrix.shape[-1])).max())
+    recon = float(np.abs(matrix @ vectors - vectors * values[..., None, :]).max())
     if not (ortho <= 1e-12 and recon <= 1e-10 * scale):
         raise NumericalError(
             f"eigendecomposition residuals too large: orthonormality {ortho:.3e}, "

@@ -10,13 +10,13 @@ One N x N array, the adjacency A, serves every full-space check, and the
 only dense eigensolve is the values-only ``eigvalsh`` of the spectrum
 check, made once per graph: what depends on (n, k) alone is kept per
 process, so each further marked vertex pays only for its own checks.  The
-embedding basis is the exact integer vectors prod_{j != l} (A -
-lambda_j)|w>, each P_l|w> times a nonzero integer.  The
 full-space curves come from Lanczos on the full H = -gamma*A - |w><w|
 started at |s>: the distance-class span holds |s> and |w> and is invariant
 under H, so the Krylov space closes after at most k+1 steps and the curve
-of its (k+1) x (k+1) tridiagonal is exact (Saad, SIAM J. Numer. Anal. 29,
-209 (1992)).  A run that does not close is refused, never truncated.
+of its (k+1) x (k+1) tridiagonal is exact up to the closing beta times t
+(Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  A run that does not close
+is refused, never truncated.  Two curves are compared by a bound over all
+of [0, t_max] read off their levels, weights and closing betas.
 
 Large instances are covered through the reduced model alone, where the
 perturbation analysis shows up as measurable spectral facts at the
@@ -30,11 +30,13 @@ exactly those quantities per n.
 import functools
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from . import coupling
 from .dynamics import (
+    EigDecomp,
     _check_phase,
     _peak,
     _probs_at,
@@ -113,24 +115,21 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def _lanczos(a, gamma, marks, params) -> list:
+def _lanczos(a, gamma, marks, params) -> tuple:
     # The transition (decomposition, weights) of |s> to |w> under
-    # H_w = -gamma*A - |w><w|, one per mark w, by Lanczos with full
-    # reorthogonalisation.  The runs of all marks step together, so each
-    # step is one product of A with a len(marks) x N block, and every inner
-    # product is a BLAS product: einsum's sums over N lose about ten times
-    # more digits of the tridiagonal.  The distance-class span is invariant
-    # under H_w, so each run must close within k+1 steps: its last beta
-    # must fall to _CLOSURE_TOL times the norm bound gamma*k(n-k) + 1, else
-    # the run is refused.  The curve error a closed run leaves is at most
-    # beta*t.
-    n_vert, n_marks = len(a), len(marks)
-    steps = params.k + 1
+    # H_w = -gamma*A - |w><w| and the closing beta, for each mark w, by
+    # Lanczos with full reorthogonalisation.  The runs step together: one
+    # product of A with a len(marks) x N block per step, and BLAS inner
+    # products (einsum's sums over N lose about ten times more digits).  The
+    # distance-class span is invariant under H_w, so a run must close, beta
+    # <= _CLOSURE_TOL * (gamma*k(n-k) + 1), within k+1 steps or is refused.
+    # Runs that close at the same step share one sym_eig call.
+    n_vert, n_marks, steps = len(a), len(marks), params.k + 1
     tol = _CLOSURE_TOL * (gamma * params.degree + 1.0)
     basis = np.empty((n_marks, steps, n_vert))
     basis[:, 0] = 1.0 / math.sqrt(n_vert)
     tri = np.zeros((n_marks, steps, steps))
-    dims = [0] * n_marks
+    dims, betas = [0] * n_marks, [0.0] * n_marks
     for j in range(steps):
         q = basis[:, j]
         r = q @ a  # A is symmetric
@@ -143,8 +142,9 @@ def _lanczos(a, gamma, marks, params) -> list:
         r -= (coef.transpose(0, 2, 1) @ done)[:, 0]
         again = done @ r[:, :, None]
         r -= (again.transpose(0, 2, 1) @ done)[:, 0]
-        tri[:, j, j] = coef[:, j, 0] + again[:, j, 0]
+        np.add(coef[:, j, 0], again[:, j, 0], out=tri[:, j, j])
         norms = np.sqrt(np.add.reduce(r * r, axis=1)).tolist()
+        betas = [c if d else b for d, b, c in zip(dims, norms, betas)]
         dims = [d or (j + 1 if b <= tol else 0) for d, b in zip(dims, norms)]
         if all(dims):
             break
@@ -158,43 +158,62 @@ def _lanczos(a, gamma, marks, params) -> list:
             f"Lanczos on the full search Hamiltonian did not close within "
             f"{steps} steps: beta {max(norms):.3e} above {tol:.3e}"
         )
-    transitions = []
-    for m, (w, dim) in enumerate(zip(marks, dims)):
-        transitions.append(_transition(sym_eig(tri[m, :dim, :dim]), basis[m, :dim, w]))
-    return transitions
+    decs = {}
+    for dim in set(dims):
+        runs = [m for m, d in enumerate(dims) if d == dim]
+        dec = sym_eig(tri[runs, :dim, :dim])
+        decs.update(zip(runs, map(EigDecomp, dec.values, dec.vectors)))
+    return [_transition(decs[m], basis[m, : dims[m], w]) for m, w in enumerate(marks)], betas
 
 
-def _curve_distance(probs1, probs2) -> float:
-    return float(np.max(np.abs(probs1 - probs2)))
+def _sup_distance(curve_a, curve_b, t_max) -> float:
+    # A bound on max |p_a - p_b| over 0 <= t <= t_max for curves
+    # ((decomposition, weights), beta), p = |A|^2, A(t) = sum_j w_j e^{-iE_j t}:
+    # |A_a - A_b| <= sum_j |w_a,j - w_b,j| + t sum_j |w_b,j| |E_a,j - E_b,j|
+    # with levels in ascending order (a run that closed early has weight 0
+    # and its partner's E on the levels it lacks, so zip stops at the shorter
+    # run), plus beta*t per Lanczos run, and |p_a - p_b| <= |A_a - A_b| (W_a
+    # + W_b), W = sum_j |w_j|.  Rounding adds eps W^2 ((d+1)(t max|E| + 1) + 3)
+    # per curve of d levels, eps = 2**-52: eigh's levels are good to d eps
+    # max|E|, each phase rounds once more, and the exponential, d-term sum and
+    # modulus add d + 4.  A curve against itself is 0.0.
+    if curve_a is curve_b:
+        return 0.0
+    (levels_a, weights_a, beta_a), (levels_b, weights_b, beta_b) = (
+        (dec.values.tolist(), w.tolist(), beta) for (dec, w), beta in (curve_a, curve_b)
+    )
+    mass_a, mass_b = sum(map(abs, weights_a)), sum(map(abs, weights_b))
+    spread = sum(abs(x - y) for x, y in zip_longest(weights_a, weights_b, fillvalue=0.0))
+    drift = sum(abs(w * (x - y)) for x, y, w in zip(levels_a, levels_b, weights_b))
+    bound = (mass_a + mass_b) * (spread + (drift + beta_a + beta_b) * t_max)
+    for e, mass in ((levels_a, mass_a), (levels_b, mass_b)):
+        bound += 2.0**-52 * mass * mass * ((len(e) + 1) * (t_max * max(map(abs, e)) + 1) + 3)
+    return bound
 
 
 def compare_full_reduced(
-    params: GraphParams,
-    gamma: float,
-    w: int,
-    times,
-    cap: int = DEFAULT_FULL_CAP,
+    params: GraphParams, gamma: float, w: int, times, cap: int = DEFAULT_FULL_CAP
 ) -> float:
-    """Max |p_full(t) - p_reduced(t)| over the time grid.
+    """A bound on max |p_full(t) - p_reduced(t)| over 0 <= t <= max(times).
 
     ``times`` must be a non-empty 1-D array of finite t >= 0 with
     (gamma*k(n-k) + 1)*max(times) finite; anything else is refused with
-    :class:`DomainError` before the adjacency is built.  The full curve
-    evolves |s> under the N x N Hamiltonian -gamma*A - |w><w| and projects
-    on the marked basis vector: Lanczos on the dense A, closed after at
-    most k+1 steps, or refused with :class:`NumericalError`.  The reduced
-    curve comes from the (k+1)-dimensional model.  Their agreement is the
-    core oracle for everything the reduced model is used for.
+    :class:`DomainError` before the adjacency is built.  The full curve of
+    |s> under the N x N Hamiltonian -gamma*A - |w><w| comes from Lanczos on
+    the dense A, closed after at most k+1 steps or refused with
+    :class:`NumericalError`; the reduced one from the (k+1)-dimensional
+    model.  The bound is read off both curves' levels E_j and weights w_j
+    and the run's closing beta, so it holds at every t up to max(times).
+    Their agreement is the core oracle for everything the reduced model is
+    used for.
     """
-    times, transitions = _full_lanczos(params, gamma, (w,), times, cap)
-    transitions.append(_reduced_transition(spectral_data(params), gamma))
-    probs_full, probs_reduced = _probs_at(transitions, times)
-    return _curve_distance(probs_full, probs_reduced)
+    t_max, (full,) = _full_lanczos(params, gamma, (w,), times, cap)
+    return _sup_distance(full, (_reduced_transition(spectral_data(params), gamma), 0.0), t_max)
 
 
 def _full_lanczos(params, gamma, marks, times, cap) -> tuple:
-    # The times as an array, and _lanczos on a fresh A for the distinct
-    # marks, after the checks of the times and those full_hamiltonian makes.
+    # max(times), and (transition, beta) of _lanczos on a fresh A per distinct
+    # mark, after the checks of the times and those full_hamiltonian makes.
     try:
         # A complex array would convert with only a ComplexWarning, and
         # lose its imaginary parts.
@@ -207,31 +226,27 @@ def _full_lanczos(params, gamma, marks, times, cap) -> tuple:
         raise DomainError(
             f"times must be a non-empty 1-D array of finite t >= 0, got shape {times.shape}"
         )
-    _check_phase(params, gamma, float(times.max()))  # checks gamma first
+    t_max = float(times.max())
+    _check_phase(params, gamma, t_max)  # checks gamma first
     for w in marks:
         _check_vertex(w, params.num_vertices)
     marks = tuple(dict.fromkeys(marks))
-    return times, _lanczos(adjacency_matrix(params, cap), gamma, marks, params)
+    return t_max, list(zip(*_lanczos(adjacency_matrix(params, cap), gamma, marks, params)))
 
 
 def compare_marked_vertices(
-    params: GraphParams,
-    gamma: float,
-    w1: int,
-    w2: int,
-    times,
-    cap: int = DEFAULT_FULL_CAP,
+    params: GraphParams, gamma: float, w1: int, w2: int, times, cap: int = DEFAULT_FULL_CAP
 ) -> float:
-    """Max difference between full-space success curves for two marked vertices.
+    """A bound on the difference between the full-space success curves of
+    two marked vertices over 0 <= t <= max(times).
 
     Vertex-transitivity makes the marked choice immaterial; this measures
     exactly that.  One dense adjacency serves both curves, whose Lanczos
-    runs step together (see :func:`compare_full_reduced`, which also gives
-    the contract on ``times``); w1 == w2 runs once and reads exactly 0.0.
+    runs step together (see :func:`compare_full_reduced` for the contract
+    on ``times`` and the bound); w1 == w2 runs once and reads exactly 0.0.
     """
-    times, transitions = _full_lanczos(params, gamma, (w1, w2), times, cap)
-    curves = _probs_at(transitions, times)
-    return _curve_distance(curves[0], curves[-1])
+    t_max, curves = _full_lanczos(params, gamma, (w1, w2), times, cap)
+    return _sup_distance(curves[0], curves[-1], t_max)
 
 
 def _spectrum_checks(sd, dense_values) -> tuple:
@@ -256,7 +271,7 @@ class _GraphRecord:
     # overlap_consistency, in report order.
     sd: SpectralData
     gamma: float
-    times: np.ndarray
+    t_max: float
     reduced: tuple
     checks: tuple
 
@@ -268,17 +283,13 @@ def _memo_graph(params: GraphParams) -> _GraphRecord:
     # one N x N array is live at a time.
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
-    times = np.linspace(0.0, 2.0 * run_time(params), 64)
     dec, weights = _reduced_transition(sd, gamma)
     dense = np.linalg.eigvalsh(adjacency_matrix(params, params.num_vertices))
-    checks = _spectrum_checks(sd, dense) + (
-        CheckResult(
-            "overlap_consistency", overlap_consistency_residual(params), 1e-13
-        ),
-    )
-    for array in (sd.lambdas, sd.overlaps, times, dec.values, dec.vectors, weights):
+    overlap = overlap_consistency_residual(params)
+    checks = _spectrum_checks(sd, dense) + (CheckResult("overlap_consistency", overlap, 1e-13),)
+    for array in (sd.lambdas, sd.overlaps, dec.values, dec.vectors, weights):
         array.flags.writeable = False
-    return _GraphRecord(sd, gamma, times, (dec, weights), checks)
+    return _GraphRecord(sd, gamma, 2.0 * run_time(params), (dec, weights), checks)
 
 
 def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> ValidationReport:
@@ -437,23 +448,17 @@ def validate_instance(
 ) -> ValidationReport:
     """Every full-space check on one instance, aggregated for reporting.
 
-    What depends on (n, k) alone is computed once per graph and kept per
-    process for the last 8 graphs, with read-only arrays: the closed-form
-    spectrum, gamma*, the 64 sample times, the reduced model's transition,
-    and the spectrum and overlap checks, whose values-only ``eigvalsh`` is
-    the one dense eigensolve.  The cap and the mark are checked on every
-    call before the kept record is read, and a graph's first call builds
-    its own A for ``eigvalsh`` and drops it before the A of the mark
-    exists, so one N x N array is held at a time.
-
-    Everything that depends on the mark w runs on every call.  The colex
-    index comes from its own per-process memo, and partition invariance
-    is counted from its faces before A exists.  The embedding basis is
-    the exact integer vectors prod_{j != l} (A - lambda_j)|w>, and the
-    curves of w and of w2 = w + 1 mod N (vertex independence) come from
-    Lanczos runs on the full H that step together and close after at most
-    k+1 steps, each solved as a (k+1) x (k+1) tridiagonal; a run that does
-    not close raises :class:`NumericalError`.
+    What depends on (n, k) alone is kept per process for the last 8 graphs
+    (read-only): the closed-form spectrum, gamma*, t_max = 2*run_time, the
+    reduced model's transition, and the spectrum and overlap checks, whose
+    values-only ``eigvalsh`` is the one dense eigensolve.  The cap and the
+    mark are checked first on every call, and one N x N array is held at a
+    time.  Partition invariance, the embedding residual and the Lanczos
+    runs of w and w2 = w + 1 mod N run on every call; a run that does not
+    close within k+1 steps raises :class:`NumericalError`.
+    oracle_equivalence (w against the reduced model) and
+    vertex_independence (w against w2) bound the curves' distance over all
+    of [0, t_max]; see :func:`compare_full_reduced`.
     """
     index = _colex_index(params, cap)
     invariance = _partition_invariance(index, w)
@@ -461,17 +466,12 @@ def validate_instance(
     a = _adjacency(index)
     embedding = _embedding_residual(record.sd, a, record.gamma, w)
     w2 = (w + 1) % params.num_vertices
-    transitions = _lanczos(a, record.gamma, (w, w2), params)
-    transitions.append(record.reduced)
-    probs_w, probs_w2, probs_reduced = _probs_at(transitions, record.times)
+    full_w, full_w2 = zip(*_lanczos(a, record.gamma, (w, w2), params))
+    oracle = _sup_distance(full_w, (record.reduced, 0.0), record.t_max)
     checks = record.checks + (
         CheckResult("partition_invariance", invariance, 1e-12),
         CheckResult("reduced_embedding", embedding, 1e-10),
-        CheckResult(
-            "oracle_equivalence",
-            _curve_distance(probs_w, probs_reduced),
-            1e-9,
-        ),
-        CheckResult("vertex_independence", _curve_distance(probs_w, probs_w2), 1e-10),
+        CheckResult("oracle_equivalence", oracle, 1e-9),
+        CheckResult("vertex_independence", _sup_distance(full_w, full_w2, record.t_max), 1e-10),
     )
     return ValidationReport(label=f"J({params.n},{params.k})", checks=checks)

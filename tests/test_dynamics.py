@@ -110,6 +110,49 @@ def test_sym_eig_rejects_bad_shapes():
         qw.sym_eig(np.zeros((0, 0)))
 
 
+def test_sym_eig_stack_is_each_member_bit_for_bit():
+    # one eigh call on a (2, d, d) stack returns what two 2-D calls return
+    rng = np.random.default_rng(11)
+    for dim in range(1, 8):
+        stack = np.stack([random_symmetric(rng, dim), random_symmetric(rng, dim)])
+        dec = qw.sym_eig(stack)
+        assert dec.values.shape == (2, dim) and dec.vectors.shape == (2, dim, dim)
+        for member, values, vectors in zip(stack, dec.values, dec.vectors):
+            alone = qw.sym_eig(member)
+            assert values.tobytes() == alone.values.tobytes()
+            assert vectors.tobytes() == alone.vectors.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sym_eig_stack_refuses_one_non_finite_member(bad):
+    stack = np.stack([np.eye(3), np.eye(3)])
+    stack[1, 0, 2] = stack[1, 2, 0] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        qw.sym_eig(stack)
+
+
+def test_sym_eig_stack_refuses_one_wrong_member(monkeypatch):
+    stack = np.stack([np.diag([0.0, 1.0, 2.0])] * 2)
+    assert qw.sym_eig(stack).values.shape == (2, 3)
+    eigh = np.linalg.eigh
+
+    def corrupted(matrix):
+        values, vectors = eigh(matrix)
+        values = values.copy()
+        values[1, -1] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(qw.NumericalError, match=r"reconstruction 1\.\d+e-06"):
+        qw.sym_eig(stack)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (0, 3, 3), (2, 0, 0), (2, 2, 3), (2, 3, 2)])
+def test_sym_eig_rejects_bad_stack_shapes(shape):
+    with pytest.raises(DomainError, match="non-empty square"):
+        qw.sym_eig(np.zeros(shape))
+
+
 def test_evolve_identity_at_zero():
     rng = np.random.default_rng(0)
     m = random_symmetric(rng, 6)

@@ -128,13 +128,15 @@ def test_validate_instance_makes_one_values_only_dense_eigensolve(monkeypatch):
         assert report.all_passed
         assert peak <= 1.5 * 8 * n_vert**2
 
-    # the first mark: the reduced model and the two Lanczos tridiagonals;
-    # A by values only
+    # the first mark: the reduced model and the two Lanczos tridiagonals,
+    # stacked in one call; A by values only
     traced(3)
-    assert shapes == {"eigh": [(k + 1, k + 1)] * 3, "eigvalsh": [(n_vert, n_vert)]}
+    assert shapes == {
+        "eigh": [(k + 1, k + 1), (2, k + 1, k + 1)], "eigvalsh": [(n_vert, n_vert)]
+    }
     # a further mark of the same graph: only its two Lanczos tridiagonals
     traced(40)
-    assert shapes == {"eigh": [(k + 1, k + 1)] * 2, "eigvalsh": []}
+    assert shapes == {"eigh": [(2, k + 1, k + 1)], "eigvalsh": []}
 
 
 def _spelled(report):
@@ -191,7 +193,7 @@ def test_a_kept_graph_record_is_read_only():
     params = qw.GraphParams(7, 3)
     record = qw.validation._memo_graph(params)
     dec, weights = record.reduced
-    arrays = (record.sd.lambdas, record.sd.overlaps, record.times, dec.values, dec.vectors, weights)
+    arrays = (record.sd.lambdas, record.sd.overlaps, dec.values, dec.vectors, weights)
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -216,11 +218,34 @@ def test_krylov_curves_match_the_dense_eigenvector_curves(n, k, scale):
     gamma = scale * qw.gamma_star(params)
     times = np.linspace(0.0, 2 * qw.run_time(params), 64)
     marks = (params.num_vertices - 1, 0)
-    transitions = qw.validation._lanczos(qw.adjacency_matrix(params), gamma, marks, params)
+    transitions, _ = qw.validation._lanczos(qw.adjacency_matrix(params), gamma, marks, params)
     curves = qw.dynamics._probs_at(transitions, times)
     for w, curve in zip(marks, curves):
         expected = dense_curve(qw.full_hamiltonian(params, gamma, w), w, times)
         assert np.max(np.abs(curve - expected)) <= 1e-12
+
+
+def test_reported_bounds_cover_the_dense_eigenvector_curves():
+    # every mark of J(6,3): the dense curves of w and of w + 1 mod N differ
+    # from the reduced curve and from each other by at most the reported
+    # bounds, at the 64 times the checks once sampled and on 2001 times
+    params = qw.GraphParams(6, 3)
+    gamma, n_vert = qw.gamma_star(params), params.num_vertices
+    reduced = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
+    reports = [
+        {c.name: c.residual for c in qw.validate_instance(params, w).checks}
+        for w in range(n_vert)
+    ]
+    for m in (64, 2001):
+        times = np.linspace(0.0, 2 * qw.run_time(params), m)
+        expected = qw.dynamics._probs_at([reduced], times)[0]
+        dense = [
+            dense_curve(qw.full_hamiltonian(params, gamma, w), w, times) for w in range(n_vert)
+        ]
+        for w, checks in enumerate(reports):
+            assert np.max(np.abs(dense[w] - expected)) <= checks["oracle_equivalence"]
+            vertex = np.max(np.abs(dense[w] - dense[(w + 1) % n_vert]))
+            assert vertex <= checks["vertex_independence"]
 
 
 @pytest.mark.parametrize("n,k,w", [(5, 2, 3), (6, 3, 0), (14, 6, 100)])
