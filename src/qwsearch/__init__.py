@@ -10,13 +10,9 @@ critical hopping rate gamma_star and the run time pi*n^(k/2)/(2*sqrt(k!)).
 
 from .coupling import (
     ScaledParams,
-    eta_star,
     from_graph,
     gamma_closed_form,
     gamma_star,
-    gamma_star_scaled,
-    p_ell_scaled,
-    r_ell,
 )
 from .dynamics import (
     EigDecomp,
@@ -91,18 +87,14 @@ __all__ = [
     "convergence_sweep",
     "distance_partition",
     "eigenvalue",
-    "eta_star",
     "find_peak",
     "from_graph",
     "full_hamiltonian",
     "gamma_closed_form",
     "gamma_star",
-    "gamma_star_scaled",
     "multiplicity",
     "overlap",
     "overlap_sq_factorial",
-    "p_ell_scaled",
-    "r_ell",
     "reduced_hamiltonian",
     "run_time",
     "scan",

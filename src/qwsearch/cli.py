@@ -9,8 +9,8 @@ so identical invocations give identical bytes.
 Exit codes: 0 success, 1 a validation check failed, 2 usage or domain
 error, 3 numerical failure.  Among the domain errors: a C(n,k) beyond
 binary64, refused at once however large n and k are; a time t whose phase
-bound (gamma*k(n-k) + 1)*t overflows; and a k whose critical coupling or
-run time overflows binary64 (from about k = 162).
+bound (gamma*k(n-k) + 1)*t overflows; and a run time that overflows
+binary64 (at every n from k = 171, and from n = 4176 at k = 170).
 """
 
 import argparse

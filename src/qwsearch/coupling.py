@@ -1,24 +1,17 @@
-"""Rescaled spectral quantities and the critical hopping rate.
+"""The critical hopping rate of J(n,k), and its published closed forms.
 
-With eps = 1/sqrt(n) the Johnson-graph data becomes analytic in eps on
-(2k-1)*eps^2 < 1:
+The search works only at a critical hopping rate.  With the gaps
+d_l = lambda_0 - lambda_l = l(n-l+1) and the overlaps p_l^2 = m_l/N of
+:mod:`qwsearch.spectral`, it is the finite sum of exact rationals
 
-    r_l(eps)  = eps^2 * lambda_l = (k-l)(1-(k+l)eps^2) - l*eps^2
-    p_l(eps)  = eps^(k-l) * sqrt( k!(1-(2l-1)eps^2)
-                                  / (l! * prod_{j=l-1}^{k-1} (1-j*eps^2)) )
+    gamma_star = sum_{l=1..k} m_l / (N * d_l).
 
-The search works only at a critical hopping rate.  Its canonical value is
+:func:`gamma_star` puts that sum over the common denominator N * prod d_l
+and divides once, so the float it returns is the correctly rounded value
+of the exact rational, at any k that :class:`GraphParams` accepts.
 
-    gamma_star = eps^2 * sum_{l=1..k} p_l(eps)^2 / (r_0(eps) - r_l(eps)),
-
-equivalently gamma_star = eps^2 / eta_star with eta_star the inverse of
-that sum (eta_star -> k as eps -> 0).  Published rational closed forms
-exist for k = 3, 4, 5 and are kept here verbatim as cross-checks; the
-exact sum is always the computed value, never a truncated series.
-
-As in :mod:`qwsearch.spectral`, a level is checked once, in :func:`r_ell`
-and :func:`p_ell_scaled`; the coupling sum runs their formulas with no
-check per level.
+Published rational closed forms exist for k = 3, 4, 5 in x = eps^2 = 1/n,
+and are kept here verbatim as cross-checks.
 """
 
 import math
@@ -26,13 +19,13 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedParameterError
 from .johnson import GraphParams, _is_int
-from .spectral import _check_ell
+from .spectral import _eigenvalue, _multiplicity
 
 
 @dataclass(frozen=True)
 class ScaledParams:
-    """A point (eps, k) with eps in (0, 1/sqrt(2k-1)), eps = 1/sqrt(n) when
-    tied to a graph."""
+    """The argument of the closed forms: eps in (0, 1/sqrt(2k-1)), with
+    eps = 1/sqrt(n) when tied to a graph."""
 
     eps: float
     k: int
@@ -53,66 +46,18 @@ def from_graph(params: GraphParams) -> ScaledParams:
     return ScaledParams(eps=1.0 / math.sqrt(params.n), k=params.k)
 
 
-# The formulas themselves, on a checked level and x = eps^2.
-def _r(k: int, x: float, ell: int) -> float:
-    return (k - ell) * (1.0 - (k + ell) * x) - ell * x
-
-
-def _p(k: int, eps: float, x: float, ell: int) -> float:
-    num = float(math.perm(k, k - ell)) * (1.0 - (2 * ell - 1) * x)  # k!/l! exact
-    den = 1.0
-    for j in range(ell - 1, k):
-        den *= 1.0 - j * x
-    return eps ** (k - ell) * math.sqrt(num / den)
-
-
-def r_ell(sp: ScaledParams, ell: int) -> float:
-    """Rescaled eigenvalue (k-l)(1-(k+l)eps^2) - l*eps^2."""
-    return _r(sp.k, sp.eps * sp.eps, _check_ell(sp.k, ell))
-
-
-def p_ell_scaled(sp: ScaledParams, ell: int) -> float:
-    """Marked-state overlap as an analytic function of eps (product form)."""
-    return _p(sp.k, sp.eps, sp.eps * sp.eps, _check_ell(sp.k, ell))
-
-
-def _coupling_terms(eps: float, k: int):
-    # p_l^2 / (r_0 - r_l), l = 1..k, at a point checked by ScaledParams or
-    # GraphParams.  k!/l! and the products in p_l(eps) leave binary64 from
-    # about k = 162 on; such a k is refused rather than answered with inf.
-    x = eps * eps
-    r0 = _r(k, x, 0)
-    try:
-        terms = [_p(k, eps, x, l) ** 2 / (r0 - _r(k, x, l)) for l in range(1, k + 1)]
-        if all(map(math.isfinite, terms)):
-            return terms
-    except OverflowError:
-        pass
-    raise DomainError(f"the coupling terms overflow binary64 at k={k}, eps={eps}")
-
-
-def eta_star(sp: ScaledParams) -> float:
-    """Inverse of sum_{l>=1} p_l^2/(r_0 - r_l); tends to k as eps -> 0.
-
-    The terms span a dynamic range of order eps^(2k-2), so they are
-    accumulated with exactly rounded summation.
-    """
-    return 1.0 / math.fsum(_coupling_terms(sp.eps, sp.k))
-
-
-def gamma_star_scaled(sp: ScaledParams) -> float:
-    """Critical hopping rate eps^2 * sum_{l>=1} p_l^2/(r_0 - r_l) = eps^2/eta_star."""
-    return sp.eps * sp.eps * math.fsum(_coupling_terms(sp.eps, sp.k))
-
-
 def gamma_star(params: GraphParams) -> float:
-    """Critical hopping rate of J(n,k), evaluated at eps = 1/sqrt(n).
+    """Critical hopping rate sum_{l>=1} m_l / (N d_l), correctly rounded.
 
-    Equals ``gamma_star_scaled(from_graph(params))``; n >= 2k already puts
-    eps inside the analytic domain, so no :class:`ScaledParams` is built.
+    The sum is one integer ratio over N * prod d_l, and int / int true
+    division rounds it once.
     """
-    eps = 1.0 / math.sqrt(params.n)
-    return eps * eps * math.fsum(_coupling_terms(eps, params.k))
+    n, k = params.n, params.k
+    top = _eigenvalue(n, k, 0)
+    gaps = [top - _eigenvalue(n, k, l) for l in range(1, k + 1)]
+    den = math.prod(gaps)
+    num = sum(_multiplicity(n, l) * (den // d) for l, d in enumerate(gaps, 1))
+    return num / (params.num_vertices * den)
 
 
 # Rational closed forms, k = 3..5, as functions of x = eps^2:

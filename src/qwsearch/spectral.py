@@ -32,9 +32,8 @@ from .johnson import GraphParams, _check_coupling, _is_int
 
 
 def _check_ell(k: int, ell) -> int:
-    # The one level check, made at the public boundary and shared with the
-    # rescaled forms in coupling; the level comes back as a Python int, so
-    # a numpy integer cannot wrap against an unbounded n.
+    # The one level check, made at the public boundary; the level comes back
+    # as a Python int, so a numpy integer cannot wrap against an unbounded n.
     if not _is_int(ell):
         raise DomainError(f"ell must be an integer, got {ell!r}")
     ell = int(ell)

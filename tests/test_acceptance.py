@@ -11,12 +11,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import qwsearch as qw
-from qwsearch.coupling import ScaledParams, gamma_star_scaled
+from qwsearch.coupling import _CLOSED_LEAD, _CLOSED_NUM, from_graph
 
 # 1 - p_succ(t_run) observed at n = 1e6: 2.5e-7 (k=1), 2.0e-6 (k=2),
 # 7.5e-7 (k=3); threshold pinned well below with margin, above the
@@ -35,6 +36,15 @@ def evolve(dec, psi, t):
 def energy(m, psi):
     """Reference <psi| M |psi> for a real symmetric M and a complex state."""
     return float(np.real(np.conj(psi) @ (m @ psi)))
+
+
+def exact_gamma_star(n, k):
+    """gamma* = sum_{l>=1} m_l / (N l(n-l+1)) as a Fraction, from binomials."""
+    n_vert = math.comb(n, k)
+    return sum(
+        Fraction(math.comb(n, l) - math.comb(n, l - 1), n_vert * l * (n - l + 1))
+        for l in range(1, k + 1)
+    )
 
 
 def small_instances(k_max=3, n_max=12):
@@ -104,20 +114,31 @@ def test_criterion_3_overlap_routes():
 
 def test_criterion_4_gamma_closed_forms():
     for k in (3, 4, 5):
-        lim = 1 / math.sqrt(2 * k - 1)
-        for i in range(1, 101):
-            sp = ScaledParams(eps=lim * i / 101.0, k=k)
-            exact = gamma_star_scaled(sp)
-            closed = qw.gamma_closed_form(sp)
-            assert abs(closed - exact) / exact <= 1e-12
+        for n in (*range(2 * k, 200), 10**3, 10**6, 10**9, 10**12):
+            # the published polynomial in Fractions at x = 1/n is gamma* exactly
+            x = Fraction(1, n)
+            poly = sum(Fraction(int(c)) * x**i for i, c in enumerate(_CLOSED_NUM[k]))
+            den = int(_CLOSED_LEAD[k]) * math.prod((1 - j * x) ** 2 for j in range(1, k))
+            exact = exact_gamma_star(n, k)
+            assert x * (1 - k * x) * poly / den == exact, f"k={k} n={n}"
+            params = qw.GraphParams(n, k)
+            star = qw.gamma_star(params)
+            assert star == float(exact)
+            closed = qw.gamma_closed_form(from_graph(params))
+            assert abs(closed - star) / star <= 1e-12
 
-    def resid(eps):
-        return gamma_star_scaled(ScaledParams(eps=eps, k=3)) - eps**2 / 3 - 7 * eps**4 / 6
+    def resid(n):
+        x = Fraction(1, n)
+        return exact_gamma_star(n, 3) - x / 3 - 7 * x**2 / 6
 
-    ratio = resid(0.08) / resid(0.04)
-    assert 64 * 0.8 <= ratio <= 64 * 1.2, f"halving ratio {ratio:.2f} not ~64"
-    report(4, f"closed forms k=3,4,5 match the exact sum to 1e-12 on 100-point grids; "
-              f"k=3 series residual scales as eps^6 (halving ratio {ratio:.2f})")
+    ratio = resid(100) / resid(400)
+    assert 64 * 0.995 <= ratio <= 64 * 1.005, f"ratio {float(ratio):.3f} not ~64"
+    n = 10**6
+    limit = float(n**3 * resid(n))
+    assert abs(limit - 29 / 6) <= 2e-6, f"n^3 * resid {limit:.7f} not ~29/6"
+    report(4, f"closed forms k=3,4,5 equal the exact rational gamma* for n=2k..199 "
+              f"and n=1e3..1e12, the float forms within 1e-12; k=3 series residual "
+              f"scales as n^-3 (ratio {float(ratio):.3f}, n^3*resid -> {limit:.7f})")
 
 
 def test_criterion_5_convergence_to_unity(sweeps):

@@ -210,8 +210,6 @@ def test_out_file_and_dir_override(tmp_path):
         ("simulate", "--n", "26", "--k", "8", "--gamma", "1e17", "--t", "1e308"),
         ("scan", "--n", "13", "--k", "1", "--gamma", "1e17", "--m", "3", "--t1", "1e308"),
         ("spectrum", "--n", "3000000", "--k", "300000"),
-        ("gamma", "--n", "330", "--k", "165"),
-        ("gamma", "--n", "342", "--k", "171"),
         ("simulate", "--n", "342", "--k", "171", "--gamma", "0.1"),
     ],
     ids=lambda argv: " ".join((argv[0], *argv[-2:])),
@@ -222,6 +220,19 @@ def test_bad_input_is_a_domain_error(argv):
     assert out.stderr.startswith(b"error: ")
     assert b"Traceback" not in out.stderr and b"Warning" not in out.stderr
     assert b"nan" not in out.stdout.lower()
+
+
+@pytest.mark.parametrize("n, k", [(324, 162), (330, 165), (340, 170), (342, 171), (400, 200)])
+def test_gamma_at_large_k_prints_the_correctly_rounded_sum(n, k):
+    # gamma* is one exact integer ratio, so no k that GraphParams accepts
+    # overflows it.
+    out = run("gamma", "--n", str(n), "--k", str(k))
+    assert out.returncode == 0 and out.stderr == b""
+    exact = sum(
+        Fraction(math.comb(n, l) - math.comb(n, l - 1), math.comb(n, k) * l * (n - l + 1))
+        for l in range(1, k + 1)
+    )
+    assert parse_csv(out.stdout)[0]["gamma_star"] == format(float(exact), ".17g")
 
 
 def test_usage_errors_exit_two():

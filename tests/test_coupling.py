@@ -1,10 +1,30 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwsearch as qw
-from qwsearch.coupling import ScaledParams, from_graph, gamma_star_scaled
+from qwsearch.coupling import _CLOSED_LEAD, _CLOSED_NUM, ScaledParams, from_graph
 from qwsearch.errors import DomainError, UnsupportedParameterError
+
+
+def exact_gamma_star(n, k):
+    # sum_{l>=1} m_l / (N l(n-l+1)), from binomials alone, as a Fraction.
+    n_vert = math.comb(n, k)
+    return sum(
+        Fraction(math.comb(n, l) - math.comb(n, l - 1), n_vert * l * (n - l + 1))
+        for l in range(1, k + 1)
+    )
+
+
+def exact_closed_form(n, k):
+    # The published polynomial of gamma_closed_form, in Fractions at x = 1/n.
+    x = Fraction(1, n)
+    poly = sum(Fraction(int(c)) * x**i for i, c in enumerate(_CLOSED_NUM[k]))
+    den = int(_CLOSED_LEAD[k]) * math.prod((1 - j * x) ** 2 for j in range(1, k))
+    return x * (1 - k * x) * poly / den
 
 
 def test_scaled_params_domain():
@@ -19,104 +39,59 @@ def test_scaled_params_domain():
         ScaledParams(eps=0.1, k=0)
 
 
-def test_r_ell_constant_term():
-    for k in (1, 3, 5):
-        sp = ScaledParams(eps=1e-8, k=k)
-        for ell in range(k + 1):
-            assert qw.r_ell(sp, ell) == pytest.approx(k - ell, abs=1e-14)
-    with pytest.raises(DomainError):
-        qw.r_ell(ScaledParams(eps=0.1, k=3), 4)
-
-
-def test_r_ell_gap_identity_k1():
-    # r_0 - r_1 = (1 - eps^2) - (-eps^2) = 1 for every eps
-    for eps in (0.05, 0.3, 0.7, 0.9):
-        sp = ScaledParams(eps=eps, k=1)
-        assert qw.r_ell(sp, 0) - qw.r_ell(sp, 1) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_r_ell_matches_eigenvalue_scaling():
-    sp = ScaledParams(eps=0.1, k=3)  # eps = 1/sqrt(100)
-    assert qw.r_ell(sp, 0) == pytest.approx(2.91, rel=1e-14)
-    assert qw.r_ell(sp, 0) == pytest.approx(
-        qw.eigenvalue(qw.GraphParams(100, 3), 0) / 100, rel=1e-14
-    )
-
-
-def test_p_ell_scaled_examples():
-    # p_k -> 1 as eps -> 0
-    for k in (1, 2, 4):
-        assert qw.p_ell_scaled(ScaledParams(eps=1e-8, k=k), k) == pytest.approx(1.0, abs=1e-14)
-    # k=1: p_1 = sqrt(1 - eps^2)
-    for eps in (0.1, 0.5, 0.9):
-        sp = ScaledParams(eps=eps, k=1)
-        assert qw.p_ell_scaled(sp, 1) == pytest.approx(math.sqrt(1 - eps**2), rel=1e-15)
-
-
-def test_p_ell_leading_order():
-    # p_l(eps) ~ sqrt(k!/l!) * eps^(k-l): ratio tends to 1 from small eps
-    k = 4
-    for ell in range(k + 1):
-        for eps in (1e-3, 1e-4):
-            lead = math.sqrt(math.factorial(k) / math.factorial(ell)) * eps ** (k - ell)
-            ratio = qw.p_ell_scaled(ScaledParams(eps=eps, k=k), ell) / lead
-            assert abs(ratio - 1.0) <= 10 * eps**2 * k * k
-
-
-@pytest.mark.parametrize("n,k", [(6, 3), (9, 2), (25, 4), (100, 8), (400, 5)])
-def test_p_ell_scaled_matches_overlap(n, k):
-    params = qw.GraphParams(n, k)
-    sp = from_graph(params)
-    for ell in range(k + 1):
-        assert qw.p_ell_scaled(sp, ell) == pytest.approx(
-            qw.overlap(params, ell), rel=1e-13
-        )
-
-
-def test_cross_module_consistency_full_range():
-    # overlaps and rescaled eigenvalues agree across modules for n <= 400, k <= 8
-    for k in range(1, 9):
-        for n in range(2 * k, 401, 7):
-            params = qw.GraphParams(n, k)
-            sp = from_graph(params)
-            for ell in range(k + 1):
-                assert qw.p_ell_scaled(sp, ell) == pytest.approx(
-                    qw.overlap(params, ell), rel=1e-13
-                )
-                assert qw.r_ell(sp, ell) == pytest.approx(
-                    qw.eigenvalue(params, ell) / n, rel=1e-14, abs=1e-14
-                )
-
-
-def test_eta_star_small_eps_limit():
-    # eta -> k quadratically; constants measured once, asserted with 2x slack
-    for k in range(1, 6):
-        for eps in (0.1, 0.05, 0.025):
-            err = abs(qw.eta_star(ScaledParams(eps=eps, k=k)) - k)
-            assert err <= 55.0 * eps**2
-        # halving study: quadratic shrink within a generous window
-        r1 = abs(qw.eta_star(ScaledParams(eps=0.1, k=k)) - k)
-        r2 = abs(qw.eta_star(ScaledParams(eps=0.05, k=k)) - k)
-        assert 3.2 <= r1 / r2 <= 4.8
-
-
-def test_eta_star_k1_closed_form():
-    for eps in (0.1, 0.4, 0.8):
-        sp = ScaledParams(eps=eps, k=1)
-        assert qw.eta_star(sp) == pytest.approx(1 / (1 - eps**2), rel=1e-15)
-
-
-def test_eta_star_consistent_with_closed_form_gamma():
-    sp = ScaledParams(eps=0.1, k=3)
-    assert qw.eta_star(sp) == pytest.approx(
-        0.1**2 / qw.gamma_closed_form(sp), rel=1e-13
-    )
-
-
 def test_gamma_star_k1():
     for n in (2, 10, 100, 10**6):
         params = qw.GraphParams(n, 1)
-        assert qw.gamma_star(params) == pytest.approx((n - 1) / n**2, rel=1e-14)
+        assert qw.gamma_star(params) == (n - 1) / n**2
+
+
+def test_gamma_star_k2():
+    # m_1/(N d_1) = 2/n^2 and m_2/(N d_2) = (n-3)/(2(n-1)^2), by hand.
+    for n in (4, 5, 10, 100, 10**6, 10**15):
+        params = qw.GraphParams(n, 2)
+        exact = Fraction(2, n**2) + Fraction(n - 3, 2 * (n - 1) ** 2)
+        assert qw.gamma_star(params) == float(exact)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@given(st.integers(0, 10**15))
+def test_gamma_star_is_the_correctly_rounded_exact_sum(k, offset):
+    n = 2 * k + offset
+    assert qw.gamma_star(qw.GraphParams(n, k)) == float(exact_gamma_star(n, k))
+
+
+@given(st.integers(1, 200).flatmap(lambda k: st.tuples(st.integers(2 * k, 3 * k), st.just(k))))
+def test_gamma_star_is_the_correctly_rounded_exact_sum_at_large_k(instance):
+    # k >= 162 overflowed the float form of the sum; n = 2k is the extreme.
+    n, k = instance
+    for m in (n, 2 * k):
+        assert qw.gamma_star(qw.GraphParams(m, k)) == float(exact_gamma_star(m, k))
+
+
+# The largest n of the sweep benchmark per k, as in test_pinned_rows.
+_SWEEP_TOP = {2: 10**8, 3: 2511886, 4: 79432, 5: 5011, 6: 630}
+
+
+@pytest.mark.parametrize("k", sorted(_SWEEP_TOP))
+def test_gamma_star_is_exact_on_the_sweep_domain(k):
+    # The domain where a rounded-term float sum was up to 5 ulp off.
+    top = _SWEEP_TOP[k]
+    grid = {*range(2 * k, min(top, 300) + 1)}
+    grid |= {round(top ** (i / 40)) for i in range(41)} - {*range(2 * k)}
+    for n in sorted(grid):
+        assert qw.gamma_star(qw.GraphParams(n, k)) == float(exact_gamma_star(n, k)), n
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_n_gamma_star_tends_to_one_over_k(k):
+    # n*gamma* = 1/k + c_k/n + O(1/n^2): the l = k term gives (1 - 1/n)/k and
+    # the l = k-1 term k/((k-1)n), so c_k = k/(k-1) - 1/k for k >= 2; k = 1
+    # is exactly 1 - 1/n.  The O(1/n^2) rest, times n^2, was measured below
+    # k + 1 for k <= 8 and is asserted with 2x slack.
+    c = k / (k - 1) - 1 / k if k > 1 else -1.0
+    for n in (10**3, 10**4, 10**5, 10**6):
+        slope = n * (n * qw.gamma_star(qw.GraphParams(n, k)) - 1 / k)
+        assert abs(slope - c) <= 2 * (k + 1) / n
 
 
 def test_gamma_star_matches_closed_form_k3_n100():
@@ -138,11 +113,13 @@ def test_gamma_closed_form_hand_value_k3():
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_gamma_closed_form_equals_sum_on_grid(k):
-    lim = 1 / math.sqrt(2 * k - 1)
-    for i in range(1, 101):
-        sp = ScaledParams(eps=lim * i / 101.0, k=k)
-        exact = gamma_star_scaled(sp)
-        assert qw.gamma_closed_form(sp) == pytest.approx(exact, rel=1e-12)
+    # The published polynomial is gamma* exactly, as a rational in 1/n;
+    # evaluated in binary64 it stays within 1e-12 of the rounded gamma*.
+    for n in (*range(2 * k, 200), 10**3, 10**6, 10**9, 10**12):
+        params = qw.GraphParams(n, k)
+        assert exact_closed_form(n, k) == exact_gamma_star(n, k)
+        star = qw.gamma_star(params)
+        assert qw.gamma_closed_form(from_graph(params)) == pytest.approx(star, rel=1e-12)
 
 
 def test_gamma_closed_form_unsupported_k():
@@ -152,15 +129,18 @@ def test_gamma_closed_form_unsupported_k():
 
 
 def test_gamma_k3_series_residual_scaling():
-    # gamma - eps^2/3 - 7eps^4/6 shrinks like eps^6 (64x per halving); the
-    # prefactor was measured at ~4.85 and is asserted with 2x slack
-    def resid(eps):
-        return gamma_star_scaled(ScaledParams(eps=eps, k=3)) - eps**2 / 3 - 7 * eps**4 / 6
+    # gamma* - x/3 - 7x^2/6 at x = 1/n, in exact Fractions, shrinks like
+    # (29/6) x^3: n^3 * resid - 29/6 was measured within 1.17/n for n >= 100
+    # and is asserted within 2/n; the ratio per factor 4 in n is 64.099
+    # at n = 100.
+    def resid(n):
+        x = Fraction(1, n)
+        return exact_gamma_star(n, 3) - x / 3 - 7 * x**2 / 6
 
-    for eps in (0.16, 0.08, 0.04, 0.02):
-        assert abs(resid(eps)) <= 10.0 * eps**6
-    ratio = resid(0.08) / resid(0.04)
-    assert 64 * 0.8 <= ratio <= 64 * 1.2
+    for n in (100, 400, 1600, 10**4, 10**6):
+        assert abs(n**3 * resid(n) - Fraction(29, 6)) <= Fraction(2, n)
+    ratio = resid(100) / resid(400)
+    assert 64 * 0.995 <= ratio <= 64 * 1.005
 
 
 def test_gamma_star_positive_across_domain():

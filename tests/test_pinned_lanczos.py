@@ -21,43 +21,43 @@ _PINNED = {
     (6, 3, 0): (
         (
             (
-                "-0x1.3488d98058c5bp+0", "-0x1.91660b80e0cf5p-1", "-0x1.1598338e9dab4p-3",
-                "0x1.0f17bfc03619dp-2",
+                "-0x1.3488d98058c5ap+0", "-0x1.91660b80e0cf3p-1", "-0x1.1598338e9dab0p-3",
+                "0x1.0f17bfc03619ap-2",
             ),
             (
-                "0x1.31fe7121c0351p-1", "-0x1.6bdef0d9bb177p-2", "-0x1.12a1dfb4f44a6p-6",
+                "0x1.31fe7121c0350p-1", "-0x1.6bdef0d9bb175p-2", "-0x1.12a1dfb4f44a6p-6",
                 "-0x1.faa540769f44fp-10",
             ),
         ),
         (
             (
-                "-0x1.3488d98058c5bp+0", "-0x1.91660b80e0cf5p-1", "-0x1.1598338e9dab3p-3",
-                "0x1.0f17bfc03619dp-2",
+                "-0x1.3488d98058c5ap+0", "-0x1.91660b80e0cf3p-1", "-0x1.1598338e9dab1p-3",
+                "0x1.0f17bfc03619ap-2",
             ),
             (
-                "0x1.31fe7121c0351p-1", "-0x1.6bdef0d9bb177p-2", "-0x1.12a1dfb4f44a6p-6",
-                "-0x1.faa540769f452p-10",
+                "0x1.31fe7121c0350p-1", "-0x1.6bdef0d9bb173p-2", "-0x1.12a1dfb4f44a7p-6",
+                "-0x1.faa540769f45ap-10",
             ),
         ),
     ),
     (6, 3, 5): (
         (
             (
-                "-0x1.3488d98058c5bp+0", "-0x1.91660b80e0cf6p-1", "-0x1.1598338e9dab3p-3",
-                "0x1.0f17bfc03619ep-2",
+                "-0x1.3488d98058c5ap+0", "-0x1.91660b80e0cf3p-1", "-0x1.1598338e9dab2p-3",
+                "0x1.0f17bfc03619ap-2",
             ),
             (
-                "0x1.31fe7121c0351p-1", "-0x1.6bdef0d9bb172p-2", "-0x1.12a1dfb4f44abp-6",
-                "-0x1.faa540769f467p-10",
+                "0x1.31fe7121c0350p-1", "-0x1.6bdef0d9bb173p-2", "-0x1.12a1dfb4f44a7p-6",
+                "-0x1.faa540769f450p-10",
             ),
         ),
         (
             (
-                "-0x1.3488d98058c5bp+0", "-0x1.91660b80e0cf6p-1", "-0x1.1598338e9dab2p-3",
-                "0x1.0f17bfc03619ep-2",
+                "-0x1.3488d98058c5ap+0", "-0x1.91660b80e0cf3p-1", "-0x1.1598338e9dab2p-3",
+                "0x1.0f17bfc03619ap-2",
             ),
             (
-                "0x1.31fe7121c0351p-1", "-0x1.6bdef0d9bb174p-2", "-0x1.12a1dfb4f44a8p-6",
+                "0x1.31fe7121c0350p-1", "-0x1.6bdef0d9bb173p-2", "-0x1.12a1dfb4f44a6p-6",
                 "-0x1.faa540769f45ap-10",
             ),
         ),
@@ -65,44 +65,44 @@ _PINNED = {
     (9, 4, 17): (
         (
             (
-                "-0x1.237ac0accc73fp+0", "-0x1.f06c6b1a9120ap-1", "-0x1.020241b99da7bp-1",
-                "-0x1.cc99b814e57dfp-4", "0x1.33ad97da248fbp-3",
+                "-0x1.237ac0accc73fp+0", "-0x1.f06c6b1a9120cp-1", "-0x1.020241b99da7dp-1",
+                "-0x1.cc99b814e57dap-4", "0x1.33ad97da24900p-3",
             ),
             (
-                "0x1.0d36d30775067p-1", "-0x1.b1e4158b8aa44p-2", "-0x1.4a4524950d7b3p-7",
-                "-0x1.36eb380e346bcp-9", "-0x1.1fd84e88fc131p-11",
+                "0x1.0d36d30775066p-1", "-0x1.b1e4158b8aa3ep-2", "-0x1.4a4524950d7aep-7",
+                "-0x1.36eb380e346afp-9", "-0x1.1fd84e88fc136p-11",
             ),
         ),
         (
             (
-                "-0x1.237ac0accc73fp+0", "-0x1.f06c6b1a9120ap-1", "-0x1.020241b99da7dp-1",
-                "-0x1.cc99b814e57d7p-4", "0x1.33ad97da24900p-3",
+                "-0x1.237ac0accc73fp+0", "-0x1.f06c6b1a9120cp-1", "-0x1.020241b99da7ep-1",
+                "-0x1.cc99b814e57d9p-4", "0x1.33ad97da24901p-3",
             ),
             (
-                "0x1.0d36d30775069p-1", "-0x1.b1e4158b8aa44p-2", "-0x1.4a4524950d7b7p-7",
-                "-0x1.36eb380e346b6p-9", "-0x1.1fd84e88fc13bp-11",
+                "0x1.0d36d30775066p-1", "-0x1.b1e4158b8aa41p-2", "-0x1.4a4524950d7abp-7",
+                "-0x1.36eb380e346b0p-9", "-0x1.1fd84e88fc13cp-11",
             ),
         ),
     ),
     (12, 5, 100): (
         (
             (
-                "-0x1.1392d8c85305ep+0", "-0x1.020f645869af0p+0", "-0x1.5265fd10afd40p-1",
-                "-0x1.61643f580699ep-2", "-0x1.6c50594d3862ep-4", "0x1.8af53b094687ap-4",
+                "-0x1.1392d8c85305cp+0", "-0x1.020f645869aeep+0", "-0x1.5265fd10afd3fp-1",
+                "-0x1.61643f580699cp-2", "-0x1.6c50594d38625p-4", "0x1.8af53b094687ap-4",
             ),
             (
-                "0x1.00d0cbb074727p-1", "-0x1.d82c2fe77cc18p-2", "-0x1.b374d33256066p-9",
-                "-0x1.14ed463ce895bp-10", "-0x1.c4d536e67e583p-12", "-0x1.2bcccca13f378p-13",
+                "0x1.00d0cbb074727p-1", "-0x1.d82c2fe77cc1bp-2", "-0x1.b374d33256070p-9",
+                "-0x1.14ed463ce8954p-10", "-0x1.c4d536e67e57ap-12", "-0x1.2bcccca13f37cp-13",
             ),
         ),
         (
             (
-                "-0x1.1392d8c85305ep+0", "-0x1.020f645869af0p+0", "-0x1.5265fd10afd40p-1",
-                "-0x1.61643f580699fp-2", "-0x1.6c50594d3862ep-4", "0x1.8af53b0946878p-4",
+                "-0x1.1392d8c85305cp+0", "-0x1.020f645869aeep+0", "-0x1.5265fd10afd3ep-1",
+                "-0x1.61643f580699dp-2", "-0x1.6c50594d38625p-4", "0x1.8af53b0946876p-4",
             ),
             (
-                "0x1.00d0cbb074727p-1", "-0x1.d82c2fe77cc18p-2", "-0x1.b374d3325606cp-9",
-                "-0x1.14ed463ce895dp-10", "-0x1.c4d536e67e57ep-12", "-0x1.2bcccca13f377p-13",
+                "0x1.00d0cbb074727p-1", "-0x1.d82c2fe77cc18p-2", "-0x1.b374d33256067p-9",
+                "-0x1.14ed463ce8954p-10", "-0x1.c4d536e67e57fp-12", "-0x1.2bcccca13f38cp-13",
             ),
         ),
     ),

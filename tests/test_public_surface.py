@@ -33,18 +33,14 @@ PUBLIC_NAMES = [
     "convergence_sweep",
     "distance_partition",
     "eigenvalue",
-    "eta_star",
     "find_peak",
     "from_graph",
     "full_hamiltonian",
     "gamma_closed_form",
     "gamma_star",
-    "gamma_star_scaled",
     "multiplicity",
     "overlap",
     "overlap_sq_factorial",
-    "p_ell_scaled",
-    "r_ell",
     "reduced_hamiltonian",
     "run_time",
     "scan",
@@ -57,7 +53,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     # Any name added to or dropped from the package surface shows up here.
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 39
     assert sorted(qw.__all__) == PUBLIC_NAMES
     for name in qw.__all__:
         assert getattr(qw, name) is not None
@@ -100,7 +96,6 @@ def test_docs_name_only_what_exists():
 _P = qw.GraphParams(6, 3)
 _G = qw.gamma_star(_P)
 _T = [0.0, 1.0]
-_SP = qw.ScaledParams(0.1, 3)
 # Each takes one integer x: a marked vertex, a level, a sample count or k.
 INTEGER_ARGUMENTS = {
     "full_hamiltonian": lambda x: qw.full_hamiltonian(_P, _G, x),
@@ -115,8 +110,6 @@ INTEGER_ARGUMENTS = {
     "multiplicity": lambda x: qw.multiplicity(_P, x),
     "overlap": lambda x: qw.overlap(_P, x),
     "overlap_sq_factorial": lambda x: qw.overlap_sq_factorial(_P, x),
-    "r_ell": lambda x: qw.r_ell(_SP, x),
-    "p_ell_scaled": lambda x: qw.p_ell_scaled(_SP, x),
     "scan-m": lambda x: qw.scan(_P, _G, 0.0, 1.0, x),
     "scan-m-above-2": lambda x: qw.scan(_P, _G, 0.0, 1.0, x + 100.0),
     "GraphParams-k": lambda x: qw.GraphParams(4, x),
