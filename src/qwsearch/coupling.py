@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedParameterError
-from .johnson import GraphParams, _is_int
+from .johnson import GraphParams, _is_int, _real
 from .spectral import _eigenvalue, _multiplicity
 
 
@@ -33,9 +33,11 @@ class ScaledParams:
     def __post_init__(self):
         if not (isinstance(self.k, int) and _is_int(self.k) and self.k >= 1):
             raise DomainError(f"k must be a positive integer, got {self.k}")
+        object.__setattr__(self, "eps", _real(self.eps, "eps"))
         if not self.eps > 0:
             raise DomainError(f"eps must be positive, got {self.eps}")
-        if not (2 * self.k - 1) * self.eps**2 < 1:
+        # eps*eps, not eps**2, which raises OverflowError past 1e154.
+        if not (2 * self.k - 1) * (self.eps * self.eps) < 1:
             raise DomainError(
                 f"eps={self.eps} outside the analytic domain (2k-1)*eps^2 < 1"
             )

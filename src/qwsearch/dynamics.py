@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError, NumericalError
-from .johnson import GraphParams, _check_coupling, _is_int
+from .johnson import GraphParams, _check_coupling, _is_int, _real
 from .spectral import SpectralData, spectral_data
 
 # scan holds all m samples at once, and the CLI renders them as one text:
@@ -69,7 +69,8 @@ def sym_eig(matrix: np.ndarray) -> EigDecomp:
     ``matrix`` is one d x d matrix or a stack (..., d, d) of them, solved
     in one ``eigh`` call; each member's values and vectors, under the
     stack's leading axes, are those a 2-D call returns.  An empty or
-    non-square input, and non-finite input, are refused with
+    non-square input, input that is not integer or floating (complex, bool,
+    object, str), and non-finite input are refused with
     :class:`DomainError`.  The decomposition is checked for orthonormality
     (1e-12) and for the reconstruction residual ||MV - V diag|| (1e-10
     relative to the largest entry), each gate taking its maximum over the
@@ -78,6 +79,11 @@ def sym_eig(matrix: np.ndarray) -> EigDecomp:
     agree, and passes at most (k+1) x (k+1) matrices, so each residual is
     formed whole.
     """
+    matrix = np.asarray(matrix)
+    # Converting a complex matrix would drop its imaginary part with only a
+    # warning, and a bool one would be read as 0/1.
+    if matrix.dtype.kind not in "iuf":
+        raise DomainError(f"expected a real matrix, got dtype {matrix.dtype}")
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2] or not matrix.size:
         raise DomainError(f"expected a non-empty square matrix, got shape {matrix.shape}")
@@ -211,31 +217,41 @@ def _prob_scalar(terms: tuple, t: float) -> float:
     return p
 
 
-def _check_window(t0, t1):
-    if not (math.isfinite(t0) and math.isfinite(t1) and 0 <= t0 < t1):
-        raise DomainError(f"need finite 0 <= t0 < t1, got t0={t0}, t1={t1}")
+def _check_window(t0, t1) -> tuple:
+    # The checked bracket (t0, t1), as Python floats.
+    t0, t1 = _real(t0, "t0"), _real(t1, "t1")
+    if not 0 <= t0 < t1:
+        raise DomainError(f"need 0 <= t0 < t1, got t0={t0}, t1={t1}")
+    return t0, t1
 
 
-def _check_phase(params: GraphParams, gamma: float, t: float):
-    # gamma*k(n-k) + 1 bounds ||H||, so no phase E*t up to time t overflows
-    # while this product is finite.  gamma is checked first, so a bad
-    # coupling is reported as such.
-    _check_coupling(params, gamma)
+def _check_phase(params: GraphParams, gamma, t: float) -> float:
+    # The checked coupling, for a checked time t.  gamma*k(n-k) + 1 bounds
+    # ||H||, so no phase E*t up to time t overflows while this product is
+    # finite.  gamma is checked first, so a bad coupling is reported as such.
+    gamma = _check_coupling(params, gamma)
     if not math.isfinite((gamma * params.degree + 1.0) * t):
         raise DomainError(
             f"t={t} too large for gamma={gamma} on J({params.n},{params.k}): "
             f"the phase bound (gamma*k(n-k) + 1)*t overflows"
         )
+    return gamma
+
+
+def _check_time(params: GraphParams, gamma, t, name: str) -> tuple:
+    # The checked (gamma, t) of one time t >= 0 under the phase bound.
+    t = _real(t, name)
+    if not t >= 0:
+        raise DomainError(f"{name} must be nonnegative, got {t}")
+    return _check_phase(params, gamma, t), t
 
 
 def success_probability(params: GraphParams, gamma: float, t: float) -> float:
     """|<w| exp(-iHt) |s>|^2 at time t in the exact reduced model.
 
-    Requires finite t >= 0 with (gamma*k(n-k) + 1)*t finite.
+    Requires a real t >= 0 with (gamma*k(n-k) + 1)*t finite.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise DomainError(f"time must be finite and nonnegative, got {t}")
-    _check_phase(params, gamma, t)
+    gamma, t = _check_time(params, gamma, t, "t")
     transition = _reduced_transition(spectral_data(params), gamma)
     return float(_probs_at([transition], np.array([t]))[0, 0])
 
@@ -245,7 +261,7 @@ def scan(
 ) -> ScanResult:
     """Success probability on m uniformly spaced times in [t0, t1].
 
-    Requires finite 0 <= t0 < t1 with (gamma*k(n-k) + 1)*t1 finite, and
+    Requires real 0 <= t0 < t1 with (gamma*k(n-k) + 1)*t1 finite, and
     2 <= m <= MAX_SCAN_SAMPLES (10**6); a larger m is refused before
     anything is allocated.  ``times`` is
     ``np.linspace(t0, t1, m)``; ``probs`` comes from one reduced solve and
@@ -253,14 +269,14 @@ def scan(
     level), so it agrees with a point-by-point evaluation to the rounding
     of the phase arguments, a few eps * max|E| * t1.
     """
-    _check_window(t0, t1)
+    t0, t1 = _check_window(t0, t1)
     if not _is_int(m):
         raise DomainError(f"m must be an integer, got {m!r}")
     if m < 2:
         raise DomainError(f"need at least 2 samples, got m={m}")
     if m > MAX_SCAN_SAMPLES:
         raise DomainError(f"at most {MAX_SCAN_SAMPLES} samples, got m={m}")
-    _check_phase(params, gamma, t1)
+    gamma = _check_phase(params, gamma, t1)
     dec, weights = _reduced_transition(spectral_data(params), gamma)
     return ScanResult(
         params=params,
@@ -314,20 +330,26 @@ def _peak(dec: EigDecomp, weights: np.ndarray, t0: float, t1: float) -> tuple:
 
 
 def find_peak(params: GraphParams, gamma: float, bracket) -> tuple:
-    """Locate the highest success probability inside a time bracket.
+    """A local maximum of the success probability in a time bracket.
 
-    The bracket (t0, t1) must satisfy finite 0 <= t0 < t1, with
-    (gamma*k(n-k) + 1)*t1 finite.  A 2001-point
-    coarse scan (the factored phase table of :func:`scan`) picks the
-    argmax, which must be interior to the bracket, else
-    :class:`BracketError`; golden-section then refines it to relative time
-    tolerance 1e-6, evaluating the (k+1)-term amplitude one point at a
-    time in scalar arithmetic.  Returns (t_peak, p_peak) with p_peak at
-    least the best value seen at any evaluation, coarse scan included.
+    The bracket must be a pair (t0, t1) of reals with 0 <= t0 < t1 and
+    (gamma*k(n-k) + 1)*t1 finite.  A 2001-point coarse scan (the factored
+    phase table of :func:`scan`) picks the argmax, which must be interior
+    to the bracket, else :class:`BracketError`; golden-section then refines
+    it within one coarse step, to relative time tolerance 1e-6, evaluating
+    the (k+1)-term amplitude one point at a time in scalar arithmetic.
+    Returns (t_peak, p_peak) with p_peak at least the best value seen at
+    any evaluation, coarse scan included.  That is not always the highest
+    value in the bracket: the search can stop on a crest of the ripple that
+    levels 2..k add to the main peak (7.3e-9 below it at J(1000,4); see the
+    README).
     """
-    t0, t1 = bracket
-    _check_window(t0, t1)
-    _check_phase(params, gamma, t1)
+    try:
+        t0, t1 = bracket
+    except (TypeError, ValueError):
+        raise DomainError(f"bracket must be a pair (t0, t1), got {bracket!r}") from None
+    t0, t1 = _check_window(t0, t1)
+    gamma = _check_phase(params, gamma, t1)
     dec, weights = _reduced_transition(spectral_data(params), gamma)
     return _peak(dec, weights, t0, t1)
 

@@ -64,6 +64,21 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _real(value, name: str) -> float:
+    # The one check of a real argument: a finite Python or numpy integer or
+    # floating scalar, never a bool, returned as a Python float.  Complex
+    # values (numpy would drop the imaginary part), str, None, sequences,
+    # arrays, NaN and +-inf are refused; callers keep their order rules.
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # a Python int beyond binary64
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise DomainError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GraphParams:
     """The pair (n, k) selecting J(n,k); requires k >= 1 and n >= 2k."""
@@ -109,14 +124,17 @@ class GraphParams:
 _COUPLING_BOUND = 1e300
 
 
-def _check_coupling(params: GraphParams, gamma: float):
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise DomainError(f"gamma must be finite and positive, got {gamma}")
-    if not float(gamma) * (params.k * (params.n - params.k + 1)) < _COUPLING_BOUND:
+def _check_coupling(params: GraphParams, gamma: float) -> float:
+    # The checked coupling, as a Python float.
+    gamma = _real(gamma, "gamma")
+    if not gamma > 0:
+        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not gamma * (params.k * (params.n - params.k + 1)) < _COUPLING_BOUND:
         raise DomainError(
             f"gamma={gamma} too large for J({params.n},{params.k}): "
             f"gamma*k(n-k+1) must be below {_COUPLING_BOUND:g}"
         )
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -179,6 +197,8 @@ def _narrowest_int(max_value: int):
 def _colex_index(params: GraphParams, cap: int) -> _ColexIndex:
     # The cap is checked on every call, so a memoised index never lets a
     # smaller cap through.
+    if not _is_int(cap):
+        raise DomainError(f"cap must be an integer, got {cap!r}")
     if params.num_vertices > cap:
         raise CapacityError(
             f"J({params.n},{params.k}) has N={params.num_vertices} vertices, "
@@ -313,7 +333,7 @@ def full_hamiltonian(
     adjacency's flat scatter, then -1 at [w, w].  The call allocates one
     N x N array, and the zeros of H are +0.0.
     """
-    _check_coupling(params, gamma)
+    gamma = _check_coupling(params, gamma)
     _check_vertex(w, params.num_vertices)
     h = _adjacency(_colex_index(params, cap), -gamma)
     h[w, w] = -1.0

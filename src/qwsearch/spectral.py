@@ -127,7 +127,7 @@ class ReducedHamiltonian:
 
 def reduced_hamiltonian(params: GraphParams, gamma: float) -> ReducedHamiltonian:
     """Exact (k+1) x (k+1) matrix -gamma*diag(lambda) - p p^T."""
-    _check_coupling(params, gamma)
+    gamma = _check_coupling(params, gamma)
     matrix = _reduced_matrix(spectral_data(params), gamma)
     return ReducedHamiltonian(params=params, gamma=gamma, matrix=matrix)
 

@@ -37,7 +37,7 @@ import numpy as np
 from . import coupling
 from .dynamics import (
     EigDecomp,
-    _check_phase,
+    _check_time,
     _peak,
     _probs_at,
     _reduced_transition,
@@ -192,60 +192,52 @@ def _sup_distance(curve_a, curve_b, t_max) -> float:
 
 
 def compare_full_reduced(
-    params: GraphParams, gamma: float, w: int, times, cap: int = DEFAULT_FULL_CAP
+    params: GraphParams, gamma: float, w: int, t_max: float, cap: int = DEFAULT_FULL_CAP
 ) -> float:
-    """A bound on max |p_full(t) - p_reduced(t)| over 0 <= t <= max(times).
+    """A bound on max |p_full(t) - p_reduced(t)| over 0 <= t <= t_max.
 
-    ``times`` must be a non-empty 1-D array of finite t >= 0 with
-    (gamma*k(n-k) + 1)*max(times) finite; anything else is refused with
+    ``t_max`` must be a real t_max >= 0 with (gamma*k(n-k) + 1)*t_max
+    finite; anything else, an array of times included, is refused with
     :class:`DomainError` before the adjacency is built.  The full curve of
     |s> under the N x N Hamiltonian -gamma*A - |w><w| comes from Lanczos on
     the dense A, closed after at most k+1 steps or refused with
     :class:`NumericalError`; the reduced one from the (k+1)-dimensional
     model.  The bound is read off both curves' levels E_j and weights w_j
-    and the run's closing beta, so it holds at every t up to max(times).
-    Their agreement is the core oracle for everything the reduced model is
-    used for.
+    and the run's closing beta, so it holds at every t up to t_max.  Their
+    agreement is the core oracle for everything the reduced model is used
+    for.  This run's Lanczos rounds differently from the two-mark batch of
+    :func:`validate_instance`, so the two bounds agree only in size.
     """
-    t_max, (full,) = _full_lanczos(params, gamma, (w,), times, cap)
+    gamma, t_max = _check_time(params, gamma, t_max, "t_max")
+    (full,) = _full_lanczos(params, gamma, (w,), cap)
     return _sup_distance(full, (_reduced_transition(spectral_data(params), gamma), 0.0), t_max)
 
 
-def _full_lanczos(params, gamma, marks, times, cap) -> tuple:
-    # max(times), and (transition, beta) of _lanczos on a fresh A per distinct
-    # mark, after the checks of the times and those full_hamiltonian makes.
-    try:
-        # A complex array would convert with only a ComplexWarning, and
-        # lose its imaginary parts.
-        if np.iscomplexobj(times):
-            raise TypeError
-        times = np.asarray(times, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DomainError("times must be a non-empty 1-D array of real numbers") from None
-    if not (times.ndim == 1 and times.size and np.isfinite(times).all() and times.min() >= 0):
-        raise DomainError(
-            f"times must be a non-empty 1-D array of finite t >= 0, got shape {times.shape}"
-        )
-    t_max = float(times.max())
-    _check_phase(params, gamma, t_max)  # checks gamma first
+def _full_lanczos(params, gamma, marks, cap) -> list:
+    # (transition, beta) of _lanczos on a fresh A per distinct mark, after
+    # the mark checks; the caller has checked gamma.
     for w in marks:
         _check_vertex(w, params.num_vertices)
     marks = tuple(dict.fromkeys(marks))
-    return t_max, list(zip(*_lanczos(adjacency_matrix(params, cap), gamma, marks, params)))
+    return list(zip(*_lanczos(adjacency_matrix(params, cap), gamma, marks, params)))
 
 
 def compare_marked_vertices(
-    params: GraphParams, gamma: float, w1: int, w2: int, times, cap: int = DEFAULT_FULL_CAP
+    params: GraphParams, gamma: float, w1: int, w2: int, t_max: float,
+    cap: int = DEFAULT_FULL_CAP,
 ) -> float:
     """A bound on the difference between the full-space success curves of
-    two marked vertices over 0 <= t <= max(times).
+    two marked vertices over 0 <= t <= t_max.
 
     Vertex-transitivity makes the marked choice immaterial; this measures
     exactly that.  One dense adjacency serves both curves, whose Lanczos
-    runs step together (see :func:`compare_full_reduced` for the contract
-    on ``times`` and the bound); w1 == w2 runs once and reads exactly 0.0.
+    runs step together as in :func:`validate_instance`: at t_max =
+    2*run_time and w2 = w1 + 1 mod N this is its vertex_independence, bit
+    for bit.  w1 == w2 runs once and reads exactly 0.0.  See
+    :func:`compare_full_reduced` for the contract on ``t_max`` and the bound.
     """
-    t_max, curves = _full_lanczos(params, gamma, (w1, w2), times, cap)
+    gamma, t_max = _check_time(params, gamma, t_max, "t_max")
+    curves = _full_lanczos(params, gamma, (w1, w2), cap)
     return _sup_distance(curves[0], curves[-1], t_max)
 
 
@@ -374,7 +366,7 @@ def reduced_embedding_residual(
 
     B comes from the exact integer vectors prod_{j != l} (A - lambda_j)|w>
     and H acts through the dense A, so no eigensolve is made."""
-    _check_coupling(params, gamma)
+    gamma = _check_coupling(params, gamma)
     _check_vertex(w, params.num_vertices)
     a = adjacency_matrix(params, cap)
     return _embedding_residual(spectral_data(params), a, gamma, w)

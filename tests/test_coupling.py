@@ -36,6 +36,8 @@ def test_scaled_params_domain():
     with pytest.raises(DomainError):
         ScaledParams(eps=0.45, k=3)  # (2k-1)*eps^2 = 1.0125 > 1
     with pytest.raises(DomainError):
+        ScaledParams(eps=1e200, k=3)  # eps**2 would raise OverflowError
+    with pytest.raises(DomainError):
         ScaledParams(eps=0.1, k=0)
 
 

@@ -110,6 +110,30 @@ def test_sym_eig_rejects_bad_shapes():
         qw.sym_eig(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 1j], [-1j, 2]],  # eigenvalues 0.382 and 2.618, not the [1, 2] of its real part
+        np.eye(2, dtype=complex),
+        np.eye(2, dtype=bool),
+        np.eye(2, dtype=object),
+        [["a"]],
+    ],
+    ids=["hermitian", "complex-eye", "bool", "object", "str"],
+)
+def test_sym_eig_refuses_matrices_that_are_not_real(matrix):
+    # Refused by dtype before conversion: a complex matrix would lose its
+    # imaginary part with only a warning, and a bool one read as 0/1.
+    with pytest.raises(DomainError, match="expected a real matrix"):
+        qw.sym_eig(matrix)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32])
+def test_sym_eig_accepts_integer_and_float_matrices(dtype):
+    matrix = np.array([[2, 1], [1, 2]], dtype=dtype)
+    assert qw.sym_eig(matrix).values.tolist() == qw.sym_eig(matrix.astype(float)).values.tolist()
+
+
 def test_sym_eig_stack_is_each_member_bit_for_bit():
     # one eigh call on a (2, d, d) stack returns what two 2-D calls return
     rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
 import importlib
+import math
 import pathlib
 import re
 
@@ -95,8 +96,10 @@ def test_docs_name_only_what_exists():
 
 _P = qw.GraphParams(6, 3)
 _G = qw.gamma_star(_P)
-_T = [0.0, 1.0]
-# Each takes one integer x: a marked vertex, a level, a sample count or k.
+_T = 1.0
+_CAP = 20  # N of J(6,3)
+# Each takes one integer x: a marked vertex, a level, a sample count, k or
+# the full-space cap.
 INTEGER_ARGUMENTS = {
     "full_hamiltonian": lambda x: qw.full_hamiltonian(_P, _G, x),
     "distance_partition": lambda x: qw.distance_partition(_P, x),
@@ -114,6 +117,22 @@ INTEGER_ARGUMENTS = {
     "scan-m-above-2": lambda x: qw.scan(_P, _G, 0.0, 1.0, x + 100.0),
     "GraphParams-k": lambda x: qw.GraphParams(4, x),
     "ScaledParams-k": lambda x: qw.ScaledParams(0.1, x),
+    "vertex_elements-cap": lambda x: qw.johnson.vertex_elements(_P, x),
+    "adjacency_matrix-cap": lambda x: qw.adjacency_matrix(_P, x),
+    "distance_partition-cap": lambda x: qw.distance_partition(_P, 0, x),
+    "full_hamiltonian-cap": lambda x: qw.full_hamiltonian(_P, _G, 0, x),
+    "check_spectrum-cap": lambda x: qw.check_spectrum(_P, x),
+    "check_partition_invariance-cap": lambda x: qw.check_partition_invariance(_P, 0, x),
+    "validate_instance-cap": lambda x: qw.validate_instance(_P, 0, x),
+    "reduced_embedding_residual-cap": lambda x: qw.validation.reduced_embedding_residual(
+        _P, _G, 0, x
+    ),
+    "compare_full_reduced-cap": lambda x: qw.compare_full_reduced(_P, _G, 0, _T, x),
+    "compare_marked_vertices-cap": lambda x: qw.compare_marked_vertices(_P, _G, 0, 1, _T, x),
+}
+# The accepted value each call is tried with, where it is not 1.
+_INTEGER_VALUES = {"scan-m": 101} | {
+    name: _CAP for name in INTEGER_ARGUMENTS if name.endswith("-cap")
 }
 
 
@@ -126,12 +145,89 @@ def test_integer_arguments_refuse_bools_and_floats(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [20.5, 1e9, "a", None], ids=repr)
+@pytest.mark.parametrize("name", [name for name in INTEGER_ARGUMENTS if name.endswith("-cap")])
+def test_caps_refuse_what_is_not_an_integer(name, value):
+    # A float cap would be compared as a float, and "a" or None would fail
+    # the comparison with a TypeError.
+    with pytest.raises(DomainError, match="cap must be an integer"):
+        INTEGER_ARGUMENTS[name](value)
+
+
 def test_integer_arguments_accept_numpy_integers():
     # Marks, levels and sample counts may be numpy integers; GraphParams
     # and ScaledParams take Python integers only.
     for name, call in INTEGER_ARGUMENTS.items():
         if name in ("scan-m-above-2", "GraphParams-k", "ScaledParams-k"):
             continue
-        x = 101 if name == "scan-m" else 1
+        x = _INTEGER_VALUES.get(name, 1)
         plain = [getattr(r, "__dict__", r) for r in (call(np.int64(x)), call(x))]
         np.testing.assert_equal(*plain, err_msg=name)
+
+
+_T_RUN = qw.run_time(_P)
+# Each takes one real x, named after the dash, and is tried with an integer
+# i and a float f that float32 holds exactly.
+REAL_ARGUMENTS = {
+    "success_probability-gamma": (lambda x: qw.success_probability(_P, x, _T), 1, 0.125),
+    "success_probability-t": (lambda x: qw.success_probability(_P, _G, x), 1, 0.5),
+    "scan-gamma": (lambda x: qw.scan(_P, x, 0.0, 1.0, 11), 1, 0.125),
+    "scan-t0": (lambda x: qw.scan(_P, _G, x, 4.0, 11), 1, 0.5),
+    "scan-t1": (lambda x: qw.scan(_P, _G, 0.0, x, 11), 2, 2.5),
+    "find_peak-gamma": (lambda x: qw.find_peak(_P, x, (0.0, 2 * _T_RUN)), 1, 0.125),
+    "find_peak-t0": (lambda x: qw.find_peak(_P, _G, (x, 2 * _T_RUN)), 1, 0.5),
+    "find_peak-t1": (lambda x: qw.find_peak(_P, _G, (0.0, x)), 16, 16.5),
+    "full_hamiltonian-gamma": (lambda x: qw.full_hamiltonian(_P, x, 0), 1, 0.125),
+    "reduced_hamiltonian-gamma": (lambda x: qw.reduced_hamiltonian(_P, x), 1, 0.125),
+    "reduced_embedding_residual-gamma": (
+        lambda x: qw.validation.reduced_embedding_residual(_P, x, 0), 1, 0.125
+    ),
+    "compare_full_reduced-gamma": (lambda x: qw.compare_full_reduced(_P, x, 0, _T), 1, 0.125),
+    "compare_full_reduced-t_max": (lambda x: qw.compare_full_reduced(_P, _G, 0, x), 1, 0.5),
+    "compare_marked_vertices-gamma": (
+        lambda x: qw.compare_marked_vertices(_P, x, 0, 1, _T), 1, 0.125
+    ),
+    "compare_marked_vertices-t_max": (
+        lambda x: qw.compare_marked_vertices(_P, _G, 0, 1, x), 1, 0.5
+    ),
+    "ScaledParams-eps": (lambda x: qw.ScaledParams(x, 1), 0, 0.25),
+}
+_NOT_REAL = [
+    True, np.True_, 1 + 0j, np.complex128(1), "1.0", None, [1.0], np.array([1.0, 2.0]),
+    math.nan, math.inf,
+]
+
+
+@pytest.mark.parametrize("value", _NOT_REAL, ids=repr)
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_real_arguments_refuse_what_is_not_a_finite_real(name, value):
+    # One check decides: a bool, a complex (numpy would drop its imaginary
+    # part with only a warning), a string, None, a sequence, an array, NaN
+    # and inf are each a DomainError naming the argument.
+    argument = name.split("-")[-1]
+    with pytest.raises(DomainError, match=f"^{argument} must be a finite real"):
+        REAL_ARGUMENTS[name][0](value)
+
+
+def _outcome(call, x):
+    try:
+        result = call(x)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return getattr(result, "__dict__", result)
+
+
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_real_arguments_read_numpy_scalars_as_floats(name):
+    # An int, np.int64, np.float32 or np.float64 x gives what float(x)
+    # gives, bit for bit: the check hands every caller a Python float.
+    # (No integer eps is valid, so ScaledParams-eps compares its refusals.)
+    call, i, f = REAL_ARGUMENTS[name]
+    for x in (i, np.int64(i), np.float32(f), np.float64(f)):
+        np.testing.assert_equal(_outcome(call, x), _outcome(call, float(x)), err_msg=repr(x))
+
+
+@pytest.mark.parametrize("bracket", [1.0, None, [1.0], (0.0, 1.0, 2.0), np.array([1.0])], ids=repr)
+def test_find_peak_refuses_a_bracket_that_is_not_a_pair(bracket):
+    with pytest.raises(DomainError, match="pair"):
+        qw.find_peak(_P, _G, bracket)

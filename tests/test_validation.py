@@ -13,33 +13,44 @@ from qwsearch.errors import CapacityError, DomainError, NumericalError
 def test_compare_full_reduced_k2_is_machine_exact():
     # the 2-dimensional full space IS the reduced space
     params = qw.GraphParams(2, 1)
-    times = np.linspace(0.0, 2 * qw.run_time(params), 64)
-    assert qw.compare_full_reduced(params, 0.25, 0, times) <= 1e-12
+    assert qw.compare_full_reduced(params, 0.25, 0, 2 * qw.run_time(params)) <= 1e-12
 
 
 def test_compare_full_reduced_63():
     params = qw.GraphParams(6, 3)
     gamma = qw.gamma_star(params)
-    times = np.linspace(0.0, 2 * qw.run_time(params), 64)
-    assert qw.compare_full_reduced(params, gamma, 0, times) <= 1e-9
+    assert qw.compare_full_reduced(params, gamma, 0, 2 * qw.run_time(params)) <= 1e-9
 
 
 def test_curves_independent_of_marked_vertex():
     for n, k, w2 in ((6, 3, 13), (8, 2, 7)):
         params = qw.GraphParams(n, k)
         gamma = qw.gamma_star(params)
-        times = np.linspace(0.0, 2 * qw.run_time(params), 64)
-        assert qw.compare_marked_vertices(params, gamma, 0, w2, times) <= 1e-10
+        t_max = 2 * qw.run_time(params)
+        assert qw.compare_marked_vertices(params, gamma, 0, w2, t_max) <= 1e-10
 
 
 def test_compare_marked_vertices_same_vertex_and_range():
     params = qw.GraphParams(6, 3)
     gamma = qw.gamma_star(params)
-    times = np.linspace(0.0, 2 * qw.run_time(params), 64)
-    assert qw.compare_marked_vertices(params, gamma, 4, 4, times) == 0.0
+    t_max = 2 * qw.run_time(params)
+    assert qw.compare_marked_vertices(params, gamma, 4, 4, t_max) == 0.0
     for w2 in (-1, params.num_vertices):
         with pytest.raises(DomainError):
-            qw.compare_marked_vertices(params, gamma, 4, w2, times)
+            qw.compare_marked_vertices(params, gamma, 4, w2, t_max)
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (8, 3)])
+def test_compare_marked_vertices_is_the_reports_vertex_independence(n, k):
+    # At t_max = 2*run_time and w2 = w + 1 mod N, the public comparison runs
+    # the same two-mark Lanczos batch as validate_instance, bit for bit.
+    params = qw.GraphParams(n, k)
+    gamma, t_max = qw.gamma_star(params), 2 * qw.run_time(params)
+    n_vert = params.num_vertices
+    for w in range(n_vert):
+        checks = {c.name: c.residual for c in qw.validate_instance(params, w).checks}
+        got = qw.compare_marked_vertices(params, gamma, w, (w + 1) % n_vert, t_max)
+        assert got.hex() == checks["vertex_independence"].hex(), w
 
 
 @pytest.mark.parametrize("compare", ["compare_full_reduced", "compare_marked_vertices"])
@@ -48,16 +59,20 @@ def test_compare_marked_vertices_same_vertex_and_range():
     [
         [], [math.nan], [math.inf], [-1.0], [0.0, 1e308], np.zeros((2, 3)), [[1.0]],
         [[0.0], [1.0, 2.0]], ["a"], [0.0, 1 + 2j], np.array([0.0, 1 + 2j]),
+        1e308, -1.0,
     ],
     ids=[
         "empty", "nan", "inf", "negative", "phase-overflow", "2d", "2d-single",
         "ragged", "string", "complex", "complex-array",
+        "scalar-phase-overflow", "scalar-negative",
     ],
 )
 def test_compare_functions_refuse_bad_times_before_building_a(monkeypatch, compare, times):
     # Refused as input, before the adjacency exists: no numpy error or
     # warning, and no curve of a phase with no digits left (J(6,3) at gamma*
     # bounds every phase by (9*gamma + 1)*t, which overflows at t = 1e308).
+    # The horizon t_max is one real; an array of times, the old argument, is
+    # refused like any other non-scalar.
     params = qw.GraphParams(6, 3)
     gamma = qw.gamma_star(params)
 
@@ -81,11 +96,11 @@ def test_dense_checks_hold_one_hamiltonian_buffer(check):
     # matrices; a second N x N array would make it 2.
     params = qw.GraphParams(12, 4)
     gamma = qw.gamma_star(params)
-    times = np.linspace(0.0, 2 * qw.run_time(params), 64)
+    t_max = 2 * qw.run_time(params)
     call = {
         "validate_instance": lambda: qw.validate_instance(params, 3),
         "compare_marked_vertices": lambda: qw.compare_marked_vertices(
-            params, gamma, 3, 40, times
+            params, gamma, 3, 40, t_max
         ),
         "reduced_embedding_residual": lambda: qw.validation.reduced_embedding_residual(
             params, gamma, 3
