@@ -15,7 +15,6 @@ between the two lowest levels to more digits, and -gamma*lambda_0 is added
 back to the eigenvalues.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,15 +53,6 @@ class ScanResult:
     probs: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
-def _identity(dim: int) -> np.ndarray:
-    # The orthonormality gate's identity, read-only, for the last 8
-    # dimensions: the package's own solves are (k+1) x (k+1).
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-    return eye
-
-
 def sym_eig(matrix: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a real symmetric matrix via LAPACK ``eigh``.
 
@@ -94,7 +84,9 @@ def sym_eig(matrix: np.ndarray) -> EigDecomp:
         raise DomainError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(matrix)
     gram = vectors.swapaxes(-1, -2) @ vectors
-    ortho = float(np.abs(gram - _identity(matrix.shape[-1])).max())
+    dim = matrix.shape[-1]
+    gram.reshape(-1, dim * dim)[:, :: dim + 1] -= 1.0
+    ortho = float(np.abs(gram).max())
     recon = float(np.abs(matrix @ vectors - vectors * values[..., None, :]).max())
     if not (ortho <= 1e-12 and recon <= 1e-10 * scale):
         raise NumericalError(
@@ -165,19 +157,12 @@ def _reduced_transition(sd: SpectralData, gamma: float) -> tuple:
     return _transition(dec, p)
 
 
-def _probs_at(transitions, times: np.ndarray) -> np.ndarray:
-    # Row c is the success curve of the pair transitions[c] = (dec, weights)
-    # at the given times, and one phase table serves them all: column c of
-    # the block weights holds pair c's weights against its own levels, and
-    # zeros elsewhere.
-    values = np.concatenate([dec.values for dec, _ in transitions])
-    block = np.zeros((len(values), len(transitions)))
-    start = 0
-    for c, (_, weights) in enumerate(transitions):
-        block[start : start + len(weights), c] = weights
-        start += len(weights)
-    amps = np.exp(-1j * np.outer(times, values)) @ block
-    return _clamp_probs(np.abs(amps.T) ** 2)
+def _probs_at(dec: EigDecomp, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    # The success curve of the transition (dec, weights) at the given times.
+    # The weights enter as a d x 1 matrix: a 1-D product takes another BLAS
+    # path, whose sums round differently.
+    amps = np.exp(-1j * np.outer(times, dec.values)) @ weights[:, None]
+    return _clamp_probs(np.abs(amps[:, 0]) ** 2)
 
 
 def _probs_on_grid(
@@ -252,8 +237,8 @@ def success_probability(params: GraphParams, gamma: float, t: float) -> float:
     Requires a real t >= 0 with (gamma*k(n-k) + 1)*t finite.
     """
     gamma, t = _check_time(params, gamma, t, "t")
-    transition = _reduced_transition(spectral_data(params), gamma)
-    return float(_probs_at([transition], np.array([t]))[0, 0])
+    dec, weights = _reduced_transition(spectral_data(params), gamma)
+    return float(_probs_at(dec, weights, np.array([t]))[0])
 
 
 def scan(

@@ -14,9 +14,12 @@ full-space curves come from Lanczos on the full H = -gamma*A - |w><w|
 started at |s>: the distance-class span holds |s> and |w> and is invariant
 under H, so the Krylov space closes after at most k+1 steps and the curve
 of its (k+1) x (k+1) tridiagonal is exact up to the closing beta times t
-(Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  A run that does not close
-is refused, never truncated.  Two curves are compared by a bound over all
-of [0, t_max] read off their levels, weights and closing betas.
+(Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  Each comparison of a mark
+with the reduced model runs the pair w, w + 1 mod N in one batch, whose
+runs close at one step.  A run that does not close, or a batch whose runs
+close at different steps, is refused, never truncated.  Two curves are
+compared by a bound over all of [0, t_max] read off their levels, weights
+and closing betas.
 
 Large instances are covered through the reduced model alone, where the
 perturbation analysis shows up as measurable spectral facts at the
@@ -123,19 +126,21 @@ def _lanczos(a, gamma, marks, params) -> tuple:
     # products (einsum's sums over N lose about ten times more digits).  The
     # distance-class span is invariant under H_w, so a run must close, beta
     # <= _CLOSURE_TOL * (gamma*k(n-k) + 1), within k+1 steps or is refused.
-    # Runs that close at the same step share one sym_eig call.
+    # Every eigenvector of the reduced matrix has a nonzero e_0 entry, so
+    # every mark's Krylov space has the same dimension: the runs close at one
+    # step, a batch whose runs do not is refused, and one sym_eig call
+    # serves the batch.
     n_vert, n_marks, steps = len(a), len(marks), params.k + 1
     tol = _CLOSURE_TOL * (gamma * params.degree + 1.0)
     basis = np.empty((n_marks, steps, n_vert))
     basis[:, 0] = 1.0 / math.sqrt(n_vert)
     tri = np.zeros((n_marks, steps, steps))
-    dims, betas = [0] * n_marks, [0.0] * n_marks
+    rows, cols = np.arange(n_marks), np.array(marks)
     for j in range(steps):
         q = basis[:, j]
         r = q @ a  # A is symmetric
         r *= -gamma
-        for m, w in enumerate(marks):
-            r[m, w] -= q[m, w]
+        r[rows, cols] -= q[rows, cols]
         # Gram-Schmidt twice against every earlier vector.
         done = basis[:, : j + 1]
         coef = done @ r[:, :, None]
@@ -143,34 +148,38 @@ def _lanczos(a, gamma, marks, params) -> tuple:
         again = done @ r[:, :, None]
         r -= (again.transpose(0, 2, 1) @ done)[:, 0]
         np.add(coef[:, j, 0], again[:, j, 0], out=tri[:, j, j])
-        norms = np.sqrt(np.add.reduce(r * r, axis=1)).tolist()
-        betas = [c if d else b for d, b, c in zip(dims, norms, betas)]
-        dims = [d or (j + 1 if b <= tol else 0) for d, b in zip(dims, norms)]
-        if all(dims):
+        norms = np.sqrt(np.add.reduce(r * r, axis=1))
+        betas = norms.tolist()
+        closed = sum(b <= tol for b in betas)
+        if closed == n_marks:
             break
+        if closed:
+            raise NumericalError(
+                f"Lanczos runs on the full search Hamiltonian closed at different "
+                f"steps: {closed} of {n_marks} closed at step {j + 1}"
+            )
         if j + 1 < steps:
             tri[:, j, j + 1] = tri[:, j + 1, j] = norms
-            # A closed run continues on zero vectors, which keep its beta 0.
-            scale = [math.inf if d else b for d, b in zip(dims, norms)]
-            np.divide(r, np.array(scale)[:, None], out=basis[:, j + 1])
+            np.divide(r, norms[:, None], out=basis[:, j + 1])
     else:
         raise NumericalError(
             f"Lanczos on the full search Hamiltonian did not close within "
-            f"{steps} steps: beta {max(norms):.3e} above {tol:.3e}"
+            f"{steps} steps: beta {max(betas):.3e} above {tol:.3e}"
         )
-    decs = {}
-    for dim in set(dims):
-        runs = [m for m, d in enumerate(dims) if d == dim]
-        dec = sym_eig(tri[runs, :dim, :dim])
-        decs.update(zip(runs, map(EigDecomp, dec.values, dec.vectors)))
-    return [_transition(decs[m], basis[m, : dims[m], w]) for m, w in enumerate(marks)], betas
+    dim = j + 1
+    dec = sym_eig(tri[:, :dim, :dim])
+    transitions = [
+        _transition(EigDecomp(values, vectors), basis[m, :dim, w])
+        for m, (w, values, vectors) in enumerate(zip(marks, dec.values, dec.vectors))
+    ]
+    return transitions, betas
 
 
 def _sup_distance(curve_a, curve_b, t_max) -> float:
     # A bound on max |p_a - p_b| over 0 <= t <= t_max for curves
     # ((decomposition, weights), beta), p = |A|^2, A(t) = sum_j w_j e^{-iE_j t}:
     # |A_a - A_b| <= sum_j |w_a,j - w_b,j| + t sum_j |w_b,j| |E_a,j - E_b,j|
-    # with levels in ascending order (a run that closed early has weight 0
+    # with levels in ascending order (a curve with fewer levels has weight 0
     # and its partner's E on the levels it lacks, so zip stops at the shorter
     # run), plus beta*t per Lanczos run, and |p_a - p_b| <= |A_a - A_b| (W_a
     # + W_b), W = sum_j |w_j|.  Rounding adds eps W^2 ((d+1)(t max|E| + 1) + 3)
@@ -205,11 +214,12 @@ def compare_full_reduced(
     model.  The bound is read off both curves' levels E_j and weights w_j
     and the run's closing beta, so it holds at every t up to t_max.  Their
     agreement is the core oracle for everything the reduced model is used
-    for.  This run's Lanczos rounds differently from the two-mark batch of
-    :func:`validate_instance`, so the two bounds agree only in size.
+    for.  w runs beside w + 1 mod N, the pair of :func:`validate_instance`:
+    at t_max = 2*run_time this is its oracle_equivalence, bit for bit.
     """
     gamma, t_max = _check_time(params, gamma, t_max, "t_max")
-    (full,) = _full_lanczos(params, gamma, (w,), cap)
+    _check_vertex(w, params.num_vertices)
+    full, _ = _full_lanczos(params, gamma, (w, (int(w) + 1) % params.num_vertices), cap)
     return _sup_distance(full, (_reduced_transition(spectral_data(params), gamma), 0.0), t_max)
 
 
@@ -407,7 +417,7 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
         N=params.num_vertices,
         gamma_star=gamma,
         t_run=t_run,
-        p_at_trun=float(_probs_at([(dec, weights)], np.array([t_run]))[0, 0]),
+        p_at_trun=float(_probs_at(dec, weights, np.array([t_run]))[0]),
         t_peak=t_peak,
         p_peak=p_peak,
         gap=gap,
@@ -457,7 +467,7 @@ def validate_instance(
     record = _memo_graph(params)
     a = _adjacency(index)
     embedding = _embedding_residual(record.sd, a, record.gamma, w)
-    w2 = (w + 1) % params.num_vertices
+    w2 = (int(w) + 1) % params.num_vertices
     full_w, full_w2 = zip(*_lanczos(a, record.gamma, (w, w2), params))
     oracle = _sup_distance(full_w, (record.reduced, 0.0), record.t_max)
     checks = record.checks + (

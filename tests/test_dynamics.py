@@ -391,7 +391,7 @@ def test_probs_on_grid_matches_pointwise(k, n_scale, m):
     t_end = 2 * qw.run_time(params)
     for t0, t1 in ((0.0, t_end), (0.3 * t_end, 0.7 * t_end)):
         grid = qw.dynamics._probs_on_grid(dec, weights, t0, t1, m)
-        direct = qw.dynamics._probs_at([(dec, weights)], np.linspace(t0, t1, m))[0]
+        direct = qw.dynamics._probs_at(dec, weights, np.linspace(t0, t1, m))
         assert grid.shape == (m,)
         assert np.max(np.abs(grid - direct)) <= _phase_rounding_bound(dec, t1)
 
@@ -414,7 +414,7 @@ def test_scalar_refinement_matches_pointwise(n, k):
     dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
     terms = tuple(zip(dec.values.tolist(), weights.tolist()))
     times = np.linspace(0.0, 2 * qw.run_time(params), 57)
-    direct = qw.dynamics._probs_at([(dec, weights)], times)[0]
+    direct = qw.dynamics._probs_at(dec, weights, times)
     scalar = [qw.dynamics._prob_scalar(terms, float(t)) for t in times]
     assert np.max(np.abs(scalar - direct)) <= _phase_rounding_bound(dec, times[-1])
 
@@ -425,12 +425,12 @@ def test_scalar_refinement_clamps_and_warns_like_arrays():
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
         assert qw.dynamics._prob_scalar(((0.0, 0.6), (0.0, 0.6)), 3.0) == 1.0
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
-        assert qw.dynamics._probs_at([(dec, big)], np.array([3.0]))[0][0] == 1.0
+        assert qw.dynamics._probs_at(dec, big, np.array([3.0]))[0] == 1.0
     tiny = 0.5 + 1e-12  # overshoot about 2e-12, below the 1e-10 warning level
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert qw.dynamics._prob_scalar(((0.0, 0.5), (0.0, tiny)), 3.0) == 1.0
-        assert qw.dynamics._probs_at([(dec, np.array([0.5, tiny]))], np.array([3.0]))[0][0] == 1.0
+        assert qw.dynamics._probs_at(dec, np.array([0.5, tiny]), np.array([3.0]))[0] == 1.0
 
 
 def test_clamp_probs_leaves_probabilities_untouched_and_clips_overshoot():

@@ -16,9 +16,6 @@ from qwsearch.dynamics import EigDecomp, _probs_at, _reduced_transition
 # Every graph with N <= 500.
 _SMALL = [(n, k) for k in range(1, 9) for n in range(2 * k, 501) if math.comb(n, k) <= 500]
 
-# Curves per _probs_at call, which keeps its phase table to a few MB.
-_CHUNK = 64
-
 
 def _reduced(params):
     # What validate_instance keeps per graph: gamma*, the reduced model's
@@ -57,9 +54,7 @@ def _checked_bounds(params, reduced, t_max, curves_w, curves_w2):
     sampled_pairs = sorted(set(row_pairs.values()))
     first, second = ([pair[i] for pair in sampled_pairs] for i in (0, 1))
     for times in (np.linspace(0.0, t_max, 64), np.linspace(0.0, t_max, 2001)):
-        probs = np.concatenate(
-            [_probs_at(transitions[i : i + _CHUNK], times) for i in range(0, len(rows), _CHUNK)]
-        )
+        probs = np.array([_probs_at(*transition, times) for transition in transitions])
         sampled = dict(zip(sampled_pairs, np.abs(probs[first] - probs[second]).max(axis=1)))
         short = [
             (sampled[row_pairs[pair]], b)
@@ -124,8 +119,7 @@ def test_the_bound_covers_curves_that_differ(move):
     _, reduced, t_max = _reduced(params)
     moved = (move(*reduced[0], np.random.default_rng(3)), 0.0)
     times = np.linspace(0.0, t_max, 2001)
-    probs = _probs_at([moved[0], reduced[0]], times)
-    sampled = float(np.max(np.abs(probs[0] - probs[1])))
+    sampled = float(np.max(np.abs(_probs_at(*moved[0], times) - _probs_at(*reduced[0], times))))
     assert sampled > 1e-5
     for a, b in ((moved, reduced), (reduced, moved)):
         assert sampled <= validation._sup_distance(a, b, t_max)

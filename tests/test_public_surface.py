@@ -165,6 +165,18 @@ def test_integer_arguments_accept_numpy_integers():
         np.testing.assert_equal(*plain, err_msg=name)
 
 
+def test_narrow_numpy_marks_pair_with_their_neighbour():
+    # The pair mark w + 1 mod N is formed in Python integers: an int8 mark
+    # of J(10,4), N = 210, whose N does not fit int8, is read as its value.
+    params = qw.GraphParams(10, 4)
+    gamma, t_max = qw.gamma_star(params), 2 * qw.run_time(params)
+    for call in (
+        lambda x: qw.validate_instance(params, x).checks,
+        lambda x: qw.compare_full_reduced(params, gamma, x, t_max),
+    ):
+        assert call(np.int8(5)) == call(5)
+
+
 _T_RUN = qw.run_time(_P)
 # Each takes one real x, named after the dash, and is tried with an integer
 # i and a float f that float32 holds exactly.

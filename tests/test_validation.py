@@ -53,6 +53,18 @@ def test_compare_marked_vertices_is_the_reports_vertex_independence(n, k):
         assert got.hex() == checks["vertex_independence"].hex(), w
 
 
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (8, 3)])
+def test_compare_full_reduced_is_the_reports_oracle_equivalence(n, k):
+    # At t_max = 2*run_time the public comparison runs w beside w + 1 mod N,
+    # the Lanczos batch of validate_instance, bit for bit.
+    params = qw.GraphParams(n, k)
+    gamma, t_max = qw.gamma_star(params), 2 * qw.run_time(params)
+    for w in range(params.num_vertices):
+        checks = {c.name: c.residual for c in qw.validate_instance(params, w).checks}
+        got = qw.compare_full_reduced(params, gamma, w, t_max)
+        assert got.hex() == checks["oracle_equivalence"].hex(), w
+
+
 @pytest.mark.parametrize("compare", ["compare_full_reduced", "compare_marked_vertices"])
 @pytest.mark.parametrize(
     "times",
@@ -222,7 +234,7 @@ def dense_curve(h, w, times):
     n_vert = h.shape[0]
     start = np.full(n_vert, 1.0 / math.sqrt(n_vert))
     weights = dec.vectors[w, :] * (dec.vectors.T @ start)
-    return qw.dynamics._probs_at([(dec, weights)], times)[0]
+    return qw.dynamics._probs_at(dec, weights, times)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.3, 3.0])
@@ -234,8 +246,8 @@ def test_krylov_curves_match_the_dense_eigenvector_curves(n, k, scale):
     times = np.linspace(0.0, 2 * qw.run_time(params), 64)
     marks = (params.num_vertices - 1, 0)
     transitions, _ = qw.validation._lanczos(qw.adjacency_matrix(params), gamma, marks, params)
-    curves = qw.dynamics._probs_at(transitions, times)
-    for w, curve in zip(marks, curves):
+    for w, (dec, weights) in zip(marks, transitions):
+        curve = qw.dynamics._probs_at(dec, weights, times)
         expected = dense_curve(qw.full_hamiltonian(params, gamma, w), w, times)
         assert np.max(np.abs(curve - expected)) <= 1e-12
 
@@ -253,7 +265,7 @@ def test_reported_bounds_cover_the_dense_eigenvector_curves():
     ]
     for m in (64, 2001):
         times = np.linspace(0.0, 2 * qw.run_time(params), m)
-        expected = qw.dynamics._probs_at([reduced], times)[0]
+        expected = qw.dynamics._probs_at(*reduced, times)
         dense = [
             dense_curve(qw.full_hamiltonian(params, gamma, w), w, times) for w in range(n_vert)
         ]
@@ -298,6 +310,27 @@ def test_a_krylov_space_that_does_not_close_is_refused():
     a = _drop_one_edge(qw.adjacency_matrix(params))
     with pytest.raises(NumericalError, match="did not close"):
         qw.validation._lanczos(a, qw.gamma_star(params), (0, 1), params)
+
+
+def test_a_batch_whose_runs_close_at_different_steps_is_refused():
+    # A 6-vertex graph with no equitable distance partition: the Krylov
+    # space of |s> under H_0 closes at step 2 and under H_1 and H_2 at step 3.
+    a = np.array(
+        [
+            [0, 1, 1, 1, 1, 1],
+            [1, 0, 0, 1, 0, 1],
+            [1, 0, 0, 0, 0, 0],
+            [1, 1, 0, 0, 0, 1],
+            [1, 0, 0, 0, 0, 0],
+            [1, 1, 0, 1, 0, 0],
+        ],
+        dtype=float,
+    )
+    params = qw.GraphParams(4, 2)  # N = 6, k + 1 = 3 steps
+    with pytest.raises(NumericalError, match="closed at different steps"):
+        qw.validation._lanczos(a, 0.5, (0, 1), params)
+    transitions, _ = qw.validation._lanczos(a, 0.5, (1, 2), params)
+    assert [len(dec.values) for dec, _ in transitions] == [3, 3]
 
 
 def test_validate_refuses_a_krylov_space_that_does_not_close(monkeypatch, capsys):
