@@ -6,100 +6,57 @@ an exact (k+1)-dimensional model.  This package builds both pictures: the
 dense full-space one as a verification oracle for small instances, and the
 reduced one for simulation and asymptotics at any n, together with the
 critical hopping rate gamma_star and the run time pi*n^(k/2)/(2*sqrt(k!)).
+
+``import qwsearch`` imports none of its modules: each public name and each
+submodule is imported on first access.  The exact layer (:mod:`qwsearch.domain`,
+:mod:`qwsearch.spectral`, :mod:`qwsearch.coupling`) needs only the standard
+library, so the closed-form spectrum and gamma_star never load numpy; the
+full space, the reduced solve and the oracle do.
 """
 
-from .coupling import (
-    ScaledParams,
-    from_graph,
-    gamma_closed_form,
-    gamma_star,
-)
-from .dynamics import (
-    EigDecomp,
-    ScanResult,
-    find_peak,
-    run_time,
-    scan,
-    success_probability,
-    sym_eig,
-)
-from .errors import (
-    BracketError,
-    CapacityError,
-    DomainError,
-    NumericalError,
-    UnsupportedParameterError,
-)
-from .johnson import (
-    DEFAULT_FULL_CAP,
-    DistancePartition,
-    GraphParams,
-    adjacency_matrix,
-    distance_partition,
-    full_hamiltonian,
-)
-from .spectral import (
-    ReducedHamiltonian,
-    SpectralData,
-    eigenvalue,
-    multiplicity,
-    overlap,
-    overlap_sq_factorial,
-    reduced_hamiltonian,
-    spectral_data,
-)
-from .validation import (
-    SweepRow,
-    ValidationReport,
-    asymptotics_row,
-    check_partition_invariance,
-    check_spectrum,
-    compare_full_reduced,
-    compare_marked_vertices,
-    convergence_sweep,
-    validate_instance,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketError",
-    "CapacityError",
-    "DEFAULT_FULL_CAP",
-    "DistancePartition",
-    "DomainError",
-    "EigDecomp",
-    "GraphParams",
-    "NumericalError",
-    "ReducedHamiltonian",
-    "ScaledParams",
-    "ScanResult",
-    "SpectralData",
-    "SweepRow",
-    "UnsupportedParameterError",
-    "ValidationReport",
-    "adjacency_matrix",
-    "asymptotics_row",
-    "check_partition_invariance",
-    "check_spectrum",
-    "compare_full_reduced",
-    "compare_marked_vertices",
-    "convergence_sweep",
-    "distance_partition",
-    "eigenvalue",
-    "find_peak",
-    "from_graph",
-    "full_hamiltonian",
-    "gamma_closed_form",
-    "gamma_star",
-    "multiplicity",
-    "overlap",
-    "overlap_sq_factorial",
-    "reduced_hamiltonian",
-    "run_time",
-    "scan",
-    "spectral_data",
-    "success_probability",
-    "sym_eig",
-    "validate_instance",
-]
+# Each public name, under the module that defines it.
+_HOMES = {
+    "coupling": ("ScaledParams", "from_graph", "gamma_closed_form", "gamma_star"),
+    "domain": ("DEFAULT_FULL_CAP", "GraphParams"),
+    "dynamics": (
+        "EigDecomp", "ScanResult", "find_peak", "run_time", "scan",
+        "success_probability", "sym_eig",
+    ),
+    "errors": (
+        "BracketError", "CapacityError", "DomainError", "NumericalError",
+        "UnsupportedParameterError",
+    ),
+    "johnson": ("DistancePartition", "adjacency_matrix", "distance_partition", "full_hamiltonian"),
+    "spectral": (
+        "ReducedHamiltonian", "SpectralData", "eigenvalue", "multiplicity", "overlap",
+        "overlap_sq_factorial", "reduced_hamiltonian", "spectral_data",
+    ),
+    "validation": (
+        "SweepRow", "ValidationReport", "asymptotics_row", "check_partition_invariance",
+        "check_spectrum", "compare_full_reduced", "compare_marked_vertices",
+        "convergence_sweep", "validate_instance",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset(_HOMES) | {"cli"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # A submodule, or a public name read from its module on every access and
+    # never stored here, so a function patched in its module is the one that
+    # qwsearch.<name> gives too.
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | _HOME.keys())

@@ -11,6 +11,9 @@ error, 3 numerical failure.  Among the domain errors: a C(n,k) beyond
 binary64, refused at once however large n and k are; a time t whose phase
 bound (gamma*k(n-k) + 1)*t overflows; and a run time that overflows
 binary64 (at every n from k = 171, and from n = 4176 at k = 170).
+
+``spectrum`` and ``gamma`` are exact arithmetic and never load numpy: this
+module imports the numerical layers inside the commands that use them.
 """
 
 import argparse
@@ -19,9 +22,9 @@ import sys
 from dataclasses import astuple, fields
 from itertools import chain
 
-from . import coupling, dynamics, validation
+from . import coupling
+from .domain import DEFAULT_FULL_CAP, GraphParams
 from .errors import DomainError, NumericalError
-from .johnson import DEFAULT_FULL_CAP, GraphParams
 from .spectral import eigenvalue, multiplicity
 
 EXIT_OK = 0
@@ -111,6 +114,8 @@ def cmd_gamma(args):
 
 
 def cmd_simulate(args):
+    from . import dynamics
+
     params = _params(args)
     gamma = args.gamma if args.gamma is not None else coupling.gamma_star(params)
     t = args.t if args.t is not None else dynamics.run_time(params)
@@ -119,6 +124,8 @@ def cmd_simulate(args):
 
 
 def cmd_scan(args):
+    from . import dynamics
+
     params = _params(args)
     gamma = args.gamma if args.gamma is not None else coupling.gamma_star(params)
     t1 = args.t1 if args.t1 is not None else 2.0 * dynamics.run_time(params)
@@ -127,6 +134,8 @@ def cmd_scan(args):
 
 
 def cmd_validate(args):
+    from . import validation
+
     params = _params(args)
     report = validation.validate_instance(params, w=args.w, cap=args.full_cap)
     rows = [(c.name, c.passed, c.residual, c.threshold) for c in report.checks]
@@ -135,6 +144,8 @@ def cmd_validate(args):
 
 
 def cmd_sweep(args):
+    from . import validation
+
     rows = validation.convergence_sweep(args.k, args.n_list, jobs=args.jobs)
     columns = [f.name for f in fields(validation.SweepRow)]
     return columns, [astuple(row) for row in rows], EXIT_OK

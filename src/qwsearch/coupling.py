@@ -17,8 +17,8 @@ and are kept here verbatim as cross-checks.
 import math
 from dataclasses import dataclass
 
+from .domain import GraphParams, _is_int, _real
 from .errors import DomainError, UnsupportedParameterError
-from .johnson import GraphParams, _is_int, _real
 from .spectral import _eigenvalue, _multiplicity
 
 

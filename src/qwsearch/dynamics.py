@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import GraphParams, _check_coupling, _is_int, _real
 from .errors import BracketError, DomainError, NumericalError
-from .johnson import GraphParams, _check_coupling, _is_int, _real
 from .spectral import SpectralData, spectral_data
 
 # scan holds all m samples at once, and the CLI renders them as one text:
@@ -149,7 +149,7 @@ def _reduced_transition(sd: SpectralData, gamma: float) -> tuple:
     # every gap l(n-l+1) is at least n, so gamma_star*k(n-k+1) <= k.
     # -p p^T plus gamma*(lambda_0 - lambda) on the diagonal rounds entry by
     # entry as gamma*diag(lambda_0 - lambda) - p p^T, in fewer numpy calls.
-    lambdas, p = sd.lambdas, sd.overlaps
+    lambdas, p = np.array(sd.lambdas), np.array(sd.overlaps)
     matrix = np.multiply.outer(p, -p)
     matrix.ravel()[:: len(p) + 1] += gamma * (lambdas[0] - lambdas)
     shifted = sym_eig(matrix)

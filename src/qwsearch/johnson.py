@@ -27,114 +27,24 @@ partition invariance) never build them.
 The dense N x N objects built here (adjacency, search Hamiltonian) exist
 only as oracles for small instances, so they are guarded by a vertex cap;
 everything asymptotic runs through the (k+1)-dimensional model in
-:mod:`qwsearch.spectral`.
+:mod:`qwsearch.spectral`.  The parameters (n, k), the cap's default and
+the argument checks live in :mod:`qwsearch.domain`, which imports no
+numpy; the full space built here needs it.
 """
 
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import DEFAULT_FULL_CAP, GraphParams, _check_coupling, _is_int
 from .errors import CapacityError, DomainError
-
-# Dense N x N work stays affordable up to this many vertices: one N x N
-# float64 matrix is 72 MB at the cap, and `validate` there (the adjacency,
-# one values-only dense eigensolve, Lanczos curves) takes about 3 s and
-# peaks near 170 MB; in one process a further marked vertex of the same
-# graph takes about 0.25 s, as the eigensolve's checks are kept per graph
-# (validation._memo_graph).  Overridable per call and via the CLI.  The cap is
-# checked on every call, memoised index or not; the index itself is
-# O(N k), plus N k(n-k) int32 clique edges (0.6 MB at J(14,6)) once a
-# dense matrix has been built.
-DEFAULT_FULL_CAP = 3003
 
 # Colex indices kept per process, least recently used dropped first.  A
 # caller cycling through more instances than this rebuilds each one.
 _INDEX_MEMO_SIZE = 8
-
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _is_int(value) -> bool:
-    # A Python or numpy integer, and not a bool, which numpy reads as a mask.
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _real(value, name: str) -> float:
-    # The one check of a real argument: a finite Python or numpy integer or
-    # floating scalar, never a bool, returned as a Python float.  Complex
-    # values (numpy would drop the imaginary part), str, None, sequences,
-    # arrays, NaN and +-inf are refused; callers keep their order rules.
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            real = float(value)
-        except OverflowError:  # a Python int beyond binary64
-            real = math.inf
-        if math.isfinite(real):
-            return real
-    raise DomainError(f"{name} must be a finite real number, got {value!r}")
-
-
-@dataclass(frozen=True)
-class GraphParams:
-    """The pair (n, k) selecting J(n,k); requires k >= 1 and n >= 2k."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        # Python integers only: numpy's fixed-width ones could wrap.
-        if not all(isinstance(v, int) and _is_int(v) for v in (self.n, self.k)):
-            raise DomainError("n and k must be integers")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.n < 2 * self.k:
-            raise DomainError(f"need n >= 2k for diameter k, got n={self.n}, k={self.k}")
-        # C(n,k) >= (n/k)^k, so a k*ln(n/k) beyond ln(max float) overflows
-        # for sure and is refused before the exact, possibly huge, C(n,k).
-        try:
-            if self.k * (math.log(self.n) - math.log(self.k)) > _LOG_FLOAT_MAX:
-                raise OverflowError
-            float(self.num_vertices)
-        except OverflowError:
-            raise DomainError(
-                f"C({self.n},{self.k}) overflows the binary64 range"
-            ) from None
-
-    @property
-    def num_vertices(self) -> int:
-        return math.comb(self.n, self.k)
-
-    @property
-    def degree(self) -> int:
-        return self.k * (self.n - self.k)
-
-
-# A coupling is refused unless gamma*k(n-k+1) < 1e300.  That product is the
-# largest entry of the shifted reduced matrix gamma*diag(lambda_0 - lambda_l)
-# - p p^T, and it bounds gamma*||A|| = gamma*k(n-k).  So every matrix handed
-# to sym_eig, full or reduced, has absolute row sums below 1e300 + k + 1, and
-# no product in its gates (M V, V diag(values), their difference, the scale
-# 1 + max|M|) nor the shift back by -gamma*lambda_0 comes near the binary64
-# overflow at 1.8e308.
-_COUPLING_BOUND = 1e300
-
-
-def _check_coupling(params: GraphParams, gamma: float) -> float:
-    # The checked coupling, as a Python float.
-    gamma = _real(gamma, "gamma")
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    if not gamma * (params.k * (params.n - params.k + 1)) < _COUPLING_BOUND:
-        raise DomainError(
-            f"gamma={gamma} too large for J({params.n},{params.k}): "
-            f"gamma*k(n-k+1) must be below {_COUPLING_BOUND:g}"
-        )
-    return gamma
 
 
 @dataclass(frozen=True)

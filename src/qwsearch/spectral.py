@@ -19,16 +19,19 @@ and |w> is the vector p itself, so the whole search problem reduces to a
 A level l is checked once, at the public boundary, and read as a Python
 int; each formula exists once, as a private function of checked values,
 which :func:`spectral_data` runs over l = 0..k with no check per level.
+
+All of it is Python integer and float arithmetic, and the module imports
+no numpy: :class:`SpectralData` holds tuples, which the numerical layers
+convert where they compute.  Only :func:`reduced_hamiltonian` returns an
+ndarray, and numpy is imported when that matrix is built.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from .domain import GraphParams, _check_coupling, _is_int
 from .errors import DomainError
-from .johnson import GraphParams, _check_coupling, _is_int
 
 
 def _check_ell(k: int, ell) -> int:
@@ -86,19 +89,23 @@ def overlap_sq_factorial(params: GraphParams, ell: int) -> float:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (descending), multiplicities, and marked-state overlaps."""
+    """Eigenvalues (descending), multiplicities, and marked-state overlaps.
+
+    Each is a tuple over l = 0..k: the eigenvalues and overlaps as Python
+    floats, the multiplicities as exact Python integers.
+    """
 
     params: GraphParams
-    lambdas: np.ndarray
+    lambdas: tuple
     mults: tuple
-    overlaps: np.ndarray
+    overlaps: tuple
 
 
 def spectral_data(params: GraphParams) -> SpectralData:
     """All closed-form spectral quantities of J(n,k) in one bundle."""
     n, k = params.n, params.k
     levels = range(k + 1)
-    lambdas = [float(_eigenvalue(n, k, l)) for l in levels]
+    lambdas = tuple([float(_eigenvalue(n, k, l)) for l in levels])
     # Barred by n >= 2k.
     if not all(a > b for a, b in zip(lambdas, lambdas[1:])):  # pragma: no cover
         raise DomainError("eigenvalues not strictly decreasing; params out of range")
@@ -107,13 +114,11 @@ def spectral_data(params: GraphParams) -> SpectralData:
     if sum(mults) != n_vert:  # pragma: no cover
         raise AssertionError("multiplicities do not sum to N")
     # sqrt(m_l / N) as in overlap(), from the multiplicities already in hand
-    overlaps = [math.sqrt(m / n_vert) for m in mults]
+    overlaps = tuple([math.sqrt(m / n_vert) for m in mults])
     total = math.fsum(p * p for p in overlaps)
     if abs(total - 1.0) > 1e-14:  # pragma: no cover
         raise AssertionError(f"overlap completeness violated: sum p^2 = {total}")
-    return SpectralData(
-        params=params, lambdas=np.array(lambdas), mults=mults, overlaps=np.array(overlaps)
-    )
+    return SpectralData(params=params, lambdas=lambdas, mults=mults, overlaps=overlaps)
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ class ReducedHamiltonian:
 
     params: GraphParams
     gamma: float
-    matrix: np.ndarray
+    matrix: "numpy.ndarray"
 
 
 def reduced_hamiltonian(params: GraphParams, gamma: float) -> ReducedHamiltonian:
@@ -132,5 +137,7 @@ def reduced_hamiltonian(params: GraphParams, gamma: float) -> ReducedHamiltonian
     return ReducedHamiltonian(params=params, gamma=gamma, matrix=matrix)
 
 
-def _reduced_matrix(sd: SpectralData, gamma: float) -> np.ndarray:
+def _reduced_matrix(sd: SpectralData, gamma: float) -> "numpy.ndarray":
+    import numpy as np
+
     return -gamma * np.diag(sd.lambdas) - np.outer(sd.overlaps, sd.overlaps)

@@ -49,13 +49,11 @@ from .dynamics import (
     run_time,
     sym_eig,
 )
+from .domain import DEFAULT_FULL_CAP, GraphParams, _check_coupling
 from .errors import DomainError, NumericalError
 from .johnson import (
-    DEFAULT_FULL_CAP,
     _INDEX_MEMO_SIZE,
-    GraphParams,
     _adjacency,
-    _check_coupling,
     _check_vertex,
     _class_image,
     _colex_index,
@@ -289,7 +287,7 @@ def _memo_graph(params: GraphParams) -> _GraphRecord:
     dense = np.linalg.eigvalsh(adjacency_matrix(params, params.num_vertices))
     overlap = overlap_consistency_residual(params)
     checks = _spectrum_checks(sd, dense) + (CheckResult("overlap_consistency", overlap, 1e-13),)
-    for array in (sd.lambdas, sd.overlaps, dec.values, dec.vectors, weights):
+    for array in (dec.values, dec.vectors, weights):
         array.flags.writeable = False
     return _GraphRecord(sd, gamma, 2.0 * run_time(params), (dec, weights), checks)
 

@@ -141,6 +141,7 @@ def test_sweep_row_equals_the_public_routes(instance):
     )
     sd = qw.spectral_data(params)
     levels = range(k + 1)
-    assert sd.lambdas.tolist() == [float(qw.eigenvalue(params, l)) for l in levels]
+    assert type(sd.lambdas) is tuple and type(sd.overlaps) is tuple
+    assert list(sd.lambdas) == [float(qw.eigenvalue(params, l)) for l in levels]
     assert sd.mults == tuple(qw.multiplicity(params, l) for l in levels)
-    assert sd.overlaps.tolist() == [qw.overlap(params, l) for l in levels]
+    assert list(sd.overlaps) == [qw.overlap(params, l) for l in levels]
