@@ -15,6 +15,7 @@ between the two lowest levels to more digits, and -gamma*lambda_0 is added
 back to the eigenvalues.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,9 +31,9 @@ from .spectral import SpectralData, spectral_data
 # 194 MB of RSS for its 39 MB CSV report (JSON: 1.8-2.2 s, 208 MB, 58 MB) on
 # a shared 2-vCPU x86_64 VM with one BLAS thread.
 MAX_SCAN_SAMPLES = 10**6
-_PEAK_COARSE_SAMPLES = 2001
-_PEAK_REL_TOL = 1e-6
+_EPS = 2.0**-52
 _CLAMP_WARN_EXCESS = 1e-10
+_NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -186,22 +187,6 @@ def _probs_on_grid(
     return _clamp_probs(np.abs(amps) ** 2)
 
 
-def _prob_scalar(terms: tuple, t: float) -> float:
-    # |sum_j w_j e^{-iE_j t}|^2 over (E_j, w_j) pairs, in plain floats: for
-    # a (k+1)-term sum at one point, numpy's per-call overhead would dominate.
-    # Overshoot past 1 is clamped and warned about as in _clamp_probs.
-    re = im = 0.0
-    for energy, weight in terms:
-        x = energy * t
-        re += weight * math.cos(x)
-        im += weight * math.sin(x)
-    p = re * re + im * im
-    if p > 1.0:
-        _warn_overshoot(p - 1.0)
-        return 1.0
-    return p
-
-
 def _check_window(t0, t1) -> tuple:
     # The checked bracket (t0, t1), as Python floats.
     t0, t1 = _real(t0, "t0"), _real(t1, "t1")
@@ -271,63 +256,197 @@ def scan(
     )
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _curve_at(terms: tuple, t: float) -> tuple:
+    # (t, p, p', p'') over (e_j, w_j, w_j e_j, w_j e_j^2) terms, in plain
+    # floats; C_r + i S_r = sum_j w_j e_j^r exp(i e_j t), p = C_0^2 + S_0^2.
+    c0 = s0 = c1 = s1 = c2 = s2 = 0.0
+    for e, w, we, wee in terms:
+        cos, sin = math.cos(e * t), math.sin(e * t)
+        c0, s0, c1, s1 = c0 + w * cos, s0 + w * sin, c1 + we * cos, s1 + we * sin
+        c2, s2 = c2 + wee * cos, s2 + wee * sin
+    p2 = 2 * (c1 * c1 + s1 * s1 - c0 * c2 - s0 * s2)
+    return t, c0 * c0 + s0 * s0, 2 * (s0 * c1 - c0 * s1), p2
 
 
-def _grid_time(t0: float, t1: float, m: int, j: int) -> float:
-    """``np.linspace(t0, t1, m)[j]`` without the grid, for (t1 - t0)/(m - 1) > 0.
+def _bound(row: tuple, r: float, bounds: tuple) -> tuple:
+    # (bound, row): p within r of row = (t, p, p', p'') is at most bound, by
+    # Taylor's theorem with |p''| <= bounds[0] and |p'''| <= bounds[1].
+    _, p, d1, d2 = row
+    x = max(-r, min(r, -d1 / d2 if d2 < 0 else math.copysign(r, d1)))
+    cubic = d1 * x + d2 * x * x / 2 + bounds[1] * r * r * r / 6
+    return p + min(cubic, abs(d1) * r + bounds[0] * r * r / 2), row
 
-    numpy forms j*step + t0 with step = (t1 - t0)/(m - 1), as here, and
-    stores t1 itself as the last entry.
-    """
-    return t1 if j == m - 1 else t0 + j * ((t1 - t0) / (m - 1))
+
+def _newton(terms: tuple, row: tuple, t0: float, t1: float) -> tuple:
+    # Newton steps on p' from row = (t, p, p', p'') in [t0, t1] while p is
+    # concave and does not fall, until a step is at most 4 ulp; the last row.
+    for _ in range(_NEWTON_STEPS):
+        t = min(t1, max(t0, row[0] - row[2] / row[3])) if row[3] < 0 else row[0]
+        if abs(t - row[0]) <= 4 * math.ulp(t) or (step := _curve_at(terms, t))[1] < row[1]:
+            return row
+        row = step
+    return row
+
+
+def _refine(terms: tuple, bounds: tuple, tol: float, stack: list, best: tuple) -> tuple:
+    # best raised to the maximum of p, less at most tol, over the segments
+    # (lo, hi, _bound at a row inside) on the stack.  With r the distance
+    # from that row to the farther end, p is monotone on the segment if
+    # |p'| > bounds[0] r, and peaks at an end; it is concave if p'' +
+    # bounds[1] r < 0, and a Newton on p' that keeps a bracket, and bisects
+    # where a step leaves it, finds its one maximum; else the segment is
+    # halved at the row.
+    while stack:
+        lo, hi, (top, row) = stack.pop()
+        r = max(row[0] - lo, hi - row[0])
+        if top <= best[1] + tol:
+            continue
+        if abs(row[2]) > bounds[0] * r:
+            row = _curve_at(terms, hi if row[2] > 0 else lo)
+            best = row if row[1] > best[1] else best
+        elif row[3] + bounds[1] * r < 0:
+            if lo < best[0] < hi and abs(best[2]) <= -4 * math.ulp(best[0]) * best[3]:
+                continue
+            known = [False, False]
+            for _ in range(_NEWTON_STEPS):
+                if row[2] != 0:
+                    lo, hi = (row[0], hi) if row[2] > 0 else (lo, row[0])
+                    known[row[2] < 0] = True
+                t = row[0] - row[2] / row[3] if row[3] < 0 else lo + (hi - lo) / 2
+                if abs(t - row[0]) <= 4 * math.ulp(t) or hi - lo <= 4 * math.ulp(hi):
+                    break
+                if not lo < t < hi:
+                    t = lo + (hi - lo) / 2 if known[t >= hi] else hi if t >= hi else lo
+                row = _curve_at(terms, t)
+                best = row if row[1] > best[1] else best
+        elif hi - lo > 4 * math.ulp(hi):
+            for u, v in ((lo, row[0]), (row[0], hi)):
+                stack.append((u, v, _bound(_curve_at(terms, u + (v - u) / 2), (v - u) / 2, bounds)))
+    return best
 
 
 def _peak(dec: EigDecomp, weights: np.ndarray, t0: float, t1: float) -> tuple:
     # find_peak on a solved reduced model; the bracket is already checked.
-    # A zero grid step gives equal probabilities, so i == 0 raises below.
-    probs = _probs_on_grid(dec, weights, t0, t1, _PEAK_COARSE_SAMPLES)
-    i = int(np.argmax(probs))
-    if i == 0 or i == _PEAK_COARSE_SAMPLES - 1:
-        raise BracketError(
-            f"no interior maximum in bracket ({t0}, {t1}); argmax at endpoint"
-        )
-    a, best_t, b = (_grid_time(t0, t1, _PEAK_COARSE_SAMPLES, j) for j in (i - 1, i, i + 1))
-    best_p = float(probs[i])
-    terms = tuple(zip(dec.values.tolist(), weights.tolist()))
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = _prob_scalar(terms, c), _prob_scalar(terms, d)
-    while b - a > _PEAK_REL_TOL * max(abs(a), abs(b), 1e-300):
-        if fc > best_p:
-            best_t, best_p = c, fc
-        if fd > best_p:
-            best_t, best_p = d, fd
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _prob_scalar(terms, d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = _prob_scalar(terms, c)
-    return best_t, best_p
+    # The README ("Peak search") derives the windows and bounds used here.
+    values, signed = dec.values.tolist(), weights.tolist()
+    w = [abs(y) for y in signed]
+    a, b, *others = sorted(range(len(w)), key=w.__getitem__, reverse=True)
+    centre = (values[a] + values[b]) / 2
+    e, terms, m = [v - centre for v in values], [], [0.0] * 4
+    for x, y, z in zip(e, signed, w):
+        terms.append((x, y, y * x, y * x * x))
+        x = abs(x)
+        m = [m[0] + z, m[1] + z * x, m[2] + z * x * x, m[3] + z * x * x * x]
+    terms, tol = tuple(terms), 4 * _EPS * m[0] * (t1 * m[1] + len(w) + 5)
+    bounds = (2 * (m[0] * m[2] + m[1] ** 2), 2 * (m[0] * m[3] + 3 * m[1] * m[2]))
+    spread = max(e) - min(e)
+    reach = math.pi / 4 / spread if spread else math.inf
+    c = others[0] if others and e[others[0]] and w[others[0]] else None
+    wc = w[c] if c is not None else 0.0
+    rho, amp, gap = max(m[0] - w[a] - w[b] - wc, 0.0), 2 * w[a] * w[b], abs(e[b] - e[a])
+    phase = 0.0 if signed[a] * signed[b] > 0 else math.pi
+    arg = lambda t: (signed[c] < 0) * math.pi - cmath.phase(
+        signed[a] * cmath.exp(1j * e[a] * t) + signed[b] * cmath.exp(1j * e[b] * t)
+    )
+    crest = (phase + 2 * math.pi * math.ceil((gap * t0 - phase) / (2 * math.pi))) / (gap or 1)
+    best, spans = (t0, -math.inf, 0.0, 0.0), [(t0, t1)]
+    if amp and gap and crest <= t1:
+        # Newton from the crest of the ripple of c nearest the crest of P2
+        # gives best, a value p reaches.
+        t = crest
+        if c is not None:
+            psi = arg(crest)
+            t = (2 * math.pi * round((e[c] * crest + psi) / (2 * math.pi)) - psi) / e[c]
+        best = _newton(terms, _curve_at(terms, min(t1, max(t0, t))), t0, t1)
+        level = best[1] + tol - 2 * (w[a] + w[b] + wc) * rho - rho * rho
+        p2_min = (math.sqrt(level) - wc) ** 2 if level > wc * wc else 0.0
+        floor = (p2_min - w[a] ** 2 - w[b] ** 2) / amp
+        if floor > 1:
+            spans = []
+        elif floor > -1:
+            half = math.acos(floor) / gap
+            first = math.ceil((gap * (t0 - half) - phase) / (2 * math.pi))
+            last = math.floor((gap * (t1 + half) - phase) / (2 * math.pi))
+            if last - first >= MAX_SCAN_SAMPLES:
+                raise NumericalError(_too_many(t0, t1))
+            crests = [(phase + 2 * math.pi * j) / gap for j in range(first, last + 1)]
+            spans = [(max(t0, x - half), min(t1, x + half), x) for x in crests]
+            spans = [span for span in spans if span[0] <= span[1]]
+            if c is not None and p2_min > 0:
+                spans = _ripple_parts(e, w, a, b, c, phase, arg, spans, level, p2_min)
+    counts = [max(1, math.ceil((span[1] - span[0]) / (2 * reach))) for span in spans]
+    if sum(counts) > MAX_SCAN_SAMPLES:
+        raise NumericalError(_too_many(t0, t1))
+    # Each point of the spans lies within reach = 1/8 of the fastest period
+    # 2 pi/(max e - min e) of the point of its segment where p is sampled:
+    # the centre, or best where that is as near.
+    stack = []
+    for (lo, hi, *_), n in zip(spans, counts):
+        ends = [lo + (hi - lo) * (j / n) for j in range(n)] + [hi] if n > 1 else (lo, hi)
+        for u, v in zip(ends, ends[1:]):
+            if u <= best[0] <= v and best[0] - u <= reach and v - best[0] <= reach:
+                row = best
+            else:
+                row = _curve_at(terms, u + (v - u) / 2)
+                best = row if row[1] > best[1] else best
+            r = row[0] - u if row[0] - u > v - row[0] else v - row[0]
+            stack.append((u, v, _bound(row, r, bounds)))
+    stack.sort(key=lambda segment: segment[2][0])
+    t, p = _newton(terms, _refine(terms, bounds, tol, stack, best), t0, t1)[:2]
+    if t in (t0, t1):
+        raise BracketError(f"no interior maximum in bracket ({t0}, {t1}); maximum at an endpoint")
+    if p > 1.0:
+        _warn_overshoot(p - 1.0)
+        p = 1.0
+    return t, p
+
+
+def _ripple_parts(e, w, a, b, c, phase, arg, spans, level, p2_min) -> list:
+    # The parts of the spans where cos(theta) >= c_min about a crest tau of
+    # theta = e_c t + arg(t), arg(t) = arg(w_c) - arg(A2(t)), which drifts
+    # from its value at the crest of P2 by gap (|w_a| + |w_b|)/(2 |A2|) per
+    # unit time at most.
+    amp, gap, period = 2 * w[a] * w[b], abs(e[b] - e[a]), math.pi / abs(e[c])
+    drift = gap * (w[a] + w[b]) / (2 * math.sqrt(p2_min) * abs(e[c]))
+    base, gain, parts = w[a] ** 2 + w[b] ** 2, level - w[c] ** 2, []
+    for lo, hi, crest in spans:
+        psi = arg(crest)
+        ends = sorted(((e[c] * lo + psi) / (2 * math.pi), (e[c] * hi + psi) / (2 * math.pi)))
+        for j in range(math.ceil(ends[0] - 0.5), math.floor(ends[1] + 0.5) + 1):
+            tau = (2 * math.pi * j - psi) / e[c]
+            u = tau - period if tau - period > lo else lo
+            v = tau + period if tau + period < hi else hi
+            near = crest if u < crest < v else u if crest <= u else v
+            top = base + amp * math.cos(gap * near - phase)
+            c_min = (gain - top) / (2 * w[c] * math.sqrt(top if gain >= top else p2_min))
+            if c_min > 1:
+                continue
+            width = math.acos(max(c_min, -1.0)) / abs(e[c]) + drift * (abs(tau - crest) + period)
+            u, v = max(u, tau - width), min(v, tau + width)
+            if u <= v:
+                parts.append((parts.pop()[0], v) if parts and parts[-1][1] == u else (u, v))
+    return parts
+
+
+def _too_many(t0: float, t1: float) -> str:
+    return f"bracket ({t0}, {t1}) needs over {MAX_SCAN_SAMPLES} samples"
 
 
 def find_peak(params: GraphParams, gamma: float, bracket) -> tuple:
-    """A local maximum of the success probability in a time bracket.
+    """The maximum of the success probability over a time bracket.
 
     The bracket must be a pair (t0, t1) of reals with 0 <= t0 < t1 and
-    (gamma*k(n-k) + 1)*t1 finite.  A 2001-point coarse scan (the factored
-    phase table of :func:`scan`) picks the argmax, which must be interior
-    to the bracket, else :class:`BracketError`; golden-section then refines
-    it within one coarse step, to relative time tolerance 1e-6, evaluating
-    the (k+1)-term amplitude one point at a time in scalar arithmetic.
-    Returns (t_peak, p_peak) with p_peak at least the best value seen at
-    any evaluation, coarse scan included.  That is not always the highest
-    value in the bracket: the search can stop on a crest of the ripple that
-    levels 2..k add to the main peak (7.3e-9 below it at J(1000,4); see the
-    README).
+    (gamma*k(n-k) + 1)*t1 finite.  Returns (t_peak, p_peak) with p_peak
+    within beta = 12 eps m_0 (t1 m_1 + d + 5) of the largest p on [t0, t1],
+    and no evaluation of p in the same arithmetic above p_peak + beta:
+    eps = 2^-52 and m_r = sum_j |w_j| |E_j - E_mid|^r over the d = k+1
+    levels of the solved model, E_mid being the midpoint of the two levels
+    of largest |w_j|.  t_peak is resolved by Newton on p' to a few ulp.  A
+    maximum at t0 or t1 raises :class:`BracketError`, and a bracket whose
+    search needs more than MAX_SCAN_SAMPLES samples :class:`NumericalError`
+    before they are taken.  The search bounds p by the carriers' two-level
+    curve and the phase of the largest other level, and samples only where
+    p can beat the best value found (README, "Peak search").
     """
     try:
         t0, t1 = bracket

@@ -395,7 +395,8 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
 
     The reduced model is solved once; the success probability at run_time
     and the peak search (as :func:`success_probability` and
-    :func:`find_peak` compute them) share that solve.
+    :func:`find_peak` compute them) share that solve.  p_peak is within
+    find_peak's bound beta of the largest p on (0, 2*run_time).
     """
     gamma = coupling.gamma_star(params)
     sd = spectral_data(params)

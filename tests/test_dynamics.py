@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import centred, peak_beta, scan_max
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qwsearch as qw
-from qwsearch.errors import BracketError, DomainError
+from qwsearch.errors import BracketError, DomainError, NumericalError
 
 
 def evolve(dec, psi, t):
@@ -334,7 +336,7 @@ def test_find_peak_k2_exact_values():
     # peak of 7/10 - cos(sqrt(5) t/2)/5: t = 2 pi / sqrt(5), p = 9/10
     params = qw.GraphParams(2, 1)
     t_peak, p_peak = qw.find_peak(params, 0.25, (0.0, 2 * qw.run_time(params)))
-    assert t_peak == pytest.approx(2 * math.pi / math.sqrt(5), rel=1e-5)
+    assert t_peak == pytest.approx(2 * math.pi / math.sqrt(5), rel=1e-12)
     assert p_peak == pytest.approx(0.9, abs=1e-12)
     assert p_peak >= qw.success_probability(params, 0.25, qw.run_time(params))
 
@@ -359,21 +361,48 @@ def test_find_peak_bracket_errors():
         qw.find_peak(params, 0.25, (2.0, 1.0))
 
 
-_TIMES = st.one_of(
-    st.floats(0.0, 1e3),
-    st.floats(0.0, 1e300),
-    st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1e308]),
+# Graphs with at most 56 vertices: the dense scans below stay cheap.
+_SMALL_GRAPHS = [(n, k) for k in (1, 2, 3) for n in range(2 * k, 57) if math.comb(n, k) <= 56]
+
+
+@settings(max_examples=150)
+@given(
+    graph=st.sampled_from(_SMALL_GRAPHS),
+    scale=st.floats(-3.0, 3.0),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
 )
+def test_find_peak_is_within_beta_of_dense_scans(graph, scale, ends):
+    # gamma in [gamma*/8, 8 gamma*], a bracket inside [0, 4 t_run]: the peak
+    # is at least the dense maximum less beta, or the bracket is refused
+    # exactly when an endpoint holds that maximum, to within beta.
+    params = qw.GraphParams(*graph)
+    gamma = qw.gamma_star(params) * 2.0**scale
+    t0, t1 = sorted(4 * qw.run_time(params) * x for x in ends)
+    assume(t1 - t0 > 1e-6)
+    dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
+    beta = peak_beta(dec, weights, t1)
+    dense = scan_max(dec, weights, t0, t1, 20_001)
+    edge = scan_max(dec, weights, t0, t1, 2)
+    try:
+        t_peak, p_peak = qw.find_peak(params, gamma, (t0, t1))
+    except BracketError:
+        assert edge >= dense - beta
+    else:
+        assert t0 < t_peak < t1
+        assert p_peak >= dense - beta and p_peak + beta >= edge
 
 
-@settings(max_examples=300)
-@given(t0=_TIMES, t1=_TIMES, m=st.sampled_from([2, 3, 101, 2001]))
-def test_grid_time_is_linspace_bit_for_bit(t0, t1, m):
-    # find_peak reads its coarse grid times from _grid_time, not np.linspace
-    t0, t1 = sorted((t0, t1))
-    assume(t0 < t1 and (t1 - t0) / (m - 1) > 0)
-    grid = [qw.dynamics._grid_time(t0, t1, m, j).hex() for j in range(m)]
-    assert grid == [t.hex() for t in np.linspace(t0, t1, m).tolist()]
+def test_find_peak_refuses_a_bracket_that_needs_too_many_samples():
+    # (0, 1e9) at gamma = 1 on J(10,4) needs over MAX_SCAN_SAMPLES samples:
+    # refused before any sample table is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="samples"):
+            qw.find_peak(qw.GraphParams(10, 4), 1.0, (0.0, 1e9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 def _phase_rounding_bound(dec, t1):
@@ -409,28 +438,46 @@ def test_scan_probs_match_success_probability():
 
 @pytest.mark.parametrize("n,k", [(6, 3), (1000, 2), (300, 4)])
 def test_scalar_refinement_matches_pointwise(n, k):
+    # _curve_at's p, p' and p'' on the centred levels against numpy's
+    # amplitude A = sum_j w_j e^{i e_j t} and its derivatives.
     params = qw.GraphParams(n, k)
     gamma = qw.gamma_star(params)
     dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
-    terms = tuple(zip(dec.values.tolist(), weights.tolist()))
+    cdec = centred(dec, weights)
+    e = cdec.values
+    terms = tuple((x, y, y * x, y * x * x) for x, y in zip(e.tolist(), weights.tolist()))
     times = np.linspace(0.0, 2 * qw.run_time(params), 57)
+    rows = np.array([qw.dynamics._curve_at(terms, float(t)) for t in times])
+    assert np.array_equal(rows[:, 0], times)
+    phases = np.exp(1j * np.outer(times, e))
+    amp, amp1, amp2 = (phases @ (weights * (1j * e) ** r) for r in range(3))
+    p = np.abs(amp) ** 2
+    d1 = 2 * np.real(np.conj(amp) * amp1)
+    d2 = 2 * (np.abs(amp1) ** 2 + np.real(np.conj(amp) * amp2))
+    bound = _phase_rounding_bound(cdec, times[-1])
+    scale = np.max(np.abs(e))
+    assert np.max(np.abs(rows[:, 1] - p)) <= bound
+    assert np.max(np.abs(rows[:, 2] - d1)) <= bound * scale
+    assert np.max(np.abs(rows[:, 3] - d2)) <= bound * scale**2
     direct = qw.dynamics._probs_at(dec, weights, times)
-    scalar = [qw.dynamics._prob_scalar(terms, float(t)) for t in times]
-    assert np.max(np.abs(scalar - direct)) <= _phase_rounding_bound(dec, times[-1])
+    assert np.max(np.abs(rows[:, 1] - direct)) <= _phase_rounding_bound(dec, times[-1])
 
 
 def test_scalar_refinement_clamps_and_warns_like_arrays():
-    dec = qw.dynamics.EigDecomp(values=np.zeros(2), vectors=np.eye(2))
-    big = np.array([0.6, 0.6])  # |amplitude|^2 = 1.44
+    # p = 0.72 (1 + cos t) peaks at 1.44 at t = 2 pi: find_peak's value is
+    # clamped to 1 with the warning that arrays give.
+    dec = qw.dynamics.EigDecomp(values=np.array([0.0, 1.0]), vectors=np.eye(2))
+    big = np.array([0.6, 0.6])  # |amplitude|^2 up to 1.44
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
-        assert qw.dynamics._prob_scalar(((0.0, 0.6), (0.0, 0.6)), 3.0) == 1.0
+        t_peak, p_peak = qw.dynamics._peak(dec, big, 1.0, 10.0)
+    assert p_peak == 1.0 and t_peak == pytest.approx(2 * math.pi, rel=1e-12)
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
-        assert qw.dynamics._probs_at(dec, big, np.array([3.0]))[0] == 1.0
+        assert qw.dynamics._probs_at(dec, big, np.array([0.0]))[0] == 1.0
     tiny = 0.5 + 1e-12  # overshoot about 2e-12, below the 1e-10 warning level
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert qw.dynamics._prob_scalar(((0.0, 0.5), (0.0, tiny)), 3.0) == 1.0
-        assert qw.dynamics._probs_at(dec, np.array([0.5, tiny]), np.array([3.0]))[0] == 1.0
+        assert qw.dynamics._peak(dec, np.array([0.5, tiny]), 1.0, 10.0)[1] == 1.0
+        assert qw.dynamics._probs_at(dec, np.array([0.5, tiny]), np.array([0.0]))[0] == 1.0
 
 
 def test_clamp_probs_leaves_probabilities_untouched_and_clips_overshoot():

@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from conftest import peak_beta
 
 import qwsearch as qw
 from qwsearch import cli, johnson
@@ -418,7 +419,8 @@ def test_asymptotics_row_k1_against_2x2_formula(n):
 
 
 def test_asymptotics_row_fields_and_sanity():
-    row = qw.asymptotics_row(qw.GraphParams(100, 2))
+    params = qw.GraphParams(100, 2)
+    row = qw.asymptotics_row(params)
     d = asdict(row)
     assert list(d) == [
         "n", "N", "gamma_star", "t_run", "p_at_trun", "t_peak", "p_peak",
@@ -427,7 +429,8 @@ def test_asymptotics_row_fields_and_sanity():
     assert row.N == 4950
     assert row.gap > 0 and row.phase > 0
     assert 0 <= row.p_at_trun <= 1 and 0 <= row.p_peak <= 1
-    assert row.p_peak + 1e-12 >= row.p_at_trun
+    dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), row.gamma_star)
+    assert row.p_peak + peak_beta(dec, weights, 2 * row.t_run) >= row.p_at_trun
 
 
 def test_asymptotics_k1_family_trends():
