@@ -156,8 +156,6 @@ def _n_list(text: str):
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad n-list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("n-list must not be empty")
     return values
 
 
@@ -207,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-list", type=_n_list, required=True, help="comma-separated n values")
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted, must be >= 1; rows are computed one after another")
+                   help="an integer >= 1, otherwise ignored: rows are computed one after another")
     add_common(p, with_nk=False)
     p.set_defaults(func=cmd_sweep)
 

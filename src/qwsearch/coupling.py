@@ -17,7 +17,7 @@ and are kept here verbatim as cross-checks.
 import math
 from dataclasses import dataclass
 
-from .domain import GraphParams, _is_int, _real
+from .domain import GraphParams, _int, _real
 from .errors import DomainError, UnsupportedParameterError
 from .spectral import _eigenvalue, _multiplicity
 
@@ -31,8 +31,7 @@ class ScaledParams:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and _is_int(self.k) and self.k >= 1):
-            raise DomainError(f"k must be a positive integer, got {self.k}")
+        object.__setattr__(self, "k", _int(self.k, "k", 1))
         object.__setattr__(self, "eps", _real(self.eps, "eps"))
         if not self.eps > 0:
             raise DomainError(f"eps must be positive, got {self.eps}")

@@ -30,11 +30,19 @@ DEFAULT_FULL_CAP = 3003
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _is_int(value) -> bool:
-    # A Python or numpy integer, and not a bool, which numpy reads as a mask.
+def _int(value, name: str, low=None, high=None) -> int:
+    # The one check of an integer argument: a Python or numpy integer, never
+    # a bool (numpy reads one as a mask), within low..high where given,
+    # returned as a Python int, so no numpy fixed-width value reaches the
+    # arithmetic on an unbounded n.
     np = sys.modules.get("numpy")
     types = int if np is None else (int, np.integer)
-    return isinstance(value, types) and not isinstance(value, bool)
+    if isinstance(value, types) and not isinstance(value, bool):
+        value = int(value)
+        if (low is None or low <= value) and (high is None or value <= high):
+            return value
+    bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+    raise DomainError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 def _real(value, name: str) -> float:
@@ -62,23 +70,20 @@ class GraphParams:
     k: int
 
     def __post_init__(self):
-        # Python integers only: numpy's fixed-width ones could wrap.
-        if not all(isinstance(v, int) and _is_int(v) for v in (self.n, self.k)):
-            raise DomainError("n and k must be integers")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.n < 2 * self.k:
-            raise DomainError(f"need n >= 2k for diameter k, got n={self.n}, k={self.k}")
+        # Stored as the Python ints the checks return.
+        n, k = _int(self.n, "n"), _int(self.k, "k", 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        if n < 2 * k:
+            raise DomainError(f"need n >= 2k for diameter k, got n={n}, k={k}")
         # C(n,k) >= (n/k)^k, so a k*ln(n/k) beyond ln(max float) overflows
         # for sure and is refused before the exact, possibly huge, C(n,k).
         try:
-            if self.k * (math.log(self.n) - math.log(self.k)) > _LOG_FLOAT_MAX:
+            if k * (math.log(n) - math.log(k)) > _LOG_FLOAT_MAX:
                 raise OverflowError
             float(self.num_vertices)
         except OverflowError:
-            raise DomainError(
-                f"C({self.n},{self.k}) overflows the binary64 range"
-            ) from None
+            raise DomainError(f"C({n},{k}) overflows the binary64 range") from None
 
     @property
     def num_vertices(self) -> int:

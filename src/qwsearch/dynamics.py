@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GraphParams, _check_coupling, _is_int, _real
+from .domain import GraphParams, _check_coupling, _int, _real
 from .errors import BracketError, DomainError, NumericalError
 from .spectral import SpectralData, spectral_data
 
@@ -240,12 +240,7 @@ def scan(
     of the phase arguments, a few eps * max|E| * t1.
     """
     t0, t1 = _check_window(t0, t1)
-    if not _is_int(m):
-        raise DomainError(f"m must be an integer, got {m!r}")
-    if m < 2:
-        raise DomainError(f"need at least 2 samples, got m={m}")
-    if m > MAX_SCAN_SAMPLES:
-        raise DomainError(f"at most {MAX_SCAN_SAMPLES} samples, got m={m}")
+    m = _int(m, "m", 2, MAX_SCAN_SAMPLES)
     gamma = _check_phase(params, gamma, t1)
     dec, weights = _reduced_transition(spectral_data(params), gamma)
     return ScanResult(

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DEFAULT_FULL_CAP, GraphParams, _check_coupling, _is_int
-from .errors import CapacityError, DomainError
+from .domain import DEFAULT_FULL_CAP, GraphParams, _check_coupling, _int
+from .errors import CapacityError
 
 # Colex indices kept per process, least recently used dropped first.  A
 # caller cycling through more instances than this rebuilds each one.
@@ -107,8 +107,7 @@ def _narrowest_int(max_value: int):
 def _colex_index(params: GraphParams, cap: int) -> _ColexIndex:
     # The cap is checked on every call, so a memoised index never lets a
     # smaller cap through.
-    if not _is_int(cap):
-        raise DomainError(f"cap must be an integer, got {cap!r}")
+    cap = _int(cap, "cap")
     if params.num_vertices > cap:
         raise CapacityError(
             f"J({params.n},{params.k}) has N={params.num_vertices} vertices, "
@@ -158,13 +157,6 @@ def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndar
     return _colex_index(params, cap).elems.astype(np.int64)
 
 
-def _check_vertex(w: int, n_vert: int):
-    if not _is_int(w):
-        raise DomainError(f"marked vertex id must be an integer, got {w!r}")
-    if not 0 <= w < n_vert:
-        raise DomainError(f"marked vertex id {w} outside 0..{n_vert - 1}")
-
-
 def _adjacency(index: _ColexIndex, weight: float = 1.0) -> np.ndarray:
     # One flat scatter of ``weight`` on the edges into a fresh zero matrix,
     # so -gamma*A is written in the same pass; the diagonal stays +0.0.
@@ -188,9 +180,8 @@ def _class_sizes(params: GraphParams) -> list:
 
 
 def _distance_labels(index: _ColexIndex, w: int) -> np.ndarray:
-    # label[v] = k - |v & w|, the graph distance of v from w.
+    # label[v] = k - |v & w|, the graph distance of v from w, a checked mark.
     params = index.params
-    _check_vertex(w, len(index.elems))
     in_w = np.zeros(params.n + 1, dtype=np.int64)
     in_w[index.elems[w]] = 1
     label = params.k - in_w[index.elems].sum(axis=1)
@@ -225,7 +216,9 @@ def distance_partition(
     params: GraphParams, w: int, cap: int = DEFAULT_FULL_CAP
 ) -> DistancePartition:
     """Partition all vertex ids by intersection size with the marked subset."""
-    label = _distance_labels(_colex_index(params, cap), w)
+    index = _colex_index(params, cap)
+    w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
+    label = _distance_labels(index, w)
     # One stable sort groups the ids by class, ascending within each, and
     # the checked class sizes split it.
     order = np.argsort(label, kind="stable").astype(np.int64, copy=False)
@@ -244,7 +237,7 @@ def full_hamiltonian(
     N x N array, and the zeros of H are +0.0.
     """
     gamma = _check_coupling(params, gamma)
-    _check_vertex(w, params.num_vertices)
+    w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
     h = _adjacency(_colex_index(params, cap), -gamma)
     h[w, w] = -1.0
     return h

@@ -30,19 +30,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .domain import GraphParams, _check_coupling, _is_int
+from .domain import GraphParams, _check_coupling, _int
 from .errors import DomainError
-
-
-def _check_ell(k: int, ell) -> int:
-    # The one level check, made at the public boundary; the level comes back
-    # as a Python int, so a numpy integer cannot wrap against an unbounded n.
-    if not _is_int(ell):
-        raise DomainError(f"ell must be an integer, got {ell!r}")
-    ell = int(ell)
-    if not 0 <= ell <= k:
-        raise DomainError(f"ell={ell} outside 0..{k}")
-    return ell
 
 
 def _eigenvalue(n: int, k: int, ell: int) -> int:
@@ -56,12 +45,12 @@ def _multiplicity(n: int, ell: int) -> int:
 
 def eigenvalue(params: GraphParams, ell: int) -> int:
     """Adjacency eigenvalue (k-l)(n-k-l) - l; equals the degree at l=0."""
-    return _eigenvalue(params.n, params.k, _check_ell(params.k, ell))
+    return _eigenvalue(params.n, params.k, _int(ell, "ell", 0, params.k))
 
 
 def multiplicity(params: GraphParams, ell: int) -> int:
     """Eigenspace dimension C(n,l) - C(n,l-1) (exact integer)."""
-    return _multiplicity(params.n, _check_ell(params.k, ell))
+    return _multiplicity(params.n, _int(ell, "ell", 0, params.k))
 
 
 def overlap(params: GraphParams, ell: int) -> float:
@@ -78,7 +67,7 @@ def overlap_sq_factorial(params: GraphParams, ell: int) -> float:
     with :class:`DomainError` where n-l+1 exceeds ``sys.maxsize``, the
     range of ``math.factorial``.
     """
-    ell = _check_ell(params.k, ell)
+    ell = _int(ell, "ell", 0, params.k)
     n, k = params.n, params.k
     if n - ell + 1 > sys.maxsize:
         raise DomainError(f"(n-l+1)! with n={n}, l={ell} is beyond math.factorial")
@@ -105,19 +94,12 @@ def spectral_data(params: GraphParams) -> SpectralData:
     """All closed-form spectral quantities of J(n,k) in one bundle."""
     n, k = params.n, params.k
     levels = range(k + 1)
+    # lambda_l - lambda_(l+1) = n - 2l >= 2 once n >= 2k: strictly decreasing.
     lambdas = tuple([float(_eigenvalue(n, k, l)) for l in levels])
-    # Barred by n >= 2k.
-    if not all(a > b for a, b in zip(lambdas, lambdas[1:])):  # pragma: no cover
-        raise DomainError("eigenvalues not strictly decreasing; params out of range")
     n_vert = params.num_vertices
     mults = tuple(_multiplicity(n, l) for l in levels)
-    if sum(mults) != n_vert:  # pragma: no cover
-        raise AssertionError("multiplicities do not sum to N")
     # sqrt(m_l / N) as in overlap(), from the multiplicities already in hand
     overlaps = tuple([math.sqrt(m / n_vert) for m in mults])
-    total = math.fsum(p * p for p in overlaps)
-    if abs(total - 1.0) > 1e-14:  # pragma: no cover
-        raise AssertionError(f"overlap completeness violated: sum p^2 = {total}")
     return SpectralData(params=params, lambdas=lambdas, mults=mults, overlaps=overlaps)
 
 

@@ -49,12 +49,11 @@ from .dynamics import (
     run_time,
     sym_eig,
 )
-from .domain import DEFAULT_FULL_CAP, GraphParams, _check_coupling
+from .domain import DEFAULT_FULL_CAP, GraphParams, _check_coupling, _int
 from .errors import DomainError, NumericalError
 from .johnson import (
     _INDEX_MEMO_SIZE,
     _adjacency,
-    _check_vertex,
     _class_image,
     _colex_index,
     _distance_labels,
@@ -69,7 +68,7 @@ from .spectral import (
 )
 
 # Dense eigenvalues are assigned to closed-form levels within this distance;
-# the closed-form levels are integers at least 1 apart, a 1e6 safety margin.
+# the closed-form levels are integers n - 2l >= 2 apart, a 1e6 safety margin.
 _CLUSTER_TOL = 1e-6
 
 # A Lanczos run has closed once its beta is at most this times the norm
@@ -216,16 +215,14 @@ def compare_full_reduced(
     at t_max = 2*run_time this is its oracle_equivalence, bit for bit.
     """
     gamma, t_max = _check_time(params, gamma, t_max, "t_max")
-    _check_vertex(w, params.num_vertices)
-    full, _ = _full_lanczos(params, gamma, (w, (int(w) + 1) % params.num_vertices), cap)
+    w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
+    full, _ = _full_lanczos(params, gamma, (w, (w + 1) % params.num_vertices), cap)
     return _sup_distance(full, (_reduced_transition(spectral_data(params), gamma), 0.0), t_max)
 
 
 def _full_lanczos(params, gamma, marks, cap) -> list:
-    # (transition, beta) of _lanczos on a fresh A per distinct mark, after
-    # the mark checks; the caller has checked gamma.
-    for w in marks:
-        _check_vertex(w, params.num_vertices)
+    # (transition, beta) of _lanczos on a fresh A per distinct mark; the
+    # caller has checked gamma and the marks.
     marks = tuple(dict.fromkeys(marks))
     return list(zip(*_lanczos(adjacency_matrix(params, cap), gamma, marks, params)))
 
@@ -245,15 +242,14 @@ def compare_marked_vertices(
     :func:`compare_full_reduced` for the contract on ``t_max`` and the bound.
     """
     gamma, t_max = _check_time(params, gamma, t_max, "t_max")
-    curves = _full_lanczos(params, gamma, (w1, w2), cap)
+    last = params.num_vertices - 1
+    marks = _int(w1, "marked vertex w1", 0, last), _int(w2, "marked vertex w2", 0, last)
+    curves = _full_lanczos(params, gamma, marks, cap)
     return _sup_distance(curves[0], curves[-1], t_max)
 
 
-def _spectrum_checks(sd, dense_values) -> tuple:
-    spacings = -np.diff(sd.lambdas)
-    if np.min(spacings) <= 2 * _CLUSTER_TOL:  # pragma: no cover - needs n < 2k
-        raise NumericalError("closed-form eigenvalues too close to cluster safely")
-    dense = np.sort(dense_values)
+def _spectrum_checks(sd, dense) -> tuple:
+    # dense is eigvalsh's output, ascending.
     expanded = np.repeat(sd.lambdas[::-1], sd.mults[::-1])
     value_residual = float(np.max(np.abs(dense - expanded)))
     counts = np.count_nonzero(np.abs(dense[:, None] - sd.lambdas) <= _CLUSTER_TOL, axis=0)
@@ -333,7 +329,8 @@ def check_partition_invariance(
     O(N k^2) and without an N x N array, so the residual is exactly 0.0
     when the classes are equitable.
     """
-    return _partition_invariance(_colex_index(params, cap), w)
+    index = _colex_index(params, cap)
+    return _partition_invariance(index, _int(w, "marked vertex w", 0, params.num_vertices - 1))
 
 
 def _projector_basis(a, lambdas, w) -> np.ndarray:
@@ -375,7 +372,7 @@ def reduced_embedding_residual(
     B comes from the exact integer vectors prod_{j != l} (A - lambda_j)|w>
     and H acts through the dense A, so no eigensolve is made."""
     gamma = _check_coupling(params, gamma)
-    _check_vertex(w, params.num_vertices)
+    w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
     a = adjacency_matrix(params, cap)
     return _embedding_residual(spectral_data(params), a, gamma, w)
 
@@ -430,13 +427,17 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
 def convergence_sweep(k: int, n_list, jobs: int = 1) -> list:
     """One :func:`asymptotics_row` per n, at the critical coupling throughout.
 
+    ``n_list`` is a non-empty, strictly ascending iterable of integers.
     Rows are computed one after another in input order.  ``jobs`` must be
-    at least 1 and is otherwise ignored: a row costs well under a
+    an integer >= 1 and is otherwise ignored: a row costs well under a
     millisecond, and a thread pool was slower at every measured size.
     """
-    if not jobs >= 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
-    n_list = list(n_list)
+    _int(jobs, "jobs", 1)
+    try:
+        items = iter(n_list)
+    except TypeError:
+        raise DomainError(f"n_list must be an iterable of integers, got {n_list!r}") from None
+    n_list = [_int(n, "each n of n_list") for n in items]
     if not n_list:
         raise DomainError("n_list must not be empty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -462,11 +463,12 @@ def validate_instance(
     of [0, t_max]; see :func:`compare_full_reduced`.
     """
     index = _colex_index(params, cap)
+    w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
     invariance = _partition_invariance(index, w)
     record = _memo_graph(params)
     a = _adjacency(index)
     embedding = _embedding_residual(record.sd, a, record.gamma, w)
-    w2 = (int(w) + 1) % params.num_vertices
+    w2 = (w + 1) % params.num_vertices
     full_w, full_w2 = zip(*_lanczos(a, record.gamma, (w, w2), params))
     oracle = _sup_distance(full_w, (record.reduced, 0.0), record.t_max)
     checks = record.checks + (

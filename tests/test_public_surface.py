@@ -98,8 +98,8 @@ _P = qw.GraphParams(6, 3)
 _G = qw.gamma_star(_P)
 _T = 1.0
 _CAP = 20  # N of J(6,3)
-# Each takes one integer x: a marked vertex, a level, a sample count, k or
-# the full-space cap.
+# Each takes one integer x: a marked vertex, a level, a sample count, n or
+# k, an n of a sweep, the sweep's jobs or the full-space cap.
 INTEGER_ARGUMENTS = {
     "full_hamiltonian": lambda x: qw.full_hamiltonian(_P, _G, x),
     "distance_partition": lambda x: qw.distance_partition(_P, x),
@@ -115,8 +115,11 @@ INTEGER_ARGUMENTS = {
     "overlap_sq_factorial": lambda x: qw.overlap_sq_factorial(_P, x),
     "scan-m": lambda x: qw.scan(_P, _G, 0.0, 1.0, x),
     "scan-m-above-2": lambda x: qw.scan(_P, _G, 0.0, 1.0, x + 100.0),
+    "GraphParams-n": lambda x: qw.GraphParams(x, 1),
     "GraphParams-k": lambda x: qw.GraphParams(4, x),
     "ScaledParams-k": lambda x: qw.ScaledParams(0.1, x),
+    "convergence_sweep-n_list": lambda x: qw.convergence_sweep(1, [x]),
+    "convergence_sweep-jobs": lambda x: qw.convergence_sweep(1, [4], jobs=x),
     "vertex_elements-cap": lambda x: qw.johnson.vertex_elements(_P, x),
     "adjacency_matrix-cap": lambda x: qw.adjacency_matrix(_P, x),
     "distance_partition-cap": lambda x: qw.distance_partition(_P, 0, x),
@@ -131,7 +134,7 @@ INTEGER_ARGUMENTS = {
     "compare_marked_vertices-cap": lambda x: qw.compare_marked_vertices(_P, _G, 0, 1, _T, x),
 }
 # The accepted value each call is tried with, where it is not 1.
-_INTEGER_VALUES = {"scan-m": 101} | {
+_INTEGER_VALUES = {"scan-m": 101, "GraphParams-n": 2, "convergence_sweep-n_list": 4} | {
     name: _CAP for name in INTEGER_ARGUMENTS if name.endswith("-cap")
 }
 
@@ -155,14 +158,16 @@ def test_caps_refuse_what_is_not_an_integer(name, value):
 
 
 def test_integer_arguments_accept_numpy_integers():
-    # Marks, levels and sample counts may be numpy integers; GraphParams
-    # and ScaledParams take Python integers only.
+    # Every integer argument may be a numpy integer, read as its value.
     for name, call in INTEGER_ARGUMENTS.items():
-        if name in ("scan-m-above-2", "GraphParams-k", "ScaledParams-k"):
+        if name == "scan-m-above-2":
             continue
         x = _INTEGER_VALUES.get(name, 1)
         plain = [getattr(r, "__dict__", r) for r in (call(np.int64(x)), call(x))]
         np.testing.assert_equal(*plain, err_msg=name)
+    # n and k are kept as Python ints, so no arithmetic on them can wrap.
+    params = qw.GraphParams(np.int64(6), np.int32(3))
+    assert (type(params.n), type(params.k)) == (int, int) and params == _P
 
 
 def test_narrow_numpy_marks_pair_with_their_neighbour():

@@ -479,10 +479,18 @@ def test_convergence_sweep_parallel_identical():
     assert seq == par  # bit-identical rows, independent of parallelism
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, "2", None, True, 1.5], ids=repr)
 def test_convergence_sweep_rejects_jobs_below_one(jobs):
-    with pytest.raises(DomainError, match="jobs"):
+    with pytest.raises(DomainError, match="^jobs must be an integer >= 1"):
         qw.convergence_sweep(2, [100], jobs=jobs)
+
+
+@pytest.mark.parametrize("n_list", [100, "100", None, [100.0], ["100"]], ids=repr)
+def test_convergence_sweep_refuses_what_is_not_a_list_of_integers(n_list):
+    # An int or None is no list; "100" is one of strs, not of integers.
+    message = "^(n_list must be an iterable|each n of n_list must be an integer)"
+    with pytest.raises(DomainError, match=message):
+        qw.convergence_sweep(3, n_list)
 
 
 def _count_calls(monkeypatch, owner, name):
