@@ -9,9 +9,11 @@ critical hopping rate gamma_star and the run time pi*n^(k/2)/(2*sqrt(k!)).
 
 ``import qwsearch`` imports none of its modules: each public name and each
 submodule is imported on first access.  The exact layer (:mod:`qwsearch.domain`,
-:mod:`qwsearch.spectral`, :mod:`qwsearch.coupling`) needs only the standard
-library, so the closed-form spectrum and gamma_star never load numpy; the
-full space, the reduced solve and the oracle do.
+:mod:`qwsearch.spectral`, :mod:`qwsearch.coupling`) and the reduced model
+(:mod:`qwsearch.reduced`: its secular solve, the success curve, the peak
+search and the sweep rows) need only the standard library, so
+gamma_star, success_probability, find_peak and convergence_sweep never
+load numpy; the full space, the time-grid scan and the oracle do.
 """
 
 import importlib
@@ -22,23 +24,23 @@ __version__ = "0.1.0"
 _HOMES = {
     "coupling": ("ScaledParams", "from_graph", "gamma_closed_form", "gamma_star"),
     "domain": ("DEFAULT_FULL_CAP", "GraphParams"),
-    "dynamics": (
-        "EigDecomp", "ScanResult", "find_peak", "run_time", "scan",
-        "success_probability", "sym_eig",
-    ),
+    "dynamics": ("EigDecomp", "ScanResult", "scan", "sym_eig"),
     "errors": (
         "BracketError", "CapacityError", "DomainError", "NumericalError",
         "UnsupportedParameterError",
     ),
     "johnson": ("DistancePartition", "adjacency_matrix", "distance_partition", "full_hamiltonian"),
+    "reduced": (
+        "SweepRow", "asymptotics_row", "convergence_sweep", "find_peak", "run_time",
+        "success_probability",
+    ),
     "spectral": (
         "ReducedHamiltonian", "SpectralData", "eigenvalue", "multiplicity", "overlap",
         "overlap_sq_factorial", "reduced_hamiltonian", "spectral_data",
     ),
     "validation": (
-        "SweepRow", "ValidationReport", "asymptotics_row", "check_partition_invariance",
-        "check_spectrum", "compare_full_reduced", "compare_marked_vertices",
-        "convergence_sweep", "validate_instance",
+        "ValidationReport", "check_partition_invariance", "check_spectrum",
+        "compare_full_reduced", "compare_marked_vertices", "validate_instance",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

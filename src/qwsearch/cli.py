@@ -12,8 +12,10 @@ binary64, refused at once however large n and k are; a time t whose phase
 bound (gamma*k(n-k) + 1)*t overflows; and a run time that overflows
 binary64 (at every n from k = 171, and from n = 4176 at k = 170).
 
-``spectrum`` and ``gamma`` are exact arithmetic and never load numpy: this
-module imports the numerical layers inside the commands that use them.
+``spectrum`` and ``gamma`` are exact arithmetic, and ``simulate`` and
+``sweep`` run on the reduced model's secular solve in plain floats
+(:mod:`qwsearch.reduced`); none of the four loads numpy.  This module
+imports the numerical layers inside the commands that use them.
 """
 
 import argparse
@@ -114,12 +116,12 @@ def cmd_gamma(args):
 
 
 def cmd_simulate(args):
-    from . import dynamics
+    from . import reduced
 
     params = _params(args)
     gamma = args.gamma if args.gamma is not None else coupling.gamma_star(params)
-    t = args.t if args.t is not None else dynamics.run_time(params)
-    p = dynamics.success_probability(params, gamma, t)
+    t = args.t if args.t is not None else reduced.run_time(params)
+    p = reduced.success_probability(params, gamma, t)
     return ("gamma", "t", "p_succ"), [(gamma, t, p)], EXIT_OK
 
 
@@ -144,10 +146,10 @@ def cmd_validate(args):
 
 
 def cmd_sweep(args):
-    from . import validation
+    from . import reduced
 
-    rows = validation.convergence_sweep(args.k, args.n_list, jobs=args.jobs)
-    columns = [f.name for f in fields(validation.SweepRow)]
+    rows = reduced.convergence_sweep(args.k, args.n_list, jobs=args.jobs)
+    columns = [f.name for f in fields(reduced.SweepRow)]
     return columns, [astuple(row) for row in rows], EXIT_OK
 
 

@@ -53,12 +53,20 @@ def gamma_star(params: GraphParams) -> float:
     The sum is one integer ratio over N * prod d_l, and int / int true
     division rounds it once.
     """
+    mults = [_multiplicity(params.n, l) for l in range(params.k + 1)]
+    num, den = _gamma_star_ratio(params, mults)
+    return num / den
+
+
+def _gamma_star_ratio(params: GraphParams, mults) -> tuple:
+    # gamma_star as the exact integer pair (numerator, denominator), from
+    # the multiplicities m_0..m_k.
     n, k = params.n, params.k
     top = _eigenvalue(n, k, 0)
     gaps = [top - _eigenvalue(n, k, l) for l in range(1, k + 1)]
     den = math.prod(gaps)
-    num = sum(_multiplicity(n, l) * (den // d) for l, d in enumerate(gaps, 1))
-    return num / (params.num_vertices * den)
+    num = sum(m * (den // d) for m, d in zip(mults[1:], gaps))
+    return num, params.num_vertices * den
 
 
 # Rational closed forms, k = 3..5, as functions of x = eps^2:

@@ -95,12 +95,12 @@ class GraphParams:
 
 
 # A coupling is refused unless gamma*k(n-k+1) < 1e300.  That product is the
-# largest entry of the shifted reduced matrix gamma*diag(lambda_0 - lambda_l)
-# - p p^T, and it bounds gamma*||A|| = gamma*k(n-k).  So every matrix handed
-# to sym_eig, full or reduced, has absolute row sums below 1e300 + k + 1, and
-# no product in its gates (M V, V diag(values), their difference, the scale
-# 1 + max|M|) nor the shift back by -gamma*lambda_0 comes near the binary64
-# overflow at 1.8e308.
+# largest pole gamma*d_k of the reduced model's secular equation, so no pole
+# difference overflows, and it bounds gamma*||A|| = gamma*k(n-k).  So every
+# Lanczos tridiagonal handed to sym_eig has absolute row sums below 1e300 +
+# k + 1, and no product in its gates (M V, V diag(values), their difference,
+# the scale 1 + max|M|) nor the shift back by -gamma*lambda_0 comes near the
+# binary64 overflow at 1.8e308.
 _COUPLING_BOUND = 1e300
 
 

@@ -27,7 +27,8 @@ critical coupling: the gap between the two lowest levels approaches
 2*sqrt(k!)*n^(-k/2) (so gap * run_time -> pi), the ground state splits
 evenly between the start state e_0 and the marked state p, and the
 success probability at run_time tends to 1.  Convergence sweeps record
-exactly those quantities per n.
+exactly those quantities per n; they run on the numpy-free reduced model
+(:mod:`qwsearch.reduced`), and their names are importable from here too.
 """
 
 import functools
@@ -38,19 +39,9 @@ from itertools import zip_longest
 import numpy as np
 
 from . import coupling
-from .dynamics import (
-    EigDecomp,
-    _check_time,
-    _peak,
-    _probs_at,
-    _reduced_transition,
-    _transition,
-    peak_bracket,
-    run_time,
-    sym_eig,
-)
+from .dynamics import EigDecomp, _reduced_transition, _transition, sym_eig
 from .domain import DEFAULT_FULL_CAP, GraphParams, _check_coupling, _int
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 from .johnson import (
     _INDEX_MEMO_SIZE,
     _adjacency,
@@ -59,6 +50,8 @@ from .johnson import (
     _distance_labels,
     adjacency_matrix,
 )
+# SweepRow, asymptotics_row and convergence_sweep are re-exported.
+from .reduced import SweepRow, _check_time, asymptotics_row, convergence_sweep, run_time
 from .spectral import (
     SpectralData,
     _reduced_matrix,
@@ -74,24 +67,6 @@ _CLUSTER_TOL = 1e-6
 # A Lanczos run has closed once its beta is at most this times the norm
 # bound gamma*k(n-k) + 1 of H.
 _CLOSURE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One convergence-study record at the critical coupling."""
-
-    n: int
-    N: int
-    gamma_star: float
-    t_run: float
-    p_at_trun: float
-    t_peak: float
-    p_peak: float
-    gap: float
-    gap_ratio: float
-    phase: float
-    s_overlap_sq: float
-    w_overlap_sq: float
 
 
 @dataclass(frozen=True)
@@ -180,8 +155,8 @@ def _sup_distance(curve_a, curve_b, t_max) -> float:
     # and its partner's E on the levels it lacks, so zip stops at the shorter
     # run), plus beta*t per Lanczos run, and |p_a - p_b| <= |A_a - A_b| (W_a
     # + W_b), W = sum_j |w_j|.  Rounding adds eps W^2 ((d+1)(t max|E| + 1) + 3)
-    # per curve of d levels, eps = 2**-52: eigh's levels are good to d eps
-    # max|E|, each phase rounds once more, and the exponential, d-term sum and
+    # per curve of d levels, eps = 2**-52: eigh's and the secular solve's
+    # levels are good to d eps max|E|, each phase rounds once more, and the exponential, d-term sum and
     # modulus add d + 4.  A curve against itself is 0.0.
     if curve_a is curve_b:
         return 0.0
@@ -385,64 +360,6 @@ def overlap_consistency_residual(params: GraphParams) -> float:
         via_fact = overlap_sq_factorial(params, ell)
         worst = max(worst, abs(via_mult - via_fact) / via_fact)
     return worst
-
-
-def asymptotics_row(params: GraphParams) -> SweepRow:
-    """All convergence-study quantities of one instance at the critical coupling.
-
-    The reduced model is solved once; the success probability at run_time
-    and the peak search (as :func:`success_probability` and
-    :func:`find_peak` compute them) share that solve.  p_peak is within
-    find_peak's bound beta of the largest p on (0, 2*run_time).
-    """
-    gamma = coupling.gamma_star(params)
-    sd = spectral_data(params)
-    dec, weights = _reduced_transition(sd, gamma)
-    gap = float(dec.values[1] - dec.values[0])
-    if gap < 1e-14:
-        raise NumericalError(
-            f"two lowest levels numerically degenerate (gap {gap:.3e}); "
-            f"n too large for k={params.k} in binary64"
-        )
-    t_run = run_time(params)
-    scale = float(params.n) ** (params.k / 2) / (2.0 * math.sqrt(math.factorial(params.k)))
-    ground = dec.vectors[:, 0]
-    t_peak, p_peak = _peak(dec, weights, *peak_bracket(params))
-    return SweepRow(
-        n=params.n,
-        N=params.num_vertices,
-        gamma_star=gamma,
-        t_run=t_run,
-        p_at_trun=float(_probs_at(dec, weights, np.array([t_run]))[0]),
-        t_peak=t_peak,
-        p_peak=p_peak,
-        gap=gap,
-        gap_ratio=gap * scale,
-        phase=gap * t_run,
-        s_overlap_sq=float(ground[0] ** 2),
-        w_overlap_sq=float(np.dot(sd.overlaps, ground) ** 2),
-    )
-
-
-def convergence_sweep(k: int, n_list, jobs: int = 1) -> list:
-    """One :func:`asymptotics_row` per n, at the critical coupling throughout.
-
-    ``n_list`` is a non-empty, strictly ascending iterable of integers.
-    Rows are computed one after another in input order.  ``jobs`` must be
-    an integer >= 1 and is otherwise ignored: a row costs well under a
-    millisecond, and a thread pool was slower at every measured size.
-    """
-    _int(jobs, "jobs", 1)
-    try:
-        items = iter(n_list)
-    except TypeError:
-        raise DomainError(f"n_list must be an iterable of integers, got {n_list!r}") from None
-    n_list = [_int(n, "each n of n_list") for n in items]
-    if not n_list:
-        raise DomainError("n_list must not be empty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError(f"n_list must be strictly ascending, got {n_list}")
-    return [asymptotics_row(GraphParams(n=n, k=k)) for n in n_list]
 
 
 def validate_instance(

@@ -48,3 +48,42 @@ def scan_max(dec, weights, t0, t1, m, chunk=50_001):
         float(qw.dynamics._probs_at(cdec, weights, times[i : i + chunk]).max())
         for i in range(0, m, chunk)
     )
+
+
+def mp_reduced(params, gamma, times, dps=120):
+    """A dps-digit model of the reduced problem at the float gamma, from
+    exact integer spectra: mpmath's eigsy of the shifted matrix
+    gamma*diag(l(n-l+1)) - p p^T.  Returns the levels mu_j and weights w_j
+    (ascending), the gap, the ground state's overlaps with e_0 and p, and p
+    at each of the times, each as a float."""
+    import math
+
+    import mpmath
+
+    n, k, big_n = params.n, params.k, params.num_vertices
+    with mpmath.workdps(dps):
+        p = [mpmath.sqrt(mpmath.mpf(math.comb(n, l) - (math.comb(n, l - 1) if l else 0)) / big_n)
+             for l in range(k + 1)]
+        h = mpmath.matrix(k + 1, k + 1)
+        for i in range(k + 1):
+            for j in range(k + 1):
+                h[i, j] = -p[i] * p[j]
+            h[i, i] += mpmath.mpf(gamma) * (i * (n - i + 1))
+        values, vectors = mpmath.eigsy(h)
+        order = sorted(range(k + 1), key=lambda j: values[j])
+        levels = [values[j] for j in order]
+        columns = [[vectors[i, j] for i in range(k + 1)] for j in order]
+        weights = [col[0] * mpmath.fsum(c * q for c, q in zip(col, p)) for col in columns]
+        probs = [
+            abs(mpmath.fsum(w * mpmath.expj(-e * mpmath.mpf(t)) for e, w in zip(levels, weights))) ** 2
+            for t in times
+        ]
+        ground = columns[0]
+        return {
+            "levels": [float(e) for e in levels],
+            "weights": [float(w) for w in weights],
+            "gap": float(levels[1] - levels[0]),
+            "s_overlap_sq": float(ground[0] ** 2),
+            "w_overlap_sq": float(mpmath.fsum(c * q for c, q in zip(ground, p)) ** 2),
+            "probs": [float(x) for x in probs],
+        }

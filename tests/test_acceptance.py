@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import mp_reduced
 
 import qwsearch as qw
 from qwsearch.coupling import _CLOSED_LEAD, _CLOSED_NUM, from_graph
@@ -167,7 +168,14 @@ def test_criterion_6_gap_and_phase_laws(sweeps):
 
 
 def test_criterion_7_ground_state_structure(sweeps):
+    # Each overlap within 1e-15 of a 120-digit model at the row's gamma*, so
+    # the strict decrease (1.788e-8 to 1.750e-8 between n = 1e5 and 1e6 at
+    # k = 3) is the model's, not rounding's.
     for k, rows in sweeps.items():
+        for r in rows:
+            ref = mp_reduced(qw.GraphParams(r.n, k), r.gamma_star, ())
+            assert abs(r.s_overlap_sq - ref["s_overlap_sq"]) <= 1e-15, (k, r.n)
+            assert abs(r.w_overlap_sq - ref["w_overlap_sq"]) <= 1e-15, (k, r.n)
         s_errs = [abs(r.s_overlap_sq - 0.5) for r in rows]
         w_errs = [abs(r.w_overlap_sq - 0.5) for r in rows]
         assert strictly_decreasing(s_errs), f"k={k}: |<s|g>|^2 drift not decreasing"

@@ -100,6 +100,13 @@ def test_simulate_t_zero_gives_uniform_probability():
     assert float(parse_csv(out.stdout)[0]["p_succ"]) == pytest.approx(0.05, abs=1e-15)
 
 
+def test_simulate_at_large_k_matches_a_high_precision_model():
+    # J(100,40) at the float gamma*: 0.35025399126541845 from a 120-200-digit
+    # model of the same matrix; a dense eigh printed 0.99250.
+    out = run("simulate", "--n", "100", "--k", "40")
+    assert abs(float(parse_csv(out.stdout)[0]["p_succ"]) - 0.35025399126541845) <= 1e-13
+
+
 def test_simulate_explicit_gamma_matches_critical():
     # gamma_star(100, 1) = 99/10000 = 0.0099
     a = parse_csv(run("simulate", "--n", "100", "--k", "1").stdout)[0]

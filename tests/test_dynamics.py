@@ -419,7 +419,7 @@ def test_probs_on_grid_matches_pointwise(k, n_scale, m):
     dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
     t_end = 2 * qw.run_time(params)
     for t0, t1 in ((0.0, t_end), (0.3 * t_end, 0.7 * t_end)):
-        grid = qw.dynamics._probs_on_grid(dec, weights, t0, t1, m)
+        grid = qw.dynamics._probs_on_grid(dec.values, weights, t0, t1, m)
         direct = qw.dynamics._probs_at(dec, weights, np.linspace(t0, t1, m))
         assert grid.shape == (m,)
         assert np.max(np.abs(grid - direct)) <= _phase_rounding_bound(dec, t1)
@@ -447,7 +447,7 @@ def test_scalar_refinement_matches_pointwise(n, k):
     e = cdec.values
     terms = tuple((x, y, y * x, y * x * x) for x, y in zip(e.tolist(), weights.tolist()))
     times = np.linspace(0.0, 2 * qw.run_time(params), 57)
-    rows = np.array([qw.dynamics._curve_at(terms, float(t)) for t in times])
+    rows = np.array([qw.reduced._curve_at(terms, float(t)) for t in times])
     assert np.array_equal(rows[:, 0], times)
     phases = np.exp(1j * np.outer(times, e))
     amp, amp1, amp2 = (phases @ (weights * (1j * e) ** r) for r in range(3))
@@ -469,14 +469,14 @@ def test_scalar_refinement_clamps_and_warns_like_arrays():
     dec = qw.dynamics.EigDecomp(values=np.array([0.0, 1.0]), vectors=np.eye(2))
     big = np.array([0.6, 0.6])  # |amplitude|^2 up to 1.44
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
-        t_peak, p_peak = qw.dynamics._peak(dec, big, 1.0, 10.0)
+        t_peak, p_peak = qw.reduced._peak([0.0, 1.0], [0.6, 0.6], 1.0, 10.0)
     assert p_peak == 1.0 and t_peak == pytest.approx(2 * math.pi, rel=1e-12)
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
         assert qw.dynamics._probs_at(dec, big, np.array([0.0]))[0] == 1.0
     tiny = 0.5 + 1e-12  # overshoot about 2e-12, below the 1e-10 warning level
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert qw.dynamics._peak(dec, np.array([0.5, tiny]), 1.0, 10.0)[1] == 1.0
+        assert qw.reduced._peak([0.0, 1.0], [0.5, tiny], 1.0, 10.0)[1] == 1.0
         assert qw.dynamics._probs_at(dec, np.array([0.5, tiny]), np.array([0.0]))[0] == 1.0
 
 

@@ -1,7 +1,7 @@
-"""The exact layer needs only the standard library.
+"""The exact layer and the reduced model need only the standard library.
 
-``spectrum``, ``gamma`` and ``--help`` must give the same bytes with numpy
-blocked as without, ``import qwsearch`` must not load numpy, and the
+``spectrum``, ``gamma``, ``simulate``, ``sweep`` and ``--help`` must give
+the same bytes with numpy blocked as without, ``import qwsearch`` must not load numpy, and the
 argument checks must still know numpy scalars when numpy is imported only
 after qwsearch.  Each case runs in a fresh interpreter.
 """
@@ -52,6 +52,11 @@ EXACT_COMMANDS = {
     "spectrum-help": (["spectrum", "--help"], 0),
     "spectrum-refused": (["spectrum", "--n", "3", "--k", "2"], 2),
     "gamma-refused": (["gamma", "--n", "10", "--k", "0"], 2),
+    "simulate-csv": (["simulate", "--n", "9", "--k", "4"], 0),
+    "simulate-json": (["simulate", "--n", "1000", "--k", "3", "--format", "json"], 0),
+    "simulate-gamma-t": (["simulate", "--n", "100", "--k", "3", "--gamma", "0.01", "--t", "50"], 0),
+    "sweep": (["sweep", "--k", "3", "--n-list", "100,1000"], 0),
+    "sweep-refused": (["sweep", "--k", "3", "--n-list", "5"], 2),
 }
 
 
@@ -67,8 +72,8 @@ def test_exact_commands_give_the_same_bytes_without_numpy(argv, code):
 
 
 def test_a_numerical_command_fails_under_the_block():
-    # The block is real: simulate needs numpy and cannot run without it.
-    free = _python(_RUN_MAIN, "block", "simulate", "--n", "9", "--k", "4")
+    # The block is real: scan needs numpy and cannot run without it.
+    free = _python(_RUN_MAIN, "block", "scan", "--n", "9", "--k", "4")
     assert free.returncode == 1 and b"import of numpy halted" in free.stderr
 
 
@@ -87,8 +92,8 @@ del sys.modules["numpy"]
 names = {name: getattr(qw, name) is not None for name in qw.__all__}
 modules = {
     name: getattr(qw, name).__name__
-    for name in ("cli", "coupling", "domain", "dynamics", "errors", "johnson", "spectral",
-                 "validation")
+    for name in ("cli", "coupling", "domain", "dynamics", "errors", "johnson", "reduced",
+                 "spectral", "validation")
 }
 print(json.dumps({"loaded": loaded, "exact": exact, "names": names, "modules": modules,
                   "dir": dir(qw), "all": qw.__all__}))

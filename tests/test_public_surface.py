@@ -62,7 +62,10 @@ def test_public_surface_is_pinned():
 
 SRC = pathlib.Path(qw.__file__).parent
 README = SRC.parent.parent / "README.md"
-MODULES = ("domain", "johnson", "spectral", "coupling", "dynamics", "validation", "cli", "errors")
+MODULES = (
+    "domain", "johnson", "spectral", "coupling", "reduced", "dynamics", "validation", "cli",
+    "errors",
+)
 
 
 def _resolves(module, dotted: str) -> bool:

@@ -1,63 +1,104 @@
-"""Reduced-model accuracy against a 50-digit reference.
+"""Reduced-model accuracy against a 120-digit reference, and the secular
+solver's identities.
 
-The reference decomposes the same shifted matrix as the program,
-gamma*diag(lambda_0 - lambda_l) - p p^T, from exact integer spectra in
-mpmath.  The ground-state sensitivity to rounding is about
-ulp * ||H|| / gap, and the gap is about 2/sqrt(N), so the gap's relative
-error and the ground-state overlap's absolute error scale as eps * sqrt(N).
-On this grid the shifted LAPACK solve stays within 0.45 (gap) and 0.21
-(overlap) of eps * sqrt(N), and the package's earlier eigensolver within 0.56
-and 0.23; an unshifted LAPACK solve of -gamma*diag(lambda) - p p^T reaches
-0.71 and 0.48, which the bounds below reject.
+The reference (``conftest.mp_reduced``) decomposes the shifted matrix
+gamma*diag(l(n-l+1)) - p p^T from exact integer spectra in mpmath, at the
+row's own float gamma*.  The package finds the same levels as roots of the
+secular equation in plain floats, each an offset from its nearest pole, so
+the bounds hold at every n up to 1e12: no eps*sqrt(N) growth is allowed.
 """
 
 import math
 
-import numpy as np
 import pytest
+from conftest import mp_reduced
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwsearch as qw
 
-mpmath = pytest.importorskip("mpmath")
+pytest.importorskip("mpmath")
 
-EPS = np.finfo(np.float64).eps
-GAP_REL_BOUND = 0.65  # times eps * sqrt(N)
-OVERLAP_ABS_BOUND = 0.3  # times eps * sqrt(N)
-P_ABS_TOL = 1e-13
-
-
-def reference(params: qw.GraphParams, gamma: float, t: float) -> dict:
-    n, k = params.n, params.k
-    with mpmath.workdps(50):
-        lambdas = [(k - l) * (n - k - l) - l for l in range(k + 1)]
-        p = [mpmath.sqrt(mpmath.mpf(qw.multiplicity(params, l)) / params.num_vertices)
-             for l in range(k + 1)]
-        h = mpmath.matrix(k + 1, k + 1)
-        for i in range(k + 1):
-            for j in range(k + 1):
-                h[i, j] = -p[i] * p[j]
-            h[i, i] += mpmath.mpf(gamma) * (lambdas[0] - lambdas[i])
-        values, vectors = mpmath.eigsy(h)
-        order = sorted(range(k + 1), key=lambda j: values[j])
-        amp = mpmath.mpc(0)
-        for j in order:
-            col = [vectors[i, j] for i in range(k + 1)]
-            weight = col[0] * mpmath.fsum(c * q for c, q in zip(col, p))
-            amp += weight * mpmath.expj(-values[j] * mpmath.mpf(t))
-        return {
-            "gap": float(values[order[1]] - values[order[0]]),
-            "p_at_trun": float(abs(amp) ** 2),
-            "s_overlap_sq": float(vectors[0, order[0]] ** 2),
-        }
+EPS = 2.0**-52
+REL_TOL = 1e-13  # gap and phase
+P_ABS_TOL = 1e-15  # p_at_trun, p_peak and the ground state's overlaps
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("n", [10**2, 10**3, 10**4, 10**5])
-def test_sweep_row_matches_high_precision_reference(n, k):
+def _grid():
+    for k in range(1, 9):
+        ns = {2 * k, 2 * k + 1, 3 * k + 2, 100, 10**3, 10**4, 10**6, 10**8, 10**10, 10**12}
+        for n in sorted(ns):
+            if n >= 2 * k and math.comb(n, k) < 1e300:
+                yield k, n
+
+
+GRID = list(_grid())
+
+
+@pytest.mark.parametrize("k, n", GRID, ids=[f"k{k}-n{n}" for k, n in GRID])
+def test_sweep_row_matches_high_precision_reference(k, n):
     params = qw.GraphParams(n, k)
     row = qw.asymptotics_row(params)
-    ref = reference(params, row.gamma_star, row.t_run)
-    scale = EPS * math.sqrt(params.num_vertices)
-    assert abs(row.gap - ref["gap"]) / ref["gap"] <= GAP_REL_BOUND * scale
-    assert abs(row.s_overlap_sq - ref["s_overlap_sq"]) <= OVERLAP_ABS_BOUND * scale
-    assert abs(row.p_at_trun - ref["p_at_trun"]) <= P_ABS_TOL
+    ref = mp_reduced(params, row.gamma_star, (row.t_run, row.t_peak))
+    assert abs(row.gap - ref["gap"]) <= REL_TOL * ref["gap"]
+    assert abs(row.phase - ref["gap"] * row.t_run) <= REL_TOL * ref["gap"] * row.t_run
+    assert abs(row.p_at_trun - ref["probs"][0]) <= P_ABS_TOL
+    assert abs(row.p_peak - ref["probs"][1]) <= P_ABS_TOL
+    assert abs(row.s_overlap_sq - ref["s_overlap_sq"]) <= P_ABS_TOL
+    assert abs(row.w_overlap_sq - ref["w_overlap_sq"]) <= P_ABS_TOL
+    levels, weights, *_ = qw.reduced._solve(qw.spectral_data(params), row.gamma_star)
+    for got, want in zip(levels, ref["levels"]):
+        assert abs(got - want) <= 1e-15 * abs(want)
+    for got, want in zip(weights, ref["weights"]):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("gamma_scale", [0.125, 0.999, 1.001, 8.0])
+@pytest.mark.parametrize("k, n", [(3, 10**4), (5, 300), (8, 10**6)])
+def test_a_given_gamma_is_solved_at_that_float(k, n, gamma_scale):
+    # 1 - S is formed exactly at any float gamma, not only at gamma*.
+    params = qw.GraphParams(n, k)
+    gamma = qw.gamma_star(params) * gamma_scale
+    t = qw.run_time(params)
+    ref = mp_reduced(params, gamma, (t,), dps=200)
+    assert abs(qw.success_probability(params, gamma, t) - ref["probs"][0]) <= 1e-13
+
+
+def _instances():
+    # n log-uniform from 2k to 1e12, and every n from 2k to 3k+2.
+    def draw(k):
+        return st.one_of(
+            st.integers(2 * k, 3 * k + 2),
+            st.floats(0.0, 12.0).map(lambda x: max(2 * k, int(10**x))),
+        ).map(lambda n: (k, n))
+
+    return st.integers(1, 8).flatmap(draw)
+
+
+@given(_instances())
+def test_secular_roots_interlace_and_keep_the_identities(instance):
+    k, n = instance
+    params = qw.GraphParams(n, k)
+    sd = qw.spectral_data(params)
+    gamma = qw.gamma_star(params)
+    levels, weights, sums, diffs, steps = qw.reduced._solve(sd, gamma)
+    assert 1 <= steps <= qw.reduced._SECULAR_STEPS
+    # mu_0 in [-1, 0) and mu_j in (gamma d_(j-1), gamma d_j): each root's
+    # differences gamma d_l - mu_j are negative below it and positive above.
+    assert -1.0 <= levels[0] < 0.0
+    for j, diff in enumerate(diffs):
+        assert all(x < 0 for x in diff[:j]) and all(x > 0 for x in diff[j:])
+    assert list(levels) == sorted(levels)
+    # sum_j w_j = <p|e_0> = p_0 and sum_j v_0j^2 = 1, v_0j^2 = p_0^2/(mu_j^2 R_j).
+    p0 = sd.overlaps[0]
+    assert abs(math.fsum(weights) - p0) <= 8 * EPS * math.fsum(map(abs, weights))
+    starts = [(p0 / diff[0]) ** 2 / r for diff, r in zip(diffs, sums)]
+    assert abs(math.fsum(starts) - 1.0) <= 8 * EPS
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_every_small_n_answers(k):
+    # The two lowest roots of the smallest graphs, where a fixed-point
+    # iteration E = +-p_0/sqrt(T(E)) cycles (J(4,2), J(5,2)).
+    rows = qw.convergence_sweep(k, range(2 * k, 3 * k + 3))
+    assert all(row.gap > 0 and 0 <= row.p_at_trun <= 1 and 0 <= row.p_peak <= 1 for row in rows)

@@ -156,12 +156,10 @@ def test_validate_instance_makes_one_values_only_dense_eigensolve(monkeypatch):
         assert report.all_passed
         assert peak <= 1.5 * 8 * n_vert**2
 
-    # the first mark: the reduced model and the two Lanczos tridiagonals,
-    # stacked in one call; A by values only
+    # the first mark: the two Lanczos tridiagonals, stacked in one call (the
+    # reduced model is solved without eigh); A by values only
     traced(3)
-    assert shapes == {
-        "eigh": [(k + 1, k + 1), (2, k + 1, k + 1)], "eigvalsh": [(n_vert, n_vert)]
-    }
+    assert shapes == {"eigh": [(2, k + 1, k + 1)], "eigvalsh": [(n_vert, n_vert)]}
     # a further mark of the same graph: only its two Lanczos tridiagonals
     traced(40)
     assert shapes == {"eigh": [(2, k + 1, k + 1)], "eigvalsh": []}
@@ -502,7 +500,7 @@ def _count_calls(monkeypatch, owner, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (qw, qw.spectral, qw.coupling, qw.dynamics, qw.validation):
+    for module in (qw, qw.spectral, qw.coupling, qw.reduced, qw.dynamics, qw.validation):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -512,10 +510,11 @@ def _count_calls(monkeypatch, owner, name):
 def test_asymptotics_row_solves_the_reduced_model_once(monkeypatch, n, k):
     params = qw.GraphParams(n, k)
     expected = qw.asymptotics_row(params)
+    solve_calls = _count_calls(monkeypatch, qw.reduced, "_solve")
     eig_calls = _count_calls(monkeypatch, qw.dynamics, "sym_eig")
     sd_calls = _count_calls(monkeypatch, qw.spectral, "spectral_data")
     row = qw.asymptotics_row(params)
-    assert len(eig_calls) == 1 and eig_calls[0][0].shape == (k + 1, k + 1)
+    assert len(solve_calls) == 1 and not eig_calls
     assert len(sd_calls) == 1
     assert row == expected
     # p_at_trun and the peak are the public functions' values on the same instance
@@ -526,10 +525,17 @@ def test_asymptotics_row_solves_the_reduced_model_once(monkeypatch, n, k):
     )
 
 
-def test_degenerate_gap_raises():
-    # k=8 at n=1e6: the true gap ~ 2*sqrt(8!)*n^-4 is below resolvable precision
-    with pytest.raises(NumericalError):
-        qw.asymptotics_row(qw.GraphParams(10**6, 8))
+@pytest.mark.parametrize(
+    "k, n, p_at_trun",
+    [(3, 10**12, 0.836387494425691), (6, 10**6, 0.287205716053208),
+     (5, 10**8, 5.32316614e-7), (8, 10**4, 0.999976427564382)],
+)
+def test_rows_below_the_old_gap_guard_answer(k, n, p_at_trun):
+    # Gaps of 5e-18 to 4e-14, which a dense eigh of the shifted matrix lost
+    # to ulp(||H||) and refused, or answered up to 2.5e-5 off; p(t_run) of a
+    # 120-digit model at the same float gamma*.
+    row = qw.asymptotics_row(qw.GraphParams(n, k))
+    assert abs(row.p_at_trun - p_at_trun) <= 1e-15
 
 
 def test_validate_instance_k2():
