@@ -4,7 +4,9 @@ Reports are CSV (default) or JSON, written to stdout or ``--out PATH``, and
 spelled in one ``%`` pass over a template of the whole report, header or
 JSON brackets included, the same bytes as ``_cell`` on each cell: every
 real number with 17 significant digits, which round-trips binary64 exactly,
-so identical invocations give identical bytes.
+so identical invocations give identical bytes, on every supported
+interpreter: each float sum that reaches a report is taken left to right,
+never with ``sum()``, which compensates from Python 3.12 on.
 
 Exit codes: 0 success, 1 a validation check failed, 2 usage or domain
 error, 3 numerical failure.  Among the domain errors: a C(n,k) beyond

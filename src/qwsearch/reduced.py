@@ -63,12 +63,13 @@ _SECULAR_STEPS = 32
 _SETTLED = 2.0**-27
 
 
-def _solve(sd: SpectralData, gamma: float) -> tuple:
+def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
     # (levels, weights, sums, diffs, steps) of the reduced model at a checked
     # gamma, from the secular equation of M = gamma*diag(d) - p p^T, d_l =
     # l(n-l+1) (the module docstring): the levels mu_j ascending, the weights
     # w_j, R_j, each root's differences gamma d_l - mu_j over l, and the most
-    # Newton steps a root took.
+    # Newton steps a root took.  ratio is gamma_star's exact integer pair,
+    # computed here unless the caller has it.
     params = sd.params
     n, k, big_n = params.n, params.k, params.num_vertices
     # The two closest poles are gamma*(d_k - d_(k-1)) = gamma*(n-2k+2) apart.
@@ -77,29 +78,30 @@ def _solve(sd: SpectralData, gamma: float) -> tuple:
                              f"than binary64 resolves")
     p2 = [m / big_n for m in sd.mults]
     d = [l * (n - l + 1) for l in range(k + 1)]
-    num, den = coupling._gamma_star_ratio(params, sd.mults)
+    num, den = ratio or coupling._gamma_star_ratio(params, sd.mults)
+    # gamma*(d_l - d_i) is rounded once from the exact integer difference: a
+    # product of floats is exact below 2**53, and a/b is gamma's dyadic value.
     a, b = gamma.as_integer_ratio()
-    # rows[i][l] = gamma*(d_l - d_i), rounded once from the exact integer
-    # difference; a product of floats is exact below 2**53.
-    if d[k] < 2**53:
-        rows = [[gamma * (dl - di) for dl in d] for di in d]
-    else:
-        rows = [[(dl - di) * a / b for dl in d] for di in d]
+    exact = d[k] < 2**53
     try:
-        # Pole i as (row, c_i = r_i(0) - 1, T_i(0), terms), terms being
-        # (x_l, p_l^2, p_l^2/x_l) over l >= 1 at pole 0 and None elsewhere;
-        # at pole 0, c = S - 1 = (gamma* - gamma)/gamma exactly, rounded once.
+        # Pole i as (row, c_i = r_i(0) - 1, T_i(0), terms), row[l] = gamma*(d_l
+        # - d_i) and terms being (x_l, p_l^2, p_l^2/x_l) over l >= 1 at pole 0
+        # and None elsewhere; at pole 0, c = S - 1 = (gamma* - gamma)/gamma
+        # exactly, rounded once.
         poles = []
-        for row in rows:
-            c, slope = -1.0, 0.0
-            for x, q in zip(row, p2):
+        for di in d:
+            row, c, slope = [], -1.0, 0.0
+            for dl, q in zip(d, p2):
+                x = gamma * (dl - di) if exact else (dl - di) * a / b
+                row.append(x)
                 if x:
                     u = q / x
                     c += u
                     slope += u / x
             poles.append((row, c, slope, None))
-        terms = [(x, q, q / x) for x, q in zip(rows[0][1:], p2[1:])]
-        poles[0] = (rows[0], (num * b - den * a) / (den * a), poles[0][2], terms)
+        row, _, slope, _ = poles[0]
+        terms = [(x, q, q / x) for x, q in zip(row[1:], p2[1:])]
+        poles[0] = (row, (num * b - den * a) / (den * a), slope, terms)
         levels, weights, sums, diffs, steps = [], [], [], [], 0
         for j in range(k + 1):
             # Root j lies between the poles j-1 and j (below pole 0 for j =
@@ -109,7 +111,7 @@ def _solve(sd: SpectralData, gamma: float) -> tuple:
             if j == 0:
                 i, delta, used = 0, *_root(poles[0], p2, -1.0, _model(poles[0], p2[0], -1))
             else:
-                width = rows[j - 1][j]
+                width = poles[j - 1][0][j]
                 right = _model(poles[j - 1], p2[j - 1], 1)
                 left = _model(poles[j], p2[j], -1)
                 i, far, start = (j - 1, width, right) if right <= -left else (j, -width, left)
@@ -120,9 +122,14 @@ def _solve(sd: SpectralData, gamma: float) -> tuple:
                     delta, more = _root(poles[i], p2, far, start)
                     used += more
             steps = max(steps, used)
-            diff = [x - delta for x in rows[i]]
-            r = sum([q / x / x for x, q in zip(diff, p2)])
-            levels.append(delta - rows[i][0])
+            # R_j summed left to right: sum() compensates from Python 3.12 on,
+            # and every supported interpreter must print the same digits.
+            diff, r = [], 0.0
+            for x, q in zip(poles[i][0], p2):
+                x -= delta
+                diff.append(x)
+                r += q / x / x
+            levels.append(delta - poles[i][0][0])
             weights.append(sd.overlaps[0] / (diff[0] * r))
             sums.append(r)
             diffs.append(tuple(diff))
@@ -206,14 +213,16 @@ def run_time(params: GraphParams) -> float:
     Refused with :class:`DomainError` where n^(k/2), k! or the result
     leaves binary64.
     """
+    return _durations(params)[0]
+
+
+def _durations(params: GraphParams) -> tuple:
+    # (run_time, n^(k/2)/(2 sqrt(k!))) from one power and one factorial.
     try:
-        t = (
-            math.pi
-            * float(params.n) ** (params.k / 2)
-            / (2.0 * math.sqrt(math.factorial(params.k)))
-        )
+        x, y = float(params.n) ** (params.k / 2), 2.0 * math.sqrt(math.factorial(params.k))
+        t = math.pi * x / y
         if math.isfinite(t):
-            return t
+            return t, x / y
     except OverflowError:
         pass
     raise DomainError(f"run_time of J({params.n},{params.k}) overflows binary64")
@@ -278,7 +287,7 @@ def success_probability(params: GraphParams, gamma: float, t: float) -> float:
     """
     gamma, t = _check_time(params, gamma, t, "t")
     levels, weights, *_ = _solve(spectral_data(params), gamma)
-    return _probability(levels, weights, t)
+    return _clamp(_curve_at(_curve(levels, weights)[0], t)[1])
 
 
 def _curve_at(terms: tuple, t: float) -> tuple:
@@ -286,9 +295,14 @@ def _curve_at(terms: tuple, t: float) -> tuple:
     # floats; C_r + i S_r = sum_j w_j e_j^r exp(i e_j t), p = C_0^2 + S_0^2.
     c0 = s0 = c1 = s1 = c2 = s2 = 0.0
     for e, w, we, wee in terms:
-        cos, sin = math.cos(e * t), math.sin(e * t)
-        c0, s0, c1, s1 = c0 + w * cos, s0 + w * sin, c1 + we * cos, s1 + we * sin
-        c2, s2 = c2 + wee * cos, s2 + wee * sin
+        x = e * t
+        cos, sin = math.cos(x), math.sin(x)
+        c0 += w * cos
+        s0 += w * sin
+        c1 += we * cos
+        s1 += we * sin
+        c2 += wee * cos
+        s2 += wee * sin
     p2 = 2 * (c1 * c1 + s1 * s1 - c0 * c2 - s0 * s2)
     return t, c0 * c0 + s0 * s0, 2 * (s0 * c1 - c0 * s1), p2
 
@@ -363,26 +377,26 @@ def _curve(levels, weights) -> tuple:
     return tuple([(x, y, y * x, y * x * x) for x, y in zip(e, weights)]), e, w, order
 
 
-def _probability(levels, weights, t: float) -> float:
-    # p at one checked time t on a solved reduced model.
-    return _clamp(_curve_at(_curve(levels, weights)[0], t)[1])
-
-
-def _peak(levels, weights, t0: float, t1: float) -> tuple:
-    # find_peak on a solved reduced model; the bracket is already checked.
-    # The README ("Peak search") derives the windows and bounds used here.
-    terms, e, w, (a, b, *others) = _curve(levels, weights)
-    signed, m = weights, [0.0] * 4
+def _peak(curve: tuple, t0: float, t1: float) -> tuple:
+    # find_peak on the _curve of a solved reduced model; the bracket is
+    # already checked.  The README ("Peak search") derives the windows and
+    # bounds used here.
+    terms, e, w, (a, b, *others) = curve
+    signed = [term[1] for term in terms]
+    m0 = m1 = m2 = m3 = 0.0
     for x, z in zip(e, w):
         x = abs(x)
-        m = [m[0] + z, m[1] + z * x, m[2] + z * x * x, m[3] + z * x * x * x]
-    tol = 4 * _EPS * m[0] * (t1 * m[1] + len(w) + 5)
-    bounds = (2 * (m[0] * m[2] + m[1] ** 2), 2 * (m[0] * m[3] + 3 * m[1] * m[2]))
+        m0 += z
+        m1 += z * x
+        m2 += z * x * x
+        m3 += z * x * x * x
+    tol = 4 * _EPS * m0 * (t1 * m1 + len(w) + 5)
+    bounds = (2 * (m0 * m2 + m1 ** 2), 2 * (m0 * m3 + 3 * m1 * m2))
     spread = max(e) - min(e)
     reach = math.pi / 4 / spread if spread else math.inf
     c = others[0] if others and e[others[0]] and w[others[0]] else None
     wc = w[c] if c is not None else 0.0
-    rho, amp, gap = max(m[0] - w[a] - w[b] - wc, 0.0), 2 * w[a] * w[b], abs(e[b] - e[a])
+    rho, amp, gap = max(m0 - w[a] - w[b] - wc, 0.0), 2 * w[a] * w[b], abs(e[b] - e[a])
     phase = 0.0 if signed[a] * signed[b] > 0 else math.pi
     arg = lambda t: (signed[c] < 0) * math.pi - cmath.phase(
         signed[a] * cmath.exp(1j * e[a] * t) + signed[b] * cmath.exp(1j * e[b] * t)
@@ -491,7 +505,7 @@ def find_peak(params: GraphParams, gamma: float, bracket) -> tuple:
     t0, t1 = _check_window(t0, t1)
     gamma = _check_phase(params, gamma, t1)
     levels, weights, *_ = _solve(spectral_data(params), gamma)
-    return _peak(levels, weights, t0, t1)
+    return _peak(_curve(levels, weights), t0, t1)
 
 
 @dataclass(frozen=True)
@@ -515,25 +529,28 @@ class SweepRow:
 def asymptotics_row(params: GraphParams) -> SweepRow:
     """All convergence-study quantities of one instance at the critical coupling.
 
-    The reduced model is solved once; the success probability at run_time
-    and the peak search (as :func:`success_probability` and
-    :func:`find_peak` compute them) share that solve and its curve.  p_peak
-    is within find_peak's bound beta of the largest p on (0, 2*run_time).
-    The gap mu_1 - mu_0 is one difference of two offsets from pole 0.
+    One pass: the spectrum, gamma_star's exact ratio, run_time and the
+    curve are each computed once, and the reduced model is solved once; the
+    success probability at run_time and the peak search (as
+    :func:`success_probability` and :func:`find_peak` compute them) share
+    that solve and its curve.  p_peak is within find_peak's bound beta of
+    the largest p on (0, 2*run_time).  The gap mu_1 - mu_0 is one
+    difference of two offsets from pole 0.
     """
-    gamma = coupling.gamma_star(params)
     sd = spectral_data(params)
-    levels, weights, sums, diffs, _ = _solve(sd, gamma)
+    ratio = coupling._gamma_star_ratio(params, sd.mults)
+    gamma = ratio[0] / ratio[1]
+    levels, weights, sums, diffs, _ = _solve(sd, gamma, ratio)
     gap = levels[1] - levels[0]
-    t_run = run_time(params)
-    scale = float(params.n) ** (params.k / 2) / (2.0 * math.sqrt(math.factorial(params.k)))
-    t_peak, p_peak = _peak(levels, weights, *peak_bracket(params))
+    t_run, scale = _durations(params)
+    curve = _curve(levels, weights)
+    t_peak, p_peak = _peak(curve, 0.0, 2.0 * t_run)
     return SweepRow(
         n=params.n,
         N=params.num_vertices,
         gamma_star=gamma,
         t_run=t_run,
-        p_at_trun=_probability(levels, weights, t_run),
+        p_at_trun=_clamp(_curve_at(curve[0], t_run)[1]),
         t_peak=t_peak,
         p_peak=p_peak,
         gap=gap,

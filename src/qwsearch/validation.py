@@ -147,6 +147,15 @@ def _lanczos(a, gamma, marks, params) -> tuple:
     return transitions, betas
 
 
+def _total(values) -> float:
+    # A float sum left to right: sum() compensates from Python 3.12 on, and
+    # the bounds must not depend on the interpreter.
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _sup_distance(curve_a, curve_b, t_max) -> float:
     # A bound on max |p_a - p_b| over 0 <= t <= t_max for curves
     # ((decomposition, weights), beta), p = |A|^2, A(t) = sum_j w_j e^{-iE_j t}:
@@ -163,9 +172,9 @@ def _sup_distance(curve_a, curve_b, t_max) -> float:
     (levels_a, weights_a, beta_a), (levels_b, weights_b, beta_b) = (
         (dec.values.tolist(), w.tolist(), beta) for (dec, w), beta in (curve_a, curve_b)
     )
-    mass_a, mass_b = sum(map(abs, weights_a)), sum(map(abs, weights_b))
-    spread = sum(abs(x - y) for x, y in zip_longest(weights_a, weights_b, fillvalue=0.0))
-    drift = sum(abs(w * (x - y)) for x, y, w in zip(levels_a, levels_b, weights_b))
+    mass_a, mass_b = _total(map(abs, weights_a)), _total(map(abs, weights_b))
+    spread = _total(abs(x - y) for x, y in zip_longest(weights_a, weights_b, fillvalue=0.0))
+    drift = _total(abs(w * (x - y)) for x, y, w in zip(levels_a, levels_b, weights_b))
     bound = (mass_a + mass_b) * (spread + (drift + beta_a + beta_b) * t_max)
     for e, mass in ((levels_a, mass_a), (levels_b, mass_b)):
         bound += 2.0**-52 * mass * mass * ((len(e) + 1) * (t_max * max(map(abs, e)) + 1) + 3)

@@ -183,6 +183,27 @@ def test_sweep_byte_identical_across_runs_and_jobs():
     assert first.stdout == second.stdout == parallel.stdout
 
 
+# "$ qwsearch <arguments>" lines, each followed by that command's stdout.
+# The bare-interpreter CI job diffs the same commands' output against this
+# file on Python 3.10, 3.11 and 3.13.
+_EXACT_COMMANDS = os.path.join(os.path.dirname(__file__), "exact_commands.txt")
+
+
+def test_exact_commands_print_the_checked_in_bytes(capsys):
+    # simulate and sweep sum their floats left to right, so every supported
+    # interpreter prints these bytes; sum() compensates from Python 3.12 on.
+    with open(_EXACT_COMMANDS, encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    commands = [line.split()[2:] for line in expected.splitlines() if line.startswith("$ ")]
+    printed = []
+    for argv in commands:
+        assert cli.main(argv) == 0
+        printed.append(f"$ qwsearch {' '.join(argv)}\n{capsys.readouterr().out}")
+    assert "".join(printed) == expected
+    assert sorted(int(argv[2]) for argv in commands if argv[0] == "sweep") == list(range(2, 9))
+    assert "simulate --n 100 --k 40".split() in commands
+
+
 def test_out_file_and_dir_override(tmp_path):
     target = tmp_path / "report.csv"
     out = run("spectrum", "--n", "6", "--k", "3", "--out", str(target))

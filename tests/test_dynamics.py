@@ -469,14 +469,14 @@ def test_scalar_refinement_clamps_and_warns_like_arrays():
     dec = qw.dynamics.EigDecomp(values=np.array([0.0, 1.0]), vectors=np.eye(2))
     big = np.array([0.6, 0.6])  # |amplitude|^2 up to 1.44
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
-        t_peak, p_peak = qw.reduced._peak([0.0, 1.0], [0.6, 0.6], 1.0, 10.0)
+        t_peak, p_peak = qw.reduced._peak(qw.reduced._curve([0.0, 1.0], [0.6, 0.6]), 1.0, 10.0)
     assert p_peak == 1.0 and t_peak == pytest.approx(2 * math.pi, rel=1e-12)
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
         assert qw.dynamics._probs_at(dec, big, np.array([0.0]))[0] == 1.0
     tiny = 0.5 + 1e-12  # overshoot about 2e-12, below the 1e-10 warning level
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert qw.reduced._peak([0.0, 1.0], [0.5, tiny], 1.0, 10.0)[1] == 1.0
+        assert qw.reduced._peak(qw.reduced._curve([0.0, 1.0], [0.5, tiny]), 1.0, 10.0)[1] == 1.0
         assert qw.dynamics._probs_at(dec, np.array([0.5, tiny]), np.array([0.0]))[0] == 1.0
 
 

@@ -4,7 +4,8 @@ routes to the same numbers.
 The table holds ``float.hex`` of each float field of
 :func:`qwsearch.asymptotics_row` on rows from k = 1 to 6, n from 2k up to
 the top of each k's accurate range (10^8, 10^6.4, 10^4.9, 10^3.7 and 10^2.8
-for k = 2..6).  Work that claims to leave the arithmetic alone must leave
+for k = 2..6), and on the k = 5, 6 rows of the benchmark's sweep where the
+most ripple arcs survive the peak search's cut.  Work that claims to leave the arithmetic alone must leave
 it passing unchanged; only a change that states which digits move may
 regenerate it.
 """
@@ -92,6 +93,14 @@ _PINNED = [
         "0x1.bb9a85982100dp+0", "0x1.5c67cbcccd442p+2", "0x1.097b090398275p-1",
         "0x1.03c3ed4f16651p-1",
     )),
+    # J(2896,5), J(454,6) and J(585,6): the rows of the benchmark's sweep
+    # where the most ripple arcs (5, 7 and 8) survive the peak search's cut.
+    (5, 2896, 1691652397529424, (
+        "0x1.22301e4e1ecd3p-14", "0x1.edc281bc5ef52p+25", "0x1.fff0e5b5b2ab1p-1",
+        "0x1.ecef321594c13p+25", "0x1.fff1cddfbfcc0p-1", "0x1.a1ad5cfa358aep-25",
+        "0x1.006dc01f0dd66p+0", "0x1.92cc1a8d00688p+1", "0x1.00000035b6d46p-1",
+        "0x1.fff1cf1602b79p-2",
+    )),
     (5, 5011, 26276881700275212, (
         "0x1.4f28ad4b31612p-15", "0x1.e6266a4cbfebcp+27", "0x1.fff781890e889p-1",
         "0x1.e5ae2529efceap+27", "0x1.fff7cf0013966p-1", "0x1.a7ea6244d506fp-27",
@@ -103,6 +112,18 @@ _PINNED = [
         "0x1.289ead1f9af9cp+7", "0x1.df13d4d6f565ep-1", "0x1.03ad7ffb5a6c6p-4",
         "0x1.054bb1a7d34fep+1", "0x1.9a713a283e103p+2", "0x1.04e44e3a6b402p-1",
         "0x1.f774bbe5a6db5p-2",
+    )),
+    (6, 454, 11765093687985, (
+        "0x1.864529f3a5664p-12", "0x1.4e59959774f37p+22", "0x1.ff6199b92eba5p-1",
+        "0x1.48f09377a7e1ap+22", "0x1.ffb90c859ee7ap-1", "0x1.38f4fa907f965p-21",
+        "0x1.043611ede896ep+0", "0x1.98bd22f360010p+1", "0x1.00000272bb704p-1",
+        "0x1.ffb91b3056a7ep-2",
+    )),
+    (6, 585, 54254014875060, (
+        "0x1.2df0a1f9ef94bp-12", "0x1.65a9276870d26p+23", "0x1.ff94d530f7c61p-1",
+        "0x1.612a1e2ce1fe6p+23", "0x1.ffc93b5824d6dp-1", "0x1.237d5b1e7e00ep-22",
+        "0x1.03426c4ea2d60p+0", "0x1.973e6ab1b11d7p+1", "0x1.0000012416928p-1",
+        "0x1.ffc9422c2be67p-2",
     )),
     (6, 630, 84789140638125, (
         "0x1.18288eedb3a36p-12", "0x1.beb5ac269fc9cp+23", "0x1.ffa01676cb1eep-1",

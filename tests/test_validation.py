@@ -525,6 +525,24 @@ def test_asymptotics_row_solves_the_reduced_model_once(monkeypatch, n, k):
     )
 
 
+@pytest.mark.parametrize("n,k", [(100, 2), (1000, 3), (300, 5), (454, 6)])
+def test_asymptotics_row_is_one_pass(monkeypatch, n, k):
+    # One row computes the multiplicities m_0..m_k, gamma_star's exact
+    # ratio, run_time's power and factorial, and the curve once each.
+    params = qw.GraphParams(n, k)
+    expected = qw.asymptotics_row(params)
+    ratio_calls = _count_calls(monkeypatch, qw.coupling, "_gamma_star_ratio")
+    mult_calls = _count_calls(monkeypatch, qw.spectral, "_multiplicity")
+    factorial_calls, factorial = [], math.factorial
+    monkeypatch.setattr(math, "factorial", lambda x: factorial_calls.append(x) or factorial(x))
+    curve_calls = _count_calls(monkeypatch, qw.reduced, "_curve")
+    assert qw.asymptotics_row(params) == expected
+    assert len(ratio_calls) == 1
+    assert len(mult_calls) == k + 1
+    assert len(factorial_calls) == 1
+    assert len(curve_calls) == 1
+
+
 @pytest.mark.parametrize(
     "k, n, p_at_trun",
     [(3, 10**12, 0.836387494425691), (6, 10**6, 0.287205716053208),
