@@ -1,12 +1,14 @@
 """Full-space eigendecompositions and the success curve on a time grid.
 
 :func:`sym_eig` is the one call to LAPACK (``numpy.linalg.eigh``); the
-package hands it only the Lanczos tridiagonals of the full-space oracle.
-:func:`scan` evaluates the reduced model's curve on a uniform time grid
-from a factored phase table.  The reduced model itself, its levels and
+package hands it only the Lanczos tridiagonals of the full-space oracle
+(:mod:`qwsearch.validation`), and :class:`EigDecomp` is its return type
+alone.  :func:`scan` evaluates the reduced model's curve on a uniform time
+grid from a factored phase table.  The reduced model itself, its levels and
 weights from the secular equation, :func:`success_probability`,
 :func:`find_peak` and :func:`run_time`, lives in :mod:`qwsearch.reduced`,
-which imports no numpy; they are importable from here too.
+which imports no numpy and forms no eigenvectors; they are importable from
+here too.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 
 from .domain import GraphParams, _int
 from .errors import DomainError, NumericalError
-# find_peak, peak_bracket, run_time and success_probability are re-exported.
+# find_peak, run_time and success_probability are re-exported.
 from .reduced import (
     MAX_SCAN_SAMPLES,
     _check_phase,
@@ -24,11 +26,10 @@ from .reduced import (
     _solve,
     _warn_overshoot,
     find_peak,
-    peak_bracket,
     run_time,
     success_probability,
 )
-from .spectral import SpectralData, spectral_data
+from .spectral import spectral_data
 
 
 @dataclass(frozen=True)
@@ -103,32 +104,6 @@ def _clamp_probs(probs):
     return probs
 
 
-def _transition(dec: EigDecomp, target: np.ndarray) -> tuple:
-    # One decomposition serves every time sample: the amplitude of target
-    # from e_0 is <target| V e^{-iEt} V^T |e_0>
-    # = sum_j (V[0,j] * (V^T target)_j) e^{-iE_j t}.
-    return dec, dec.vectors[0, :] * (dec.vectors.T @ target)
-
-
-def _reduced_transition(sd: SpectralData, gamma: float) -> tuple:
-    # The reduced model's (decomposition, weights) of e_0 to p at a checked
-    # gamma, sd being the instance's spectral_data: the secular solve's
-    # levels less gamma*lambda_0, its weights, and the eigenvectors v_lj =
-    # p_l/((gamma d_l - mu_j) sqrt(R_j)) (module docstring of reduced).
-    levels, weights, sums, diffs, _ = _solve(sd, gamma)
-    vectors = np.array(sd.overlaps)[:, None] / np.array(diffs).T / np.sqrt(sums)
-    values = np.array(levels) - gamma * sd.lambdas[0]
-    return EigDecomp(values=values, vectors=vectors), np.array(weights)
-
-
-def _probs_at(dec: EigDecomp, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    # The success curve of the transition (dec, weights) at the given times.
-    # The weights enter as a d x 1 matrix: a 1-D product takes another BLAS
-    # path, whose sums round differently.
-    amps = np.exp(-1j * np.outer(times, dec.values)) @ weights[:, None]
-    return _clamp_probs(np.abs(amps[:, 0]) ** 2)
-
-
 def _probs_on_grid(
     levels: np.ndarray, weights: np.ndarray, t0: float, t1: float, m: int
 ) -> np.ndarray:
@@ -137,9 +112,9 @@ def _probs_on_grid(
 
     Grid index i is written a*B + b with B = ceil(sqrt(m)), and
     e^{-iE t_i} = e^{-iE (t0 + aB*step)} * e^{-iE b*step}, so about 2*sqrt(m)
-    exponentials per level replace m.  Against :func:`_probs_at` on the same
-    times the result differs only by the rounding of the phase arguments,
-    a few eps * max|E| * t1.
+    exponentials per level replace m.  Against the sum over levels taken
+    point by point at the same times, the result differs only by the
+    rounding of the phase arguments, a few eps * max|E| * t1.
     """
     step = (t1 - t0) / (m - 1)
     block = math.isqrt(m - 1) + 1

@@ -228,11 +228,6 @@ def _durations(params: GraphParams) -> tuple:
     raise DomainError(f"run_time of J({params.n},{params.k}) overflows binary64")
 
 
-def peak_bracket(params: GraphParams) -> tuple:
-    """Default search bracket (0, 2*run_time); the peak sits near run_time."""
-    return (0.0, 2.0 * run_time(params))
-
-
 def _warn_overshoot(excess: float):
     if excess > _CLAMP_WARN_EXCESS:
         warnings.warn(

@@ -17,9 +17,12 @@ of its (k+1) x (k+1) tridiagonal is exact up to the closing beta times t
 (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  Each comparison of a mark
 with the reduced model runs the pair w, w + 1 mod N in one batch, whose
 runs close at one step.  A run that does not close, or a batch whose runs
-close at different steps, is refused, never truncated.  Two curves are
-compared by a bound over all of [0, t_max] read off their levels, weights
-and closing betas.
+close at different steps, is refused, never truncated.  A curve, from
+either model, is one immutable triple (levels, weights, beta) of Python
+floats: the levels E_j and weights w_j of p(t) = |sum_j w_j e^{-iE_j t}|^2
+and the closing beta of its Lanczos run, 0.0 for the reduced model, whose
+secular solve gives its weights without eigenvectors.  Two curves are
+compared by a bound over all of [0, t_max] read off those triples.
 
 Large instances are covered through the reduced model alone, where the
 perturbation analysis shows up as measurable spectral facts at the
@@ -39,7 +42,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import coupling
-from .dynamics import EigDecomp, _reduced_transition, _transition, sym_eig
+from .dynamics import sym_eig
 from .domain import DEFAULT_FULL_CAP, GraphParams, _check_coupling, _int
 from .errors import NumericalError
 from .johnson import (
@@ -51,7 +54,7 @@ from .johnson import (
     adjacency_matrix,
 )
 # SweepRow, asymptotics_row and convergence_sweep are re-exported.
-from .reduced import SweepRow, _check_time, asymptotics_row, convergence_sweep, run_time
+from .reduced import SweepRow, _check_time, _solve, asymptotics_row, convergence_sweep, run_time
 from .spectral import (
     SpectralData,
     _reduced_matrix,
@@ -91,17 +94,16 @@ class ValidationReport:
 
 
 def _lanczos(a, gamma, marks, params) -> tuple:
-    # The transition (decomposition, weights) of |s> to |w> under
-    # H_w = -gamma*A - |w><w| and the closing beta, for each mark w, by
-    # Lanczos with full reorthogonalisation.  The runs step together: one
-    # product of A with a len(marks) x N block per step, and BLAS inner
-    # products (einsum's sums over N lose about ten times more digits).  The
-    # distance-class span is invariant under H_w, so a run must close, beta
-    # <= _CLOSURE_TOL * (gamma*k(n-k) + 1), within k+1 steps or is refused.
-    # Every eigenvector of the reduced matrix has a nonzero e_0 entry, so
-    # every mark's Krylov space has the same dimension: the runs close at one
-    # step, a batch whose runs do not is refused, and one sym_eig call
-    # serves the batch.
+    # The curve (levels, weights, beta) of |s> to |w> under H_w = -gamma*A
+    # - |w><w|, for each mark w, by Lanczos with full reorthogonalisation.
+    # The runs step together: one product of A with a len(marks) x N block
+    # per step, and BLAS inner products (einsum's sums over N lose about ten
+    # times more digits).  The distance-class span is invariant under H_w,
+    # so a run must close, beta <= _CLOSURE_TOL * (gamma*k(n-k) + 1), within
+    # k+1 steps or is refused.  Every eigenvector of the reduced matrix has
+    # a nonzero e_0 entry, so every mark's Krylov space has the same
+    # dimension: the runs close at one step, a batch whose runs do not is
+    # refused, and one sym_eig call serves the batch.
     n_vert, n_marks, steps = len(a), len(marks), params.k + 1
     tol = _CLOSURE_TOL * (gamma * params.degree + 1.0)
     basis = np.empty((n_marks, steps, n_vert))
@@ -140,11 +142,25 @@ def _lanczos(a, gamma, marks, params) -> tuple:
         )
     dim = j + 1
     dec = sym_eig(tri[:, :dim, :dim])
-    transitions = [
-        _transition(EigDecomp(values, vectors), basis[m, :dim, w])
-        for m, (w, values, vectors) in enumerate(zip(marks, dec.values, dec.vectors))
+    # With Q the basis and |s> = Q e_0, the amplitude of |w> is <w| Q V
+    # e^{-iEt} V^T e_0 = sum_j (V[0,j] * (V^T Q^T w)_j) e^{-iE_j t}.
+    weights = [
+        vectors[0] * (vectors.T @ basis[m, :dim, w])
+        for m, (w, vectors) in enumerate(zip(marks, dec.vectors))
     ]
-    return transitions, betas
+    return tuple(
+        (tuple(levels), tuple(weights), beta)
+        for levels, weights, beta in zip(dec.values.tolist(), np.array(weights).tolist(), betas)
+    )
+
+
+def _reduced_curve(sd: SpectralData, gamma: float) -> tuple:
+    # The reduced model's curve of e_0 to p at a checked gamma, sd being the
+    # instance's spectral_data: the secular solve's levels less
+    # gamma*lambda_0, its weights and beta 0.0.
+    levels, weights, *_ = _solve(sd, gamma)
+    shift = gamma * sd.lambdas[0]
+    return tuple([x - shift for x in levels]), weights, 0.0
 
 
 def _total(values) -> float:
@@ -157,21 +173,20 @@ def _total(values) -> float:
 
 
 def _sup_distance(curve_a, curve_b, t_max) -> float:
-    # A bound on max |p_a - p_b| over 0 <= t <= t_max for curves
-    # ((decomposition, weights), beta), p = |A|^2, A(t) = sum_j w_j e^{-iE_j t}:
+    # A bound on max |p_a - p_b| over 0 <= t <= t_max for curves (levels,
+    # weights, beta), p = |A|^2, A(t) = sum_j w_j e^{-iE_j t}:
     # |A_a - A_b| <= sum_j |w_a,j - w_b,j| + t sum_j |w_b,j| |E_a,j - E_b,j|
     # with levels in ascending order (a curve with fewer levels has weight 0
     # and its partner's E on the levels it lacks, so zip stops at the shorter
     # run), plus beta*t per Lanczos run, and |p_a - p_b| <= |A_a - A_b| (W_a
-    # + W_b), W = sum_j |w_j|.  Rounding adds eps W^2 ((d+1)(t max|E| + 1) + 3)
-    # per curve of d levels, eps = 2**-52: eigh's and the secular solve's
-    # levels are good to d eps max|E|, each phase rounds once more, and the exponential, d-term sum and
-    # modulus add d + 4.  A curve against itself is 0.0.
+    # + W_b), W = sum_j |w_j|.  Rounding adds eps W^2 ((d+1)(t max|E| + 1) +
+    # 3) per curve of d levels, eps = 2**-52: eigh's and the secular solve's
+    # levels are good to d eps max|E|, each phase rounds once more, and the
+    # exponential, d-term sum and modulus add d + 4.  A curve against itself
+    # is 0.0.
     if curve_a is curve_b:
         return 0.0
-    (levels_a, weights_a, beta_a), (levels_b, weights_b, beta_b) = (
-        (dec.values.tolist(), w.tolist(), beta) for (dec, w), beta in (curve_a, curve_b)
-    )
+    (levels_a, weights_a, beta_a), (levels_b, weights_b, beta_b) = curve_a, curve_b
     mass_a, mass_b = _total(map(abs, weights_a)), _total(map(abs, weights_b))
     spread = _total(abs(x - y) for x, y in zip_longest(weights_a, weights_b, fillvalue=0.0))
     drift = _total(abs(w * (x - y)) for x, y, w in zip(levels_a, levels_b, weights_b))
@@ -200,15 +215,15 @@ def compare_full_reduced(
     """
     gamma, t_max = _check_time(params, gamma, t_max, "t_max")
     w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
-    full, _ = _full_lanczos(params, gamma, (w, (w + 1) % params.num_vertices), cap)
-    return _sup_distance(full, (_reduced_transition(spectral_data(params), gamma), 0.0), t_max)
+    full = _full_lanczos(params, gamma, (w, (w + 1) % params.num_vertices), cap)[0]
+    return _sup_distance(full, _reduced_curve(spectral_data(params), gamma), t_max)
 
 
-def _full_lanczos(params, gamma, marks, cap) -> list:
-    # (transition, beta) of _lanczos on a fresh A per distinct mark; the
-    # caller has checked gamma and the marks.
+def _full_lanczos(params, gamma, marks, cap) -> tuple:
+    # The curves of _lanczos on a fresh A, one per distinct mark; the caller
+    # has checked gamma and the marks.
     marks = tuple(dict.fromkeys(marks))
-    return list(zip(*_lanczos(adjacency_matrix(params, cap), gamma, marks, params)))
+    return _lanczos(adjacency_matrix(params, cap), gamma, marks, params)
 
 
 def compare_marked_vertices(
@@ -246,9 +261,10 @@ def _spectrum_checks(sd, dense) -> tuple:
 
 @dataclass(frozen=True)
 class _GraphRecord:
-    # What validate_instance computes from (n, k) alone; its arrays are
-    # read-only.  checks are spectrum_values, spectrum_multiplicities and
-    # overlap_consistency, in report order.
+    # What validate_instance computes from (n, k) alone, immutable: reduced
+    # is the reduced model's curve (levels, weights, beta), and checks are
+    # spectrum_values, spectrum_multiplicities and overlap_consistency, in
+    # report order.
     sd: SpectralData
     gamma: float
     t_max: float
@@ -263,13 +279,11 @@ def _memo_graph(params: GraphParams) -> _GraphRecord:
     # one N x N array is live at a time.
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
-    dec, weights = _reduced_transition(sd, gamma)
+    reduced = _reduced_curve(sd, gamma)
     dense = np.linalg.eigvalsh(adjacency_matrix(params, params.num_vertices))
     overlap = overlap_consistency_residual(params)
     checks = _spectrum_checks(sd, dense) + (CheckResult("overlap_consistency", overlap, 1e-13),)
-    for array in (dec.values, dec.vectors, weights):
-        array.flags.writeable = False
-    return _GraphRecord(sd, gamma, 2.0 * run_time(params), (dec, weights), checks)
+    return _GraphRecord(sd, gamma, 2.0 * run_time(params), reduced, checks)
 
 
 def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> ValidationReport:
@@ -377,8 +391,8 @@ def validate_instance(
     """Every full-space check on one instance, aggregated for reporting.
 
     What depends on (n, k) alone is kept per process for the last 8 graphs
-    (read-only): the closed-form spectrum, gamma*, t_max = 2*run_time, the
-    reduced model's transition, and the spectrum and overlap checks, whose
+    (immutable): the closed-form spectrum, gamma*, t_max = 2*run_time, the
+    reduced model's curve, and the spectrum and overlap checks, whose
     values-only ``eigvalsh`` is the one dense eigensolve.  The cap and the
     mark are checked first on every call, and one N x N array is held at a
     time.  Partition invariance, the embedding residual and the Lanczos
@@ -395,8 +409,8 @@ def validate_instance(
     a = _adjacency(index)
     embedding = _embedding_residual(record.sd, a, record.gamma, w)
     w2 = (w + 1) % params.num_vertices
-    full_w, full_w2 = zip(*_lanczos(a, record.gamma, (w, w2), params))
-    oracle = _sup_distance(full_w, (record.reduced, 0.0), record.t_max)
+    full_w, full_w2 = _lanczos(a, record.gamma, (w, w2), params)
+    oracle = _sup_distance(full_w, record.reduced, record.t_max)
     checks = record.checks + (
         CheckResult("partition_invariance", invariance, 1e-12),
         CheckResult("reduced_embedding", embedding, 1e-10),

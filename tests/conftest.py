@@ -13,40 +13,50 @@ _STORAGE = tempfile.TemporaryDirectory(prefix="hypothesis-")
 configuration.set_hypothesis_home_dir(_STORAGE.name)
 
 
-def centred(dec, weights):
-    """dec with its energies shifted to the midpoint of the two levels of
-    largest |w_j|, as find_peak evaluates the curve; p is unchanged, and the
-    phases, and their rounding, stay small."""
+def probs_at(levels, weights, times):
+    """Test-only oracle: the success curve p(t) = |sum_j w_j e^{-iE_j t}|^2
+    of a curve's levels and weights at the given times, summed point by
+    point and clamped like the package's curves.  The weights enter as a
+    d x 1 matrix: a 1-D product takes another BLAS path, whose sums round
+    differently."""
     import numpy as np
 
     import qwsearch as qw
 
+    amps = np.exp(-1j * np.outer(times, levels)) @ np.asarray(weights, dtype=float)[:, None]
+    return qw.dynamics._clamp_probs(np.abs(amps[:, 0]) ** 2)
+
+
+def centred(levels, weights):
+    """The levels shifted to the midpoint of the two of largest |w_j|, as
+    find_peak evaluates the curve; p is unchanged, and the phases, and their
+    rounding, stay small."""
+    import numpy as np
+
+    levels = np.asarray(levels, dtype=float)
     a, b = np.argsort(-np.abs(weights), kind="stable")[:2]
-    values = dec.values - (dec.values[a] + dec.values[b]) / 2
-    return qw.dynamics.EigDecomp(values=values, vectors=dec.vectors)
+    return levels - (levels[a] + levels[b]) / 2
 
 
-def peak_beta(dec, weights, t1):
+def peak_beta(levels, weights, t1):
     """find_peak's stated bound beta = 12 eps m_0 (t1 m_1 + d + 5), with
     m_r = sum_j |w_j| |e_j|^r over the d centred levels e_j."""
     import numpy as np
 
-    e = centred(dec, weights).values
+    weights = np.asarray(weights, dtype=float)
+    e = centred(levels, weights)
     m0, m1 = np.sum(np.abs(weights)), np.sum(np.abs(weights * e))
     return float(12 * 2.0**-52 * m0 * (t1 * m1 + len(e) + 5))
 
 
-def scan_max(dec, weights, t0, t1, m, chunk=50_001):
+def scan_max(levels, weights, t0, t1, m, chunk=50_001):
     """The largest p of the centred curve at the m times np.linspace(t0, t1,
-    m), evaluated point by point (_probs_at) in chunks."""
+    m), evaluated point by point (probs_at) in chunks."""
     import numpy as np
 
-    import qwsearch as qw
-
-    times, cdec = np.linspace(t0, t1, m), centred(dec, weights)
+    times, e = np.linspace(t0, t1, m), centred(levels, weights)
     return max(
-        float(qw.dynamics._probs_at(cdec, weights, times[i : i + chunk]).max())
-        for i in range(0, m, chunk)
+        float(probs_at(e, weights, times[i : i + chunk]).max()) for i in range(0, m, chunk)
     )
 
 

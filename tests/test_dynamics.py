@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import centred, peak_beta, scan_max
+from conftest import centred, peak_beta, probs_at, scan_max
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -270,8 +270,8 @@ def test_couplings_up_to_the_bound_are_solved(n, k):
     below = float(np.nextafter(bound, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dec = qw.dynamics._reduced_transition(qw.spectral_data(params), below)[0]
-        assert np.all(np.isfinite(dec.values))
+        levels = qw.validation._reduced_curve(qw.spectral_data(params), below)[0]
+        assert np.all(np.isfinite(levels))
         assert 0.0 <= qw.success_probability(params, below, 1.0) <= 1.0
         if params.num_vertices <= 20:
             assert np.all(np.isfinite(qw.sym_eig(qw.full_hamiltonian(params, below, 0)).values))
@@ -379,10 +379,10 @@ def test_find_peak_is_within_beta_of_dense_scans(graph, scale, ends):
     gamma = qw.gamma_star(params) * 2.0**scale
     t0, t1 = sorted(4 * qw.run_time(params) * x for x in ends)
     assume(t1 - t0 > 1e-6)
-    dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
-    beta = peak_beta(dec, weights, t1)
-    dense = scan_max(dec, weights, t0, t1, 20_001)
-    edge = scan_max(dec, weights, t0, t1, 2)
+    levels, weights, _ = qw.validation._reduced_curve(qw.spectral_data(params), gamma)
+    beta = peak_beta(levels, weights, t1)
+    dense = scan_max(levels, weights, t0, t1, 20_001)
+    edge = scan_max(levels, weights, t0, t1, 2)
     try:
         t_peak, p_peak = qw.find_peak(params, gamma, (t0, t1))
     except BracketError:
@@ -405,9 +405,9 @@ def test_find_peak_refuses_a_bracket_that_needs_too_many_samples():
     assert peak < 200_000
 
 
-def _phase_rounding_bound(dec, t1):
+def _phase_rounding_bound(levels, t1):
     # |dp| <= 2 * max phase error, since |amplitude| <= 1 and sum |w_j| <= 1.
-    return 8 * np.finfo(float).eps * (1 + np.max(np.abs(dec.values)) * t1)
+    return 8 * np.finfo(float).eps * (1 + np.max(np.abs(levels)) * t1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -416,13 +416,13 @@ def _phase_rounding_bound(dec, t1):
 def test_probs_on_grid_matches_pointwise(k, n_scale, m):
     params = qw.GraphParams(n_scale or 2 * k, k)
     gamma = qw.gamma_star(params)
-    dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
+    levels, weights, _ = qw.validation._reduced_curve(qw.spectral_data(params), gamma)
     t_end = 2 * qw.run_time(params)
     for t0, t1 in ((0.0, t_end), (0.3 * t_end, 0.7 * t_end)):
-        grid = qw.dynamics._probs_on_grid(dec.values, weights, t0, t1, m)
-        direct = qw.dynamics._probs_at(dec, weights, np.linspace(t0, t1, m))
+        grid = qw.dynamics._probs_on_grid(np.array(levels), np.array(weights), t0, t1, m)
+        direct = probs_at(levels, weights, np.linspace(t0, t1, m))
         assert grid.shape == (m,)
-        assert np.max(np.abs(grid - direct)) <= _phase_rounding_bound(dec, t1)
+        assert np.max(np.abs(grid - direct)) <= _phase_rounding_bound(levels, t1)
 
 
 def test_scan_probs_match_success_probability():
@@ -430,8 +430,8 @@ def test_scan_probs_match_success_probability():
     gamma = qw.gamma_star(params)
     res = qw.scan(params, gamma, 10.0, 2 * qw.run_time(params), 37)
     assert np.array_equal(res.times, np.linspace(10.0, 2 * qw.run_time(params), 37))
-    dec, _ = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
-    bound = _phase_rounding_bound(dec, res.times[-1])
+    levels, _, _ = qw.validation._reduced_curve(qw.spectral_data(params), gamma)
+    bound = _phase_rounding_bound(levels, res.times[-1])
     for t, p in zip(res.times, res.probs):
         assert abs(p - qw.success_probability(params, gamma, float(t))) <= bound
 
@@ -442,10 +442,10 @@ def test_scalar_refinement_matches_pointwise(n, k):
     # amplitude A = sum_j w_j e^{i e_j t} and its derivatives.
     params = qw.GraphParams(n, k)
     gamma = qw.gamma_star(params)
-    dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
-    cdec = centred(dec, weights)
-    e = cdec.values
-    terms = tuple((x, y, y * x, y * x * x) for x, y in zip(e.tolist(), weights.tolist()))
+    levels, weights, _ = qw.validation._reduced_curve(qw.spectral_data(params), gamma)
+    e = centred(levels, weights)
+    terms = tuple((x, y, y * x, y * x * x) for x, y in zip(e.tolist(), weights))
+    weights = np.array(weights)
     times = np.linspace(0.0, 2 * qw.run_time(params), 57)
     rows = np.array([qw.reduced._curve_at(terms, float(t)) for t in times])
     assert np.array_equal(rows[:, 0], times)
@@ -454,30 +454,29 @@ def test_scalar_refinement_matches_pointwise(n, k):
     p = np.abs(amp) ** 2
     d1 = 2 * np.real(np.conj(amp) * amp1)
     d2 = 2 * (np.abs(amp1) ** 2 + np.real(np.conj(amp) * amp2))
-    bound = _phase_rounding_bound(cdec, times[-1])
+    bound = _phase_rounding_bound(e, times[-1])
     scale = np.max(np.abs(e))
     assert np.max(np.abs(rows[:, 1] - p)) <= bound
     assert np.max(np.abs(rows[:, 2] - d1)) <= bound * scale
     assert np.max(np.abs(rows[:, 3] - d2)) <= bound * scale**2
-    direct = qw.dynamics._probs_at(dec, weights, times)
-    assert np.max(np.abs(rows[:, 1] - direct)) <= _phase_rounding_bound(dec, times[-1])
+    direct = probs_at(levels, weights, times)
+    assert np.max(np.abs(rows[:, 1] - direct)) <= _phase_rounding_bound(levels, times[-1])
 
 
 def test_scalar_refinement_clamps_and_warns_like_arrays():
     # p = 0.72 (1 + cos t) peaks at 1.44 at t = 2 pi: find_peak's value is
     # clamped to 1 with the warning that arrays give.
-    dec = qw.dynamics.EigDecomp(values=np.array([0.0, 1.0]), vectors=np.eye(2))
-    big = np.array([0.6, 0.6])  # |amplitude|^2 up to 1.44
+    big = (0.6, 0.6)  # |amplitude|^2 up to 1.44
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
         t_peak, p_peak = qw.reduced._peak(qw.reduced._curve([0.0, 1.0], [0.6, 0.6]), 1.0, 10.0)
     assert p_peak == 1.0 and t_peak == pytest.approx(2 * math.pi, rel=1e-12)
     with pytest.warns(RuntimeWarning, match="overshoots 1"):
-        assert qw.dynamics._probs_at(dec, big, np.array([0.0]))[0] == 1.0
+        assert probs_at((0.0, 1.0), big, np.array([0.0]))[0] == 1.0
     tiny = 0.5 + 1e-12  # overshoot about 2e-12, below the 1e-10 warning level
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert qw.reduced._peak(qw.reduced._curve([0.0, 1.0], [0.5, tiny]), 1.0, 10.0)[1] == 1.0
-        assert qw.dynamics._probs_at(dec, np.array([0.5, tiny]), np.array([0.0]))[0] == 1.0
+        assert probs_at((0.0, 1.0), (0.5, tiny), np.array([0.0]))[0] == 1.0
 
 
 def test_clamp_probs_leaves_probabilities_untouched_and_clips_overshoot():

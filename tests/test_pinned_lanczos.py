@@ -1,12 +1,17 @@
-"""The Lanczos transitions of the full-space oracle, pinned bit for bit.
+"""The Lanczos transitions of the full-space oracle and its reports,
+pinned bit for bit.
 
-The table holds ``float.hex`` of the levels E_j and weights w_j that
+The first table holds ``float.hex`` of the levels E_j and weights w_j that
 ``validation._lanczos`` returns for the marks w and w + 1 mod N of
 ``validate_instance`` at gamma*, on J(6,3) w = 0 and 5, J(9,4) w = 17 and
-J(12,5) w = 100.  A product of A with the Lanczos block at N = 792 rounds
-differently with the number of BLAS threads, so the transitions are
-computed in a child process held to one thread.  Work that claims to leave
-the Lanczos arithmetic alone must leave this passing unchanged.
+J(12,5) w = 100.  The second holds every check residual that
+``validate_instance`` reports on those four instances, and the third the
+bounds of ``compare_full_reduced`` (w = 0) and ``compare_marked_vertices``
+(w = 0 against 5) on J(6,3) at 0.3 and 3 gamma*, t_max = 2*run_time.  A
+product of A with the Lanczos block at N = 792 rounds differently with the
+number of BLAS threads, so everything is computed in a child process held
+to one thread.  Work that claims to leave the oracle's arithmetic alone
+must leave this passing unchanged.
 """
 
 import json
@@ -108,6 +113,52 @@ _PINNED = {
     ),
 }
 
+# (n, k, w): (check name, hex of its residual) in report order
+_REPORTS = {
+    (6, 3, 0): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.e518e3d2553b8p-45"),
+        ("vertex_independence", "0x1.d31c16644db34p-45"),
+    ),
+    (6, 3, 5): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-55"),
+        ("oracle_equivalence", "0x1.ec4bd4ca3d51cp-45"),
+        ("vertex_independence", "0x1.e7a79cecb4a55p-45"),
+    ),
+    (9, 4, 17): (
+        ("spectrum_values", "0x1.8000000000000p-46"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-49"),
+        ("oracle_equivalence", "0x1.92db203a37a7bp-43"),
+        ("vertex_independence", "0x1.710a20254481ap-43"),
+    ),
+    (12, 5, 100): (
+        ("spectrum_values", "0x1.7000000000000p-44"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.f000000000000p-48"),
+        ("oracle_equivalence", "0x1.522a1906af3bcp-40"),
+        ("vertex_independence", "0x1.0a6f656cbf776p-39"),
+    ),
+}
+
+# scale of gamma*: (compare_full_reduced, compare_marked_vertices) on J(6,3)
+_COMPARES = {
+    0.3: ("0x1.0e1f799c748bcp-47", "0x1.0d28cf3f0b855p-47"),
+    3.0: ("0x1.b77eecdd3a1a4p-46", "0x1.c2ad9c1c67920p-46"),
+}
+
 _CHILD = """
 import json, sys
 import qwsearch as qw
@@ -116,23 +167,56 @@ for n, k, w in json.loads(sys.argv[1]):
     params = qw.GraphParams(n, k)
     marks = (w, (w + 1) % params.num_vertices)
     a = qw.adjacency_matrix(params)
-    transitions, _ = qw.validation._lanczos(a, qw.gamma_star(params), marks, params)
-    out.append([[[float(x).hex() for x in dec.values], [float(x).hex() for x in weights]]
-                for dec, weights in transitions])
+    curves = qw.validation._lanczos(a, qw.gamma_star(params), marks, params)
+    out.append([[[x.hex() for x in levels], [x.hex() for x in weights]]
+                for levels, weights, beta in curves])
 print(json.dumps(out))
 """
 
+_REPORT_CHILD = """
+import json, sys
+import qwsearch as qw
+cases, scales = json.loads(sys.argv[1])
+reports = [
+    [[c.name, c.residual.hex()] for c in qw.validate_instance(qw.GraphParams(n, k), w).checks]
+    for n, k, w in cases
+]
+params = qw.GraphParams(6, 3)
+t_max = 2 * qw.run_time(params)
+compares = []
+for scale in scales:
+    gamma = scale * qw.gamma_star(params)
+    compares.append([qw.compare_full_reduced(params, gamma, 0, t_max).hex(),
+                     qw.compare_marked_vertices(params, gamma, 0, 5, t_max).hex()])
+print(json.dumps([reports, compares]))
+"""
 
-def test_lanczos_transitions_are_pinned():
+
+def _one_thread_child(code, arg):
+    # stdout of code run in a fresh interpreter held to one BLAS thread,
+    # with arg as its first argument, read as JSON
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(qw.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cases = list(_PINNED)
     res = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(cases)],
+        [sys.executable, "-c", code, json.dumps(arg)],
         capture_output=True, env=env, timeout=120, check=True,
     )
-    got = json.loads(res.stdout)
+    return json.loads(res.stdout)
+
+
+def test_lanczos_transitions_are_pinned():
+    cases = list(_PINNED)
+    got = _one_thread_child(_CHILD, cases)
     for case, curves in zip(cases, got):
         assert [tuple(map(tuple, c)) for c in curves] == list(_PINNED[case]), case
+
+
+def test_oracle_reports_are_pinned():
+    cases, scales = list(_REPORTS), list(_COMPARES)
+    reports, compares = _one_thread_child(_REPORT_CHILD, [cases, scales])
+    for case, checks in zip(cases, reports):
+        assert tuple(map(tuple, checks)) == _REPORTS[case], case
+    for scale, bounds in zip(scales, compares):
+        assert tuple(bounds) == _COMPARES[scale], scale

@@ -156,18 +156,18 @@ def test_sweep_row_peak_is_within_beta_of_dense_scans(k, n):
     # scan of the whole bracket.
     params = qw.GraphParams(n, k)
     row = qw.asymptotics_row(params)
-    dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), row.gamma_star)
-    t0, t1 = qw.dynamics.peak_bracket(params)
-    beta = peak_beta(dec, weights, t1)
+    levels, weights, _ = qw.validation._reduced_curve(qw.spectral_data(params), row.gamma_star)
+    t0, t1 = 0.0, 2 * qw.run_time(params)
+    beta = peak_beta(levels, weights, t1)
     assert row.p_peak + beta >= row.p_at_trun
-    w, e = abs(weights), centred(dec, weights).values
+    w, e = np.abs(weights), centred(levels, weights)
     a, b = np.argsort(-w, kind="stable")[:2]
     rho = w.sum() - w[a] - w[b]
     delta = 2 * (w[a] + w[b]) * rho + rho * rho
     half = math.acos(max(1 - (2 * delta + beta) / (2 * w[a] * w[b]), -1)) / abs(e[b] - e[a])
     lo, hi = max(t0, row.t_peak - 2 * half), min(t1, row.t_peak + 2 * half)
-    assert scan_max(dec, weights, lo, hi, 400_001) <= row.p_peak + beta
-    assert scan_max(dec, weights, t0, t1, 20_001) <= row.p_peak + beta
+    assert scan_max(levels, weights, lo, hi, 400_001) <= row.p_peak + beta
+    assert scan_max(levels, weights, t0, t1, 20_001) <= row.p_peak + beta
 
 
 # The largest n of the sweep benchmark per k, where rows meet their checks.
@@ -188,9 +188,7 @@ def test_sweep_row_equals_the_public_routes(instance):
     assert row.gamma_star == gamma
     assert row.t_run == qw.run_time(params)
     assert row.p_at_trun == qw.success_probability(params, gamma, row.t_run)
-    assert (row.t_peak, row.p_peak) == qw.find_peak(
-        params, gamma, qw.dynamics.peak_bracket(params)
-    )
+    assert (row.t_peak, row.p_peak) == qw.find_peak(params, gamma, (0.0, 2 * qw.run_time(params)))
     sd = qw.spectral_data(params)
     levels = range(k + 1)
     assert type(sd.lambdas) is tuple and type(sd.overlaps) is tuple

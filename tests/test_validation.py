@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import peak_beta
+from conftest import peak_beta, probs_at
 
 import qwsearch as qw
 from qwsearch import cli, johnson
@@ -218,13 +218,13 @@ def test_a_kept_graph_record_still_checks_the_cap_and_the_mark():
 def test_a_kept_graph_record_is_read_only():
     params = qw.GraphParams(7, 3)
     record = qw.validation._memo_graph(params)
-    dec, weights = record.reduced
     assert type(record.sd.lambdas) is tuple and type(record.sd.overlaps) is tuple
-    arrays = (dec.values, dec.vectors, weights)
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+    # the reduced curve (levels, weights, beta): tuples of Python floats
+    levels, weights, beta = record.reduced
+    assert type(record.reduced) is tuple and type(beta) is float
+    for values in (levels, weights):
+        assert type(values) is tuple and len(values) == params.k + 1
+        assert all(type(x) is float for x in values)
     assert qw.validation._memo_graph(params) is record
 
 
@@ -234,7 +234,7 @@ def dense_curve(h, w, times):
     n_vert = h.shape[0]
     start = np.full(n_vert, 1.0 / math.sqrt(n_vert))
     weights = dec.vectors[w, :] * (dec.vectors.T @ start)
-    return qw.dynamics._probs_at(dec, weights, times)
+    return probs_at(dec.values, weights, times)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.3, 3.0])
@@ -245,9 +245,9 @@ def test_krylov_curves_match_the_dense_eigenvector_curves(n, k, scale):
     gamma = scale * qw.gamma_star(params)
     times = np.linspace(0.0, 2 * qw.run_time(params), 64)
     marks = (params.num_vertices - 1, 0)
-    transitions, _ = qw.validation._lanczos(qw.adjacency_matrix(params), gamma, marks, params)
-    for w, (dec, weights) in zip(marks, transitions):
-        curve = qw.dynamics._probs_at(dec, weights, times)
+    curves = qw.validation._lanczos(qw.adjacency_matrix(params), gamma, marks, params)
+    for w, (levels, weights, _) in zip(marks, curves):
+        curve = probs_at(levels, weights, times)
         expected = dense_curve(qw.full_hamiltonian(params, gamma, w), w, times)
         assert np.max(np.abs(curve - expected)) <= 1e-12
 
@@ -258,14 +258,14 @@ def test_reported_bounds_cover_the_dense_eigenvector_curves():
     # bounds, at the 64 times the checks once sampled and on 2001 times
     params = qw.GraphParams(6, 3)
     gamma, n_vert = qw.gamma_star(params), params.num_vertices
-    reduced = qw.dynamics._reduced_transition(qw.spectral_data(params), gamma)
+    levels, weights, _ = qw.validation._reduced_curve(qw.spectral_data(params), gamma)
     reports = [
         {c.name: c.residual for c in qw.validate_instance(params, w).checks}
         for w in range(n_vert)
     ]
     for m in (64, 2001):
         times = np.linspace(0.0, 2 * qw.run_time(params), m)
-        expected = qw.dynamics._probs_at(*reduced, times)
+        expected = probs_at(levels, weights, times)
         dense = [
             dense_curve(qw.full_hamiltonian(params, gamma, w), w, times) for w in range(n_vert)
         ]
@@ -329,8 +329,8 @@ def test_a_batch_whose_runs_close_at_different_steps_is_refused():
     params = qw.GraphParams(4, 2)  # N = 6, k + 1 = 3 steps
     with pytest.raises(NumericalError, match="closed at different steps"):
         qw.validation._lanczos(a, 0.5, (0, 1), params)
-    transitions, _ = qw.validation._lanczos(a, 0.5, (1, 2), params)
-    assert [len(dec.values) for dec, _ in transitions] == [3, 3]
+    curves = qw.validation._lanczos(a, 0.5, (1, 2), params)
+    assert [len(levels) for levels, _, _ in curves] == [3, 3]
 
 
 def test_validate_refuses_a_krylov_space_that_does_not_close(monkeypatch, capsys):
@@ -427,8 +427,8 @@ def test_asymptotics_row_fields_and_sanity():
     assert row.N == 4950
     assert row.gap > 0 and row.phase > 0
     assert 0 <= row.p_at_trun <= 1 and 0 <= row.p_peak <= 1
-    dec, weights = qw.dynamics._reduced_transition(qw.spectral_data(params), row.gamma_star)
-    assert row.p_peak + peak_beta(dec, weights, 2 * row.t_run) >= row.p_at_trun
+    levels, weights, _ = qw.validation._reduced_curve(qw.spectral_data(params), row.gamma_star)
+    assert row.p_peak + peak_beta(levels, weights, 2 * row.t_run) >= row.p_at_trun
 
 
 def test_asymptotics_k1_family_trends():
@@ -520,9 +520,7 @@ def test_asymptotics_row_solves_the_reduced_model_once(monkeypatch, n, k):
     # p_at_trun and the peak are the public functions' values on the same instance
     gamma = row.gamma_star
     assert row.p_at_trun == qw.success_probability(params, gamma, row.t_run)
-    assert (row.t_peak, row.p_peak) == qw.find_peak(
-        params, gamma, qw.dynamics.peak_bracket(params)
-    )
+    assert (row.t_peak, row.p_peak) == qw.find_peak(params, gamma, (0.0, 2 * qw.run_time(params)))
 
 
 @pytest.mark.parametrize("n,k", [(100, 2), (1000, 3), (300, 5), (454, 6)])
