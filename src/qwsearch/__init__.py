@@ -35,8 +35,8 @@ _HOMES = {
         "success_probability",
     ),
     "spectral": (
-        "ReducedHamiltonian", "SpectralData", "eigenvalue", "multiplicity", "overlap",
-        "overlap_sq_factorial", "reduced_hamiltonian", "spectral_data",
+        "SpectralData", "eigenvalue", "multiplicity", "overlap", "overlap_sq_factorial",
+        "reduced_hamiltonian", "spectral_data",
     ),
     "validation": (
         "ValidationReport", "check_partition_invariance", "check_spectrum",

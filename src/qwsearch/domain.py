@@ -1,9 +1,11 @@
-"""The graph parameters and the checks of every argument, in the standard library.
+"""The graph parameters and the argument checks, in the standard library.
 
 :class:`GraphParams` selects J(n,k), and the private checks here decide
-every integer, real and coupling argument the package takes.  This module
-and the exact layer built on it (the closed-form spectrum and gamma_star)
-import no numpy, so the CLI's ``spectrum`` and ``gamma`` never load it.
+every integer, real and coupling argument the package takes.  The rules on
+times, time windows and the phase bound, built on these checks, are in
+:mod:`qwsearch.reduced`.  This module and the exact layer built on it (the
+closed-form spectrum and gamma_star) import no numpy, so the CLI's
+``spectrum`` and ``gamma`` never load it.
 
 numpy scalars are still accepted wherever a Python number is: no numpy
 scalar can exist before numpy is imported, so each check looks numpy up in

@@ -44,8 +44,6 @@ class EigDecomp:
 class ScanResult:
     """Success probabilities on a uniform time grid."""
 
-    params: GraphParams
-    gamma: float
     times: np.ndarray
     probs: np.ndarray
 
@@ -147,8 +145,6 @@ def scan(
     gamma = _check_phase(params, gamma, t1)
     levels, weights, *_ = _solve(spectral_data(params), gamma)
     return ScanResult(
-        params=params,
-        gamma=gamma,
         times=np.linspace(t0, t1, m),
         probs=_probs_on_grid(np.array(levels), np.array(weights), t0, t1, m),
     )

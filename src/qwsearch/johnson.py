@@ -49,15 +49,13 @@ _INDEX_MEMO_SIZE = 8
 
 @dataclass(frozen=True)
 class DistancePartition:
-    """Vertex ids grouped by distance from ``marked``.
+    """Vertex ids grouped by graph distance from the marked vertex.
 
     ``classes[l]`` holds the vertices whose subset meets the marked subset
     in exactly k-l elements, i.e. the vertices at graph distance l; class 0
     is the marked vertex alone and class sizes are C(k,l)*C(n-k,l).
     """
 
-    params: GraphParams
-    marked: int
     classes: tuple
 
 
@@ -223,7 +221,7 @@ def distance_partition(
     # the checked class sizes split it.
     order = np.argsort(label, kind="stable").astype(np.int64, copy=False)
     classes = tuple(np.split(order, np.cumsum(_class_sizes(params))[:-1]))
-    return DistancePartition(params=params, marked=w, classes=classes)
+    return DistancePartition(classes=classes)
 
 
 def full_hamiltonian(

@@ -64,12 +64,13 @@ _SETTLED = 2.0**-27
 
 
 def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
-    # (levels, weights, sums, diffs, steps) of the reduced model at a checked
-    # gamma, from the secular equation of M = gamma*diag(d) - p p^T, d_l =
-    # l(n-l+1) (the module docstring): the levels mu_j ascending, the weights
-    # w_j, R_j, each root's differences gamma d_l - mu_j over l, and the most
-    # Newton steps a root took.  ratio is gamma_star's exact integer pair,
-    # computed here unless the caller has it.
+    # (levels, weights, sums, offsets, steps) of the reduced model at a
+    # checked gamma, from the secular equation of M = gamma*diag(d) - p p^T,
+    # d_l = l(n-l+1) (the module docstring): the levels mu_j ascending, the
+    # weights w_j, R_j, each root's offset delta_j from the pole it was
+    # solved at (pole j if delta_j < 0, else pole j-1), and the most Newton
+    # steps a root took.  ratio is gamma_star's exact integer pair, computed
+    # here unless the caller has it.
     params = sd.params
     n, k, big_n = params.n, params.k, params.num_vertices
     # The two closest poles are gamma*(d_k - d_(k-1)) = gamma*(n-2k+2) apart.
@@ -102,7 +103,7 @@ def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
         row, _, slope, _ = poles[0]
         terms = [(x, q, q / x) for x, q in zip(row[1:], p2[1:])]
         poles[0] = (row, (num * b - den * a) / (den * a), slope, terms)
-        levels, weights, sums, diffs, steps = [], [], [], [], 0
+        levels, weights, sums, offsets, steps = [], [], [], [], 0
         for j in range(k + 1):
             # Root j lies between the poles j-1 and j (below pole 0 for j =
             # 0, where f(-1) >= 0).  It is solved at the pole whose model
@@ -124,22 +125,23 @@ def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
             steps = max(steps, used)
             # R_j summed left to right: sum() compensates from Python 3.12 on,
             # and every supported interpreter must print the same digits.
-            diff, r = [], 0.0
+            r = 0.0
             for x, q in zip(poles[i][0], p2):
                 x -= delta
-                diff.append(x)
                 r += q / x / x
-            levels.append(delta - poles[i][0][0])
-            weights.append(sd.overlaps[0] / (diff[0] * r))
+            level = delta - poles[i][0][0]
+            levels.append(level)
+            # gamma d_0 - mu_j is -level, exactly: fl(x - delta) = -fl(delta - x).
+            weights.append(sd.overlaps[0] / (-level * r))
             sums.append(r)
-            diffs.append(tuple(diff))
+            offsets.append(delta)
     except (ZeroDivisionError, OverflowError):
         raise NumericalError(f"the secular equation of J({n},{k}) at gamma={gamma} "
                              f"leaves binary64") from None
     if not math.isfinite(sum(weights) + sum(sums) + sum(levels)):
         raise NumericalError(f"the secular equation of J({n},{k}) at gamma={gamma} "
                              f"leaves binary64")
-    return tuple(levels), tuple(weights), tuple(sums), tuple(diffs), steps
+    return tuple(levels), tuple(weights), tuple(sums), tuple(offsets), steps
 
 
 def _model(pole: tuple, p2: float, side: int) -> float:
@@ -535,7 +537,7 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
     sd = spectral_data(params)
     ratio = coupling._gamma_star_ratio(params, sd.mults)
     gamma = ratio[0] / ratio[1]
-    levels, weights, sums, diffs, _ = _solve(sd, gamma, ratio)
+    levels, weights, sums, _, _ = _solve(sd, gamma, ratio)
     gap = levels[1] - levels[0]
     t_run, scale = _durations(params)
     curve = _curve(levels, weights)
@@ -551,7 +553,7 @@ def asymptotics_row(params: GraphParams) -> SweepRow:
         gap=gap,
         gap_ratio=gap * scale,
         phase=gap * t_run,
-        s_overlap_sq=(sd.overlaps[0] / diffs[0][0]) ** 2 / sums[0],
+        s_overlap_sq=(sd.overlaps[0] / levels[0]) ** 2 / sums[0],
         w_overlap_sq=1.0 / sums[0],
     )
 

@@ -103,20 +103,11 @@ def spectral_data(params: GraphParams) -> SpectralData:
     return SpectralData(params=params, lambdas=lambdas, mults=mults, overlaps=overlaps)
 
 
-@dataclass(frozen=True)
-class ReducedHamiltonian:
-    """The search Hamiltonian restricted to its (k+1)-dimensional invariant subspace."""
-
-    params: GraphParams
-    gamma: float
-    matrix: "numpy.ndarray"
-
-
-def reduced_hamiltonian(params: GraphParams, gamma: float) -> ReducedHamiltonian:
-    """Exact (k+1) x (k+1) matrix -gamma*diag(lambda) - p p^T."""
+def reduced_hamiltonian(params: GraphParams, gamma: float) -> "numpy.ndarray":
+    """Exact (k+1) x (k+1) matrix -gamma*diag(lambda) - p p^T: the search
+    Hamiltonian restricted to its invariant subspace."""
     gamma = _check_coupling(params, gamma)
-    matrix = _reduced_matrix(spectral_data(params), gamma)
-    return ReducedHamiltonian(params=params, gamma=gamma, matrix=matrix)
+    return _reduced_matrix(spectral_data(params), gamma)
 
 
 def _reduced_matrix(sd: SpectralData, gamma: float) -> "numpy.ndarray":

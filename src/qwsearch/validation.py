@@ -85,7 +85,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    label: str
     checks: tuple
 
     @property
@@ -295,9 +294,7 @@ def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> Validati
     the last 8 graphs and shared with :func:`validate_instance`; ``cap``
     is checked on every call, before the kept checks are read."""
     _colex_index(params, cap)  # refuses N above cap
-    return ValidationReport(
-        label=f"J({params.n},{params.k}) spectrum", checks=_memo_graph(params).checks[:2]
-    )
+    return ValidationReport(checks=_memo_graph(params).checks[:2])
 
 
 def _invariance_residual(image, label) -> float:
@@ -417,4 +414,4 @@ def validate_instance(
         CheckResult("oracle_equivalence", oracle, 1e-9),
         CheckResult("vertex_independence", _sup_distance(full_w, full_w2, record.t_max), 1e-10),
     )
-    return ValidationReport(label=f"J({params.n},{params.k})", checks=checks)
+    return ValidationReport(checks=checks)

@@ -192,7 +192,7 @@ def test_criterion_8_numerics_hygiene():
         n = int(rng.integers(2 * k, 2 * k + 400))
         params = qw.GraphParams(n, k)
         gamma = qw.gamma_star(params) * (0.5 + rng.random())
-        m = qw.reduced_hamiltonian(params, gamma).matrix
+        m = qw.reduced_hamiltonian(params, gamma)
         dec = qw.sym_eig(m)
         psi = rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)
         psi /= np.linalg.norm(psi)

@@ -200,7 +200,7 @@ def test_exact_commands_print_the_checked_in_bytes(capsys):
         assert cli.main(argv) == 0
         printed.append(f"$ qwsearch {' '.join(argv)}\n{capsys.readouterr().out}")
     assert "".join(printed) == expected
-    assert sorted(int(argv[2]) for argv in commands if argv[0] == "sweep") == list(range(2, 9))
+    assert sorted(int(argv[2]) for argv in commands if argv[0] == "sweep") == list(range(1, 9))
     assert "simulate --n 100 --k 40".split() in commands
 
 

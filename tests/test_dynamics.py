@@ -41,7 +41,7 @@ def test_sym_eig_diagonal_permutation():
 
 def test_sym_eig_roundtrip_reduced():
     params = qw.GraphParams(6, 3)
-    m = qw.reduced_hamiltonian(params, qw.gamma_star(params)).matrix
+    m = qw.reduced_hamiltonian(params, qw.gamma_star(params))
     dec = qw.sym_eig(m)
     recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
     assert np.max(np.abs(recon - m)) <= 1e-10
@@ -495,7 +495,7 @@ def test_clamp_probs_leaves_probabilities_untouched_and_clips_overshoot():
 def test_energy_conservation_along_scan():
     params = qw.GraphParams(6, 3)
     gamma = qw.gamma_star(params)
-    m = qw.reduced_hamiltonian(params, gamma).matrix
+    m = qw.reduced_hamiltonian(params, gamma)
     dec = qw.sym_eig(m)
     psi0 = np.zeros(params.k + 1, dtype=complex)
     psi0[0] = 1.0
@@ -510,7 +510,7 @@ def test_probability_curve_is_trig_polynomial():
     # at most C(k+2, 2) of them
     params = qw.GraphParams(6, 3)
     gamma = qw.gamma_star(params)
-    dec = qw.sym_eig(qw.reduced_hamiltonian(params, gamma).matrix)
+    dec = qw.sym_eig(qw.reduced_hamiltonian(params, gamma))
     freqs = sorted(
         {0.0}
         | {abs(a - b) for i, a in enumerate(dec.values) for b in dec.values[:i]}

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import pathlib
@@ -18,7 +19,6 @@ PUBLIC_NAMES = [
     "EigDecomp",
     "GraphParams",
     "NumericalError",
-    "ReducedHamiltonian",
     "ScaledParams",
     "ScanResult",
     "SpectralData",
@@ -54,10 +54,26 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     # Any name added to or dropped from the package surface shows up here.
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 38
     assert sorted(qw.__all__) == PUBLIC_NAMES
     for name in qw.__all__:
         assert getattr(qw, name) is not None
+
+
+def test_results_carry_only_what_their_readers_read():
+    # No result echoes an input its caller already holds: the graph, the
+    # coupling, the mark or a label.
+    assert [f.name for f in dataclasses.fields(qw.ScanResult)] == ["times", "probs"]
+    assert [f.name for f in dataclasses.fields(qw.DistancePartition)] == ["classes"]
+    assert [f.name for f in dataclasses.fields(qw.ValidationReport)] == ["checks"]
+    for k in (1, 3, 8):
+        params = qw.GraphParams(2 * k + 3, k)
+        matrix = qw.reduced_hamiltonian(params, 0.25)
+        assert isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+        assert matrix.shape == (k + 1, k + 1)
+        # One offset per root from its pole, not a (k+1) x (k+1) table.
+        offsets = qw.reduced._solve(qw.spectral_data(params), 0.25)[3]
+        assert len(offsets) == k + 1 and all(type(x) is float for x in offsets)
 
 
 SRC = pathlib.Path(qw.__file__).parent

@@ -1,11 +1,13 @@
-"""Reduced-model accuracy against a 120-digit reference, and the secular
+"""Reduced-model accuracy against a 300-digit reference, and the secular
 solver's identities.
 
 The reference (``conftest.mp_reduced``) decomposes the shifted matrix
 gamma*diag(l(n-l+1)) - p p^T from exact integer spectra in mpmath, at the
 row's own float gamma*.  The package finds the same levels as roots of the
 secular equation in plain floats, each an offset from its nearest pole, so
-the bounds hold at every n up to 1e12: no eps*sqrt(N) growth is allowed.
+the bounds hold at every n up to 1e18: no eps*sqrt(N) growth is allowed.
+From k(n-k+1) = 2**53 up, the solver rounds its pole offsets from exact
+integer products, and the grid's n = 1e16 and 1e18 rows run that branch.
 """
 
 import math
@@ -22,11 +24,17 @@ pytest.importorskip("mpmath")
 EPS = 2.0**-52
 REL_TOL = 1e-13  # gap and phase
 P_ABS_TOL = 1e-15  # p_at_trun, p_peak and the ground state's overlaps
+# The reference's digits.  The weights fall to 3e-167 at J(1e16, 8) and
+# 3e-189 at J(1e18, 8); 120 digits leave the former 7.5e-10 off and the
+# latter with the wrong sign, while 300 and 600 digits agree to the last
+# printed digit there.
+REF_DPS = 300
 
 
 def _grid():
     for k in range(1, 9):
-        ns = {2 * k, 2 * k + 1, 3 * k + 2, 100, 10**3, 10**4, 10**6, 10**8, 10**10, 10**12}
+        ns = {2 * k, 2 * k + 1, 3 * k + 2, 100, 10**3, 10**4, 10**6, 10**8, 10**10, 10**12,
+              10**16, 10**18}
         for n in sorted(ns):
             if n >= 2 * k and math.comb(n, k) < 1e300:
                 yield k, n
@@ -39,7 +47,7 @@ GRID = list(_grid())
 def test_sweep_row_matches_high_precision_reference(k, n):
     params = qw.GraphParams(n, k)
     row = qw.asymptotics_row(params)
-    ref = mp_reduced(params, row.gamma_star, (row.t_run, row.t_peak))
+    ref = mp_reduced(params, row.gamma_star, (row.t_run, row.t_peak), dps=REF_DPS)
     assert abs(row.gap - ref["gap"]) <= REL_TOL * ref["gap"]
     assert abs(row.phase - ref["gap"] * row.t_run) <= REL_TOL * ref["gap"] * row.t_run
     assert abs(row.p_at_trun - ref["probs"][0]) <= P_ABS_TOL
@@ -65,11 +73,11 @@ def test_a_given_gamma_is_solved_at_that_float(k, n, gamma_scale):
 
 
 def _instances():
-    # n log-uniform from 2k to 1e12, and every n from 2k to 3k+2.
+    # n log-uniform from 2k to 1e18, and every n from 2k to 3k+2.
     def draw(k):
         return st.one_of(
             st.integers(2 * k, 3 * k + 2),
-            st.floats(0.0, 12.0).map(lambda x: max(2 * k, int(10**x))),
+            st.floats(0.0, 18.0).map(lambda x: max(2 * k, int(10**x))),
         ).map(lambda n: (k, n))
 
     return st.integers(1, 8).flatmap(draw)
@@ -81,18 +89,26 @@ def test_secular_roots_interlace_and_keep_the_identities(instance):
     params = qw.GraphParams(n, k)
     sd = qw.spectral_data(params)
     gamma = qw.gamma_star(params)
-    levels, weights, sums, diffs, steps = qw.reduced._solve(sd, gamma)
+    levels, weights, sums, offsets, steps = qw.reduced._solve(sd, gamma)
     assert 1 <= steps <= qw.reduced._SECULAR_STEPS
-    # mu_0 in [-1, 0) and mu_j in (gamma d_(j-1), gamma d_j): each root's
-    # differences gamma d_l - mu_j are negative below it and positive above.
+    # mu_0 in [-1, 0) and mu_j in (gamma d_(j-1), gamma d_j): root j's offset
+    # delta_j is taken from pole i = j if negative, else from pole j-1, and
+    # lies strictly between the offsets gamma (d_(j-1) - d_i) and gamma (d_j
+    # - d_i) of its two poles, each rounded once from the exact integer
+    # product as the solver rounds it; mu_j is delta_j less pole 0's offset.
     assert -1.0 <= levels[0] < 0.0
-    for j, diff in enumerate(diffs):
-        assert all(x < 0 for x in diff[:j]) and all(x > 0 for x in diff[j:])
+    a, b = gamma.as_integer_ratio()
+    d = [l * (n - l + 1) for l in range(k + 1)]
+    for j, delta in enumerate(offsets):
+        i = j if delta < 0 else j - 1
+        pole = [(dl - d[i]) * a / b for dl in d]
+        assert (j == 0 or pole[j - 1] < delta) and delta < pole[j]
+        assert levels[j] == delta - pole[0]
     assert list(levels) == sorted(levels)
     # sum_j w_j = <p|e_0> = p_0 and sum_j v_0j^2 = 1, v_0j^2 = p_0^2/(mu_j^2 R_j).
     p0 = sd.overlaps[0]
     assert abs(math.fsum(weights) - p0) <= 8 * EPS * math.fsum(map(abs, weights))
-    starts = [(p0 / diff[0]) ** 2 / r for diff, r in zip(diffs, sums)]
+    starts = [(p0 / level) ** 2 / r for level, r in zip(levels, sums)]
     assert abs(math.fsum(starts) - 1.0) <= 8 * EPS
 
 

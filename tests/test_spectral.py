@@ -99,7 +99,7 @@ def test_spectral_data_bundle():
 def test_reduced_hamiltonian_k2_hand_value():
     red = qw.reduced_hamiltonian(qw.GraphParams(2, 1), 1.0)
     expected = np.array([[-1.5, -0.5], [-0.5, 0.5]])
-    assert np.max(np.abs(red.matrix - expected)) <= 1e-15
+    assert np.max(np.abs(red - expected)) <= 1e-15
     # cross-check by conjugating the full 2x2 into the eigenbasis {|s>, |w>-proj}
     h = qw.full_hamiltonian(qw.GraphParams(2, 1), 1.0, 0)
     basis = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -113,7 +113,7 @@ def test_reduced_diagonal_entries(n, k):
     red = qw.reduced_hamiltonian(params, gamma)
     for ell in range(k + 1):
         expected = -gamma * qw.eigenvalue(params, ell) - qw.overlap(params, ell) ** 2
-        assert red.matrix[ell, ell] == pytest.approx(expected, rel=1e-15)
+        assert red[ell, ell] == pytest.approx(expected, rel=1e-15)
     with pytest.raises(DomainError):
         qw.reduced_hamiltonian(params, 0.0)
 
@@ -121,7 +121,7 @@ def test_reduced_diagonal_entries(n, k):
 @pytest.mark.parametrize("n,k,gamma", [(6, 3, 0.1075), (4, 2, 0.3), (8, 2, 0.05)])
 def test_reduced_spectrum_subset_of_full(n, k, gamma):
     params = qw.GraphParams(n, k)
-    red_vals = qw.sym_eig(qw.reduced_hamiltonian(params, gamma).matrix).values
+    red_vals = qw.sym_eig(qw.reduced_hamiltonian(params, gamma)).values
     full_vals = np.sort(qw.sym_eig(qw.full_hamiltonian(params, gamma, 0)).values)
     used = np.zeros(len(full_vals), dtype=bool)
     for rv in red_vals:
