@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "coupling": ("ScaledParams", "from_graph", "gamma_closed_form", "gamma_star"),
     "domain": ("DEFAULT_FULL_CAP", "GraphParams"),
-    "dynamics": ("EigDecomp", "ScanResult", "scan", "sym_eig"),
+    "dynamics": ("ScanResult", "scan", "sym_eig"),
     "errors": (
         "BracketError", "CapacityError", "DomainError", "NumericalError",
         "UnsupportedParameterError",

@@ -25,7 +25,7 @@ from .errors import DomainError
 # graph takes about 0.25 s, as the eigensolve's checks are kept per graph
 # (validation._memo_graph).  Overridable per call and via the CLI.  The cap is
 # checked on every call, memoised index or not; the index itself is
-# O(N k), plus N k(n-k) int32 clique edges (0.6 MB at J(14,6)) once a
+# O(N k), plus N k(n-k) int64 clique edges (1.2 MB at J(14,6)) once a
 # dense matrix has been built.
 DEFAULT_FULL_CAP = 3003
 

@@ -1,14 +1,14 @@
 """Full-space eigendecompositions and the success curve on a time grid.
 
-:func:`sym_eig` is the one call to LAPACK (``numpy.linalg.eigh``); the
-package hands it only the Lanczos tridiagonals of the full-space oracle
-(:mod:`qwsearch.validation`), and :class:`EigDecomp` is its return type
-alone.  :func:`scan` evaluates the reduced model's curve on a uniform time
-grid from a factored phase table.  The reduced model itself, its levels and
-weights from the secular equation, :func:`success_probability`,
-:func:`find_peak` and :func:`run_time`, lives in :mod:`qwsearch.reduced`,
-which imports no numpy and forms no eigenvectors; they are importable from
-here too.
+:func:`sym_eig` is the one call to LAPACK (``numpy.linalg.eigh``) and
+returns its ``(values, vectors)`` pair, checked; the package hands it only
+the Lanczos tridiagonals of the full-space oracle
+(:mod:`qwsearch.validation`).  :func:`scan` evaluates the reduced model's
+curve on a uniform time grid from a factored phase table.  The reduced
+model itself, its levels and weights from the secular equation,
+:func:`success_probability`, :func:`find_peak` and :func:`run_time`, lives
+in :mod:`qwsearch.reduced`, which imports no numpy and forms no
+eigenvectors; they are importable from here too.
 """
 
 import math
@@ -33,14 +33,6 @@ from .spectral import spectral_data
 
 
 @dataclass(frozen=True)
-class EigDecomp:
-    """Orthonormal eigendecomposition; ``values`` ascending, eigenvectors in columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class ScanResult:
     """Success probabilities on a uniform time grid."""
 
@@ -48,9 +40,11 @@ class ScanResult:
     probs: np.ndarray
 
 
-def sym_eig(matrix: np.ndarray) -> EigDecomp:
+def sym_eig(matrix: np.ndarray) -> tuple:
     """Eigendecomposition of a real symmetric matrix via LAPACK ``eigh``.
 
+    Returns the pair ``(values, vectors)`` that ``numpy.linalg.eigh``
+    returns: the values ascending, the orthonormal eigenvectors in columns.
     ``matrix`` is one d x d matrix or a stack (..., d, d) of them, solved
     in one ``eigh`` call; each member's values and vectors, under the
     stack's leading axes, are those a 2-D call returns.  An empty or
@@ -89,7 +83,7 @@ def sym_eig(matrix: np.ndarray) -> EigDecomp:
             f"eigendecomposition residuals too large: orthonormality {ortho:.3e}, "
             f"reconstruction {recon:.3e} (scale {scale:.3e})"
         )
-    return EigDecomp(values=values, vectors=vectors)
+    return values, vectors
 
 
 def _clamp_probs(probs):

@@ -64,7 +64,8 @@ class _ColexIndex:
     # elems[v]: sorted elements of vertex v; faces[v, i]: colex rank (among
     # the (k-1)-subsets) of elems[v] without its i-th element.  The faces
     # are the nonzeros of the inclusion matrix W with A = W^T W - kI.  Every
-    # array is read-only: one index is shared by all callers in the process.
+    # array is int64, numpy's index type, and read-only: one index is shared
+    # by all callers in the process.
     params: GraphParams
     elems: np.ndarray
     faces: np.ndarray
@@ -80,26 +81,16 @@ class _ColexIndex:
         # hole under it when they are freed.
         n_vert, k = self.elems.shape
         size = self.params.n - k + 1
-        dtype = _narrowest_int(n_vert * n_vert - 1)
         n_faces = math.comb(self.params.n, k - 1)
-        edges = np.empty((n_faces, size * (size - 1)), dtype=dtype)
-        members = np.argsort(self.faces, axis=None, kind="stable") // k
-        members = members.astype(dtype).reshape(-1, size)
-        pairs = (members * dtype(n_vert))[:, :, None] + members[:, None, :]
+        edges = np.empty((n_faces, size * (size - 1)), dtype=np.int64)
+        members = (np.argsort(self.faces, axis=None, kind="stable") // k).reshape(-1, size)
+        pairs = (members * n_vert)[:, :, None] + members[:, None, :]
         off_diagonal = ~np.eye(size, dtype=bool).ravel()
         np.compress(off_diagonal, pairs.reshape(n_faces, -1), axis=1, out=edges)
         edges = edges.reshape(-1)
         edges.sort()
         edges.flags.writeable = False
         return edges
-
-
-def _narrowest_int(max_value: int):
-    # The narrowest signed integer type holding 0..max_value.
-    return next(
-        t for t in (np.int8, np.int16, np.int32, np.int64)
-        if max_value <= np.iinfo(t).max
-    )
 
 
 def _colex_index(params: GraphParams, cap: int) -> _ColexIndex:
@@ -139,9 +130,6 @@ def _memo_colex_index(params: GraphParams) -> _ColexIndex:
     shift = binom[elems - 1, pos]
     faces = np.cumsum(keep - shift, axis=1)
     faces += shift.sum(axis=1, keepdims=True) - keep
-    # Stored narrow: elements are at most n and face ranks below C(n,k-1) <= N.
-    elems = elems.astype(_narrowest_int(n))
-    faces = faces.astype(_narrowest_int(params.num_vertices))
     elems.flags.writeable = False
     faces.flags.writeable = False
     return _ColexIndex(params=params, elems=elems, faces=faces)
@@ -152,7 +140,7 @@ def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndar
 
     The result is the caller's own writable copy of the shared index.
     """
-    return _colex_index(params, cap).elems.astype(np.int64)
+    return _colex_index(params, cap).elems.copy()
 
 
 def _adjacency(index: _ColexIndex, weight: float = 1.0) -> np.ndarray:
@@ -219,7 +207,7 @@ def distance_partition(
     label = _distance_labels(index, w)
     # One stable sort groups the ids by class, ascending within each, and
     # the checked class sizes split it.
-    order = np.argsort(label, kind="stable").astype(np.int64, copy=False)
+    order = np.argsort(label, kind="stable")
     classes = tuple(np.split(order, np.cumsum(_class_sizes(params))[:-1]))
     return DistancePartition(classes=classes)
 

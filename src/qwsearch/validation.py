@@ -140,16 +140,15 @@ def _lanczos(a, gamma, marks, params) -> tuple:
             f"{steps} steps: beta {max(betas):.3e} above {tol:.3e}"
         )
     dim = j + 1
-    dec = sym_eig(tri[:, :dim, :dim])
+    values, vectors = sym_eig(tri[:, :dim, :dim])
     # With Q the basis and |s> = Q e_0, the amplitude of |w> is <w| Q V
     # e^{-iEt} V^T e_0 = sum_j (V[0,j] * (V^T Q^T w)_j) e^{-iE_j t}.
     weights = [
-        vectors[0] * (vectors.T @ basis[m, :dim, w])
-        for m, (w, vectors) in enumerate(zip(marks, dec.vectors))
+        v[0] * (v.T @ basis[m, :dim, w]) for m, (w, v) in enumerate(zip(marks, vectors))
     ]
     return tuple(
         (tuple(levels), tuple(weights), beta)
-        for levels, weights, beta in zip(dec.values.tolist(), np.array(weights).tolist(), betas)
+        for levels, weights, beta in zip(values.tolist(), np.array(weights).tolist(), betas)
     )
 
 

@@ -31,7 +31,8 @@ MONO_SLACK = 1e-12
 
 def evolve(dec, psi, t):
     """Reference exp(-iHt) psi, H given by its eigendecomposition."""
-    return dec.vectors @ (np.exp(-1j * dec.values * t) * (dec.vectors.T @ psi))
+    values, vectors = dec
+    return vectors @ (np.exp(-1j * values * t) * (vectors.T @ psi))
 
 
 def energy(m, psi):

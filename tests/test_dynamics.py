@@ -14,7 +14,8 @@ from qwsearch.errors import BracketError, DomainError, NumericalError
 
 def evolve(dec, psi, t):
     """Reference exp(-iHt) psi, H given by its eigendecomposition."""
-    return dec.vectors @ (np.exp(-1j * dec.values * t) * (dec.vectors.T @ psi))
+    values, vectors = dec
+    return vectors @ (np.exp(-1j * values * t) * (vectors.T @ psi))
 
 
 def energy(m, psi):
@@ -28,22 +29,22 @@ def random_symmetric(rng, dim):
 
 
 def test_sym_eig_scalar():
-    dec = qw.sym_eig(np.array([[4.5]]))
-    assert np.array_equal(dec.values, [4.5])
-    assert np.array_equal(np.abs(dec.vectors), [[1.0]])
+    values, vectors = qw.sym_eig(np.array([[4.5]]))
+    assert np.array_equal(values, [4.5])
+    assert np.array_equal(np.abs(vectors), [[1.0]])
 
 
 def test_sym_eig_diagonal_permutation():
-    dec = qw.sym_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.array_equal(dec.values, [1.0, 2.0, 3.0])
-    assert np.array_equal(np.abs(dec.vectors), np.eye(3)[:, [1, 2, 0]])
+    values, vectors = qw.sym_eig(np.diag([3.0, 1.0, 2.0]))
+    assert np.array_equal(values, [1.0, 2.0, 3.0])
+    assert np.array_equal(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
 
 
 def test_sym_eig_roundtrip_reduced():
     params = qw.GraphParams(6, 3)
     m = qw.reduced_hamiltonian(params, qw.gamma_star(params))
-    dec = qw.sym_eig(m)
-    recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
+    values, vectors = qw.sym_eig(m)
+    recon = vectors @ np.diag(values) @ vectors.T
     assert np.max(np.abs(recon - m)) <= 1e-10
 
 
@@ -51,10 +52,10 @@ def test_sym_eig_random_contracts():
     rng = np.random.default_rng(42)
     for dim in (2, 5, 17, 60):
         m = random_symmetric(rng, dim)
-        dec = qw.sym_eig(m)
-        assert np.all(np.diff(dec.values) >= 0)
-        assert np.max(np.abs(dec.vectors.T @ dec.vectors - np.eye(dim))) <= 1e-12
-        resid = np.max(np.abs(m @ dec.vectors - dec.vectors * dec.values))
+        values, vectors = qw.sym_eig(m)
+        assert np.all(np.diff(values) >= 0)
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(dim))) <= 1e-12
+        resid = np.max(np.abs(m @ vectors - vectors * values))
         assert resid <= 1e-10 * (1 + np.max(np.abs(m)))
 
 
@@ -88,8 +89,8 @@ def test_sym_eig_refuses_a_wrong_decomposition(monkeypatch, dim, corrupt, messag
     # that reads it.
     rng = np.random.default_rng(7)
     m = random_symmetric(rng, dim)
-    dec = qw.sym_eig(m)
-    resid = np.max(np.abs(m @ dec.vectors - dec.vectors * dec.values))
+    values, vectors = qw.sym_eig(m)
+    resid = np.max(np.abs(m @ vectors - vectors * values))
     assert resid <= 1e-10 * (1 + np.max(np.abs(m)))
     eigh = np.linalg.eigh
 
@@ -133,20 +134,26 @@ def test_sym_eig_refuses_matrices_that_are_not_real(matrix):
 @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32])
 def test_sym_eig_accepts_integer_and_float_matrices(dtype):
     matrix = np.array([[2, 1], [1, 2]], dtype=dtype)
-    assert qw.sym_eig(matrix).values.tolist() == qw.sym_eig(matrix.astype(float)).values.tolist()
+    assert qw.sym_eig(matrix)[0].tolist() == qw.sym_eig(matrix.astype(float))[0].tolist()
 
 
 def test_sym_eig_stack_is_each_member_bit_for_bit():
-    # one eigh call on a (2, d, d) stack returns what two 2-D calls return
+    # one eigh call on a (2, d, d) stack returns what two 2-D calls return,
+    # as the plain (values, vectors) pair that eigh itself returns
     rng = np.random.default_rng(11)
     for dim in range(1, 8):
         stack = np.stack([random_symmetric(rng, dim), random_symmetric(rng, dim)])
         dec = qw.sym_eig(stack)
-        assert dec.values.shape == (2, dim) and dec.vectors.shape == (2, dim, dim)
-        for member, values, vectors in zip(stack, dec.values, dec.vectors):
-            alone = qw.sym_eig(member)
-            assert values.tobytes() == alone.values.tobytes()
-            assert vectors.tobytes() == alone.vectors.tobytes()
+        assert type(dec) is tuple and len(dec) == 2
+        assert all(type(part) is np.ndarray for part in dec)
+        for part, expected in zip(dec, np.linalg.eigh(stack)):
+            assert part.dtype == expected.dtype and part.tobytes() == expected.tobytes()
+        stack_values, stack_vectors = dec
+        assert stack_values.shape == (2, dim) and stack_vectors.shape == (2, dim, dim)
+        for member, values, vectors in zip(stack, stack_values, stack_vectors):
+            alone_values, alone_vectors = qw.sym_eig(member)
+            assert values.tobytes() == alone_values.tobytes()
+            assert vectors.tobytes() == alone_vectors.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -159,7 +166,7 @@ def test_sym_eig_stack_refuses_one_non_finite_member(bad):
 
 def test_sym_eig_stack_refuses_one_wrong_member(monkeypatch):
     stack = np.stack([np.diag([0.0, 1.0, 2.0])] * 2)
-    assert qw.sym_eig(stack).values.shape == (2, 3)
+    assert qw.sym_eig(stack)[0].shape == (2, 3)
     eigh = np.linalg.eigh
 
     def corrupted(matrix):
@@ -274,7 +281,7 @@ def test_couplings_up_to_the_bound_are_solved(n, k):
         assert np.all(np.isfinite(levels))
         assert 0.0 <= qw.success_probability(params, below, 1.0) <= 1.0
         if params.num_vertices <= 20:
-            assert np.all(np.isfinite(qw.sym_eig(qw.full_hamiltonian(params, below, 0)).values))
+            assert np.all(np.isfinite(qw.sym_eig(qw.full_hamiltonian(params, below, 0))[0]))
         with pytest.raises(DomainError, match="too large"):
             qw.success_probability(params, bound * (1 + 1e-15), 1.0)
 
@@ -510,10 +517,10 @@ def test_probability_curve_is_trig_polynomial():
     # at most C(k+2, 2) of them
     params = qw.GraphParams(6, 3)
     gamma = qw.gamma_star(params)
-    dec = qw.sym_eig(qw.reduced_hamiltonian(params, gamma))
+    values, _ = qw.sym_eig(qw.reduced_hamiltonian(params, gamma))
     freqs = sorted(
         {0.0}
-        | {abs(a - b) for i, a in enumerate(dec.values) for b in dec.values[:i]}
+        | {abs(a - b) for i, a in enumerate(values) for b in values[:i]}
     )
     assert len(freqs) <= math.comb(params.k + 2, 2)
     res = qw.scan(params, gamma, 0.0, 4 * qw.run_time(params), 400)

@@ -112,7 +112,7 @@ def test_import_alone_loads_no_numpy_and_every_name_resolves():
         "closed": qw.gamma_closed_form(qw.from_graph(params)),
         "cap": 3003,
     }
-    assert len(seen["all"]) == 38 and all(seen["names"].values())
+    assert len(seen["all"]) == 37 and all(seen["names"].values())
     assert sorted(seen["names"]) == sorted(qw.__all__)
     assert all(module == f"qwsearch.{name}" for name, module in seen["modules"].items())
     assert set(seen["all"]) | set(seen["modules"]) <= set(seen["dir"])

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "DEFAULT_FULL_CAP",
     "DistancePartition",
     "DomainError",
-    "EigDecomp",
     "GraphParams",
     "NumericalError",
     "ScaledParams",
@@ -54,7 +53,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     # Any name added to or dropped from the package surface shows up here.
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 37
     assert sorted(qw.__all__) == PUBLIC_NAMES
     for name in qw.__all__:
         assert getattr(qw, name) is not None

@@ -27,7 +27,8 @@ P_ABS_TOL = 1e-15  # p_at_trun, p_peak and the ground state's overlaps
 # The reference's digits.  The weights fall to 3e-167 at J(1e16, 8) and
 # 3e-189 at J(1e18, 8); 120 digits leave the former 7.5e-10 off and the
 # latter with the wrong sign, while 300 and 600 digits agree to the last
-# printed digit there.
+# printed digit there.  mp_reduced refuses fewer than 40 - log10(min_j
+# |w_j|) digits, which on this grid is at most 229, at J(1e18, 8).
 REF_DPS = 300
 
 
@@ -59,6 +60,15 @@ def test_sweep_row_matches_high_precision_reference(k, n):
         assert abs(got - want) <= 1e-15 * abs(want)
     for got, want in zip(weights, ref["weights"]):
         assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_the_reference_refuses_too_few_digits():
+    # At its default 120 digits, J(1e16, 8)'s smallest weight, 3.2e-167,
+    # would come out 7.5e-10 off.
+    params = qw.GraphParams(10**16, 8)
+    with pytest.raises(AssertionError, match="needs 207 digits at J"):
+        mp_reduced(params, qw.gamma_star(params), ())
+    assert mp_reduced(params, qw.gamma_star(params), (), dps=207)["weights"]
 
 
 @pytest.mark.parametrize("gamma_scale", [0.125, 0.999, 1.001, 8.0])

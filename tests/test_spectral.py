@@ -67,11 +67,11 @@ def test_overlap_via_dense_projectors():
     # the closed-form overlap squared
     params = qw.GraphParams(6, 3)
     w = 0
-    dec = qw.sym_eig(qw.adjacency_matrix(params))
+    values, vectors = qw.sym_eig(qw.adjacency_matrix(params))
     for ell in range(4):
         lam = qw.eigenvalue(params, ell)
-        sel = np.abs(dec.values - lam) <= 1e-6
-        vecs = dec.vectors[:, sel]
+        sel = np.abs(values - lam) <= 1e-6
+        vecs = vectors[:, sel]
         p_sq = float(vecs[w, :] @ vecs[w, :])
         assert p_sq == pytest.approx(qw.overlap(params, ell) ** 2, abs=1e-12)
 
@@ -79,7 +79,7 @@ def test_overlap_via_dense_projectors():
 @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (6, 3), (8, 4), (10, 2)])
 def test_closed_spectrum_matches_dense(n, k):
     params = qw.GraphParams(n, k)
-    dense = np.sort(qw.sym_eig(qw.adjacency_matrix(params)).values)
+    dense = np.sort(qw.sym_eig(qw.adjacency_matrix(params))[0])
     expanded = np.concatenate(
         [
             np.full(qw.multiplicity(params, l), float(qw.eigenvalue(params, l)))
@@ -121,8 +121,8 @@ def test_reduced_diagonal_entries(n, k):
 @pytest.mark.parametrize("n,k,gamma", [(6, 3, 0.1075), (4, 2, 0.3), (8, 2, 0.05)])
 def test_reduced_spectrum_subset_of_full(n, k, gamma):
     params = qw.GraphParams(n, k)
-    red_vals = qw.sym_eig(qw.reduced_hamiltonian(params, gamma)).values
-    full_vals = np.sort(qw.sym_eig(qw.full_hamiltonian(params, gamma, 0)).values)
+    red_vals = qw.sym_eig(qw.reduced_hamiltonian(params, gamma))[0]
+    full_vals = np.sort(qw.sym_eig(qw.full_hamiltonian(params, gamma, 0))[0])
     used = np.zeros(len(full_vals), dtype=bool)
     for rv in red_vals:
         dist = np.where(used, np.inf, np.abs(full_vals - rv))
