@@ -73,11 +73,14 @@ def sym_eig(matrix: np.ndarray) -> tuple:
     if not math.isfinite(scale):
         raise DomainError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(matrix)
+    # Each gate is formed in one buffer of its own, and its modulus in place.
     gram = vectors.swapaxes(-1, -2) @ vectors
     dim = matrix.shape[-1]
     gram.reshape(-1, dim * dim)[:, :: dim + 1] -= 1.0
-    ortho = float(np.abs(gram).max())
-    recon = float(np.abs(matrix @ vectors - vectors * values[..., None, :]).max())
+    ortho = float(np.abs(gram, out=gram).max())
+    residual = matrix @ vectors
+    residual -= vectors * values[..., None, :]
+    recon = float(np.abs(residual, out=residual).max())
     if not (ortho <= 1e-12 and recon <= 1e-10 * scale):
         raise NumericalError(
             f"eigendecomposition residuals too large: orthonormality {ortho:.3e}, "

@@ -8,13 +8,19 @@ full-space success-probability curve against the reduced-model curve.
 
 One N x N array, the adjacency A, serves every full-space check, and the
 only dense eigensolve is the values-only ``eigvalsh`` of the spectrum
-check, made once per graph: what depends on (n, k) alone is kept per
-process, so each further marked vertex pays only for its own checks.  The
-full-space curves come from Lanczos on the full H = -gamma*A - |w><w|
-started at |s>: the distance-class span holds |s> and |w> and is invariant
-under H, so the Krylov space closes after at most k+1 steps and the curve
-of its (k+1) x (k+1) tridiagonal is exact up to the closing beta times t
-(Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  Each comparison of a mark
+check, made once per graph.  J(n,k) is vertex-transitive, so what depends
+on (n, k) alone is computed once per graph and kept per process: a graph
+record here holds the closed-form spectrum, gamma*, t_max, the reduced
+model's curve, the reduced matrix H_red at gamma* and the spectrum and
+overlap checks, and the colex index of :mod:`qwsearch.johnson` holds the
+distance-class sizes and the bound of the integer projector basis.  Each
+further marked vertex pays only for its own work: its distance labels and
+class image, A, its projector basis, the two Lanczos runs and the two
+bounds.  The full-space curves come from Lanczos on the full
+H = -gamma*A - |w><w| started at |s>: the distance-class span holds |s>
+and |w> and is invariant under H, so the Krylov space closes after at
+most k+1 steps and the curve of its (k+1) x (k+1) tridiagonal is exact up
+to the closing beta times t (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  Each comparison of a mark
 with the reduced model runs the pair w, w + 1 mod N in one batch, whose
 runs close at one step.  A run that does not close, or a batch whose runs
 close at different steps, is refused, never truncated.  A curve, from
@@ -260,13 +266,14 @@ def _spectrum_checks(sd, dense) -> tuple:
 @dataclass(frozen=True)
 class _GraphRecord:
     # What validate_instance computes from (n, k) alone, immutable: reduced
-    # is the reduced model's curve (levels, weights, beta), and checks are
-    # spectrum_values, spectrum_multiplicities and overlap_consistency, in
-    # report order.
+    # is the reduced model's curve (levels, weights, beta), h_red the
+    # read-only reduced matrix at gamma, and checks are spectrum_values,
+    # spectrum_multiplicities and overlap_consistency, in report order.
     sd: SpectralData
     gamma: float
     t_max: float
     reduced: tuple
+    h_red: np.ndarray
     checks: tuple
 
 
@@ -278,10 +285,12 @@ def _memo_graph(params: GraphParams) -> _GraphRecord:
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
     reduced = _reduced_curve(sd, gamma)
+    h_red = _reduced_matrix(sd, gamma)
+    h_red.flags.writeable = False
     dense = np.linalg.eigvalsh(adjacency_matrix(params, params.num_vertices))
     overlap = overlap_consistency_residual(params)
     checks = _spectrum_checks(sd, dense) + (CheckResult("overlap_consistency", overlap, 1e-13),)
-    return _GraphRecord(sd, gamma, 2.0 * run_time(params), reduced, checks)
+    return _GraphRecord(sd, gamma, 2.0 * run_time(params), reduced, h_red, checks)
 
 
 def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> ValidationReport:
@@ -296,20 +305,20 @@ def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> Validati
     return ValidationReport(checks=_memo_graph(params).checks[:2])
 
 
-def _invariance_residual(image, label) -> float:
+def _invariance_residual(index, image, label) -> float:
     # image[l] is A|nu_l> for the 0/1 indicators nu_l of the classes
-    # label == l.  Its entries and class sums are exact integers, so row l
+    # label == l, which _distance_labels has checked against the index's
+    # class sizes.  Its entries and class sums are exact integers, so row l
     # minus its class-wise means, scaled by 1/sqrt(|class_l|), is exactly 0
     # for equitable classes.
-    sizes = np.bincount(label)
-    means = np.array([np.bincount(label, weights=row) for row in image]) / sizes
-    residual = np.linalg.norm(image - means[:, label], axis=1) / np.sqrt(sizes)
+    means = np.array([np.bincount(label, weights=row) for row in image]) / index.size_array
+    residual = np.linalg.norm(image - means[:, label], axis=1) / index.size_roots
     return float(np.max(residual))
 
 
 def _partition_invariance(index, w) -> float:
     label = _distance_labels(index, w)
-    return _invariance_residual(_class_image(index, label), label)
+    return _invariance_residual(index, _class_image(index, label), label)
 
 
 def check_partition_invariance(
@@ -327,15 +336,14 @@ def check_partition_invariance(
     return _partition_invariance(index, _int(w, "marked vertex w", 0, params.num_vertices - 1))
 
 
-def _projector_basis(a, lambdas, w) -> np.ndarray:
+def _projector_basis(index, a, lambdas, w) -> np.ndarray:
     # Column l is prod_{j != l} (A - lambda_j)|w>, which is P_l|w> times the
     # nonzero integer prod_{j != l} (lambda_l - lambda_j).  A and the lambdas
     # are integers, and the row sums of |A - lambda_j| are at most
     # f_j = lambda_0 + |lambda_j|, so every entry and partial sum of column
-    # l is at most prod_{j != l} f_j in magnitude.  Below 2**53, checked
-    # first, the float products are exact.
-    factors = [int(lambdas[0] + abs(lam)) for lam in lambdas]
-    if math.prod(factors) // min(factors) >= 2**53:
+    # l is at most prod_{j != l} f_j, the index's basis_bound, in magnitude.
+    # Below 2**53, checked first, the float products are exact.
+    if index.basis_bound >= 2**53:
         raise NumericalError("projector basis leaves the exact integer range of binary64")
     basis = np.zeros((len(a), len(lambdas)))
     basis[w] = 1.0
@@ -347,14 +355,14 @@ def _projector_basis(a, lambdas, w) -> np.ndarray:
     return basis
 
 
-def _embedding_residual(sd, a, gamma, w) -> float:
+def _embedding_residual(index, a, lambdas, gamma, h_red, w) -> float:
     # B^T H B - H_red with H = -gamma*A - |w><w| applied to B, whose columns
     # P_l|w> / ||P_l|w>|| carry the sign that makes entry w, p_l^2 before
-    # scaling, positive.
-    basis = _projector_basis(a, sd.lambdas, w)
+    # scaling, positive; h_red is the reduced matrix at gamma.
+    basis = _projector_basis(index, a, lambdas, w)
     basis /= np.copysign(np.linalg.norm(basis, axis=0), basis[w])
     conjugated = -gamma * (basis.T @ (a @ basis)) - np.outer(basis[w], basis[w])
-    return float(np.max(np.abs(conjugated - _reduced_matrix(sd, gamma))))
+    return float(np.max(np.abs(conjugated - h_red)))
 
 
 def reduced_embedding_residual(
@@ -367,8 +375,10 @@ def reduced_embedding_residual(
     and H acts through the dense A, so no eigensolve is made."""
     gamma = _check_coupling(params, gamma)
     w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
-    a = adjacency_matrix(params, cap)
-    return _embedding_residual(spectral_data(params), a, gamma, w)
+    index = _colex_index(params, cap)
+    sd = spectral_data(params)
+    h_red = _reduced_matrix(sd, gamma)
+    return _embedding_residual(index, _adjacency(index), sd.lambdas, gamma, h_red, w)
 
 
 def overlap_consistency_residual(params: GraphParams) -> float:
@@ -386,14 +396,18 @@ def validate_instance(
 ) -> ValidationReport:
     """Every full-space check on one instance, aggregated for reporting.
 
-    What depends on (n, k) alone is kept per process for the last 8 graphs
-    (immutable): the closed-form spectrum, gamma*, t_max = 2*run_time, the
-    reduced model's curve, and the spectrum and overlap checks, whose
-    values-only ``eigvalsh`` is the one dense eigensolve.  The cap and the
-    mark are checked first on every call, and one N x N array is held at a
-    time.  Partition invariance, the embedding residual and the Lanczos
-    runs of w and w2 = w + 1 mod N run on every call; a run that does not
-    close within k+1 steps raises :class:`NumericalError`.
+    What depends on (n, k) alone is computed once per graph and kept per
+    process for the last 8 graphs (immutable, arrays read-only): the
+    closed-form spectrum, gamma*, t_max = 2*run_time, the reduced model's
+    curve, the reduced matrix at gamma*, and the spectrum and overlap
+    checks, whose values-only ``eigvalsh`` is the one dense eigensolve; the
+    colex index keeps the distance-class sizes and the projector basis's
+    exactness bound.  The cap and the mark are checked first on every
+    call, and one N x N array is held at a time.  Each call pays for the
+    mark's own work: its distance labels and class image for partition
+    invariance, A, its projector basis for the embedding residual, and the
+    Lanczos runs of w and w2 = w + 1 mod N; a run that does not close
+    within k+1 steps raises :class:`NumericalError`.
     oracle_equivalence (w against the reduced model) and
     vertex_independence (w against w2) bound the curves' distance over all
     of [0, t_max]; see :func:`compare_full_reduced`.
@@ -403,7 +417,7 @@ def validate_instance(
     invariance = _partition_invariance(index, w)
     record = _memo_graph(params)
     a = _adjacency(index)
-    embedding = _embedding_residual(record.sd, a, record.gamma, w)
+    embedding = _embedding_residual(index, a, record.sd.lambdas, record.gamma, record.h_red, w)
     w2 = (w + 1) % params.num_vertices
     full_w, full_w2 = _lanczos(a, record.gamma, (w, w2), params)
     oracle = _sup_distance(full_w, record.reduced, record.t_max)

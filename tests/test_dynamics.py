@@ -186,6 +186,53 @@ def test_sym_eig_rejects_bad_stack_shapes(shape):
         qw.sym_eig(np.zeros(shape))
 
 
+def test_sym_eig_agrees_with_eigvalsh():
+    rng = np.random.default_rng(7)
+    for dim in (2, 6, 33, 80):
+        m = random_symmetric(rng, dim)
+        values, vectors = qw.sym_eig(m)
+        ref = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(values - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(dim))) <= 1e-12
+
+
+def test_sym_eig_diagonal_and_zero_matrices():
+    values, vectors = qw.sym_eig(np.diag([2.0, -1.0]))
+    assert np.array_equal(values, [-1.0, 2.0])
+    assert np.array_equal(np.abs(vectors), [[0.0, 1.0], [1.0, 0.0]])
+    values, vectors = qw.sym_eig(np.zeros((3, 3)))
+    assert np.array_equal(values, np.zeros(3))
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(3))) <= 1e-15
+
+
+def test_sym_eig_handles_denormal_offdiagonals():
+    m = np.diag([3.0, 1.0, 2.0])
+    m[0, 1] = m[1, 0] = 1e-310
+    m[1, 2] = m[2, 1] = 5e-320
+    assert np.allclose(qw.sym_eig(m)[0], [1.0, 2.0, 3.0], atol=1e-12)
+
+
+def test_sym_eig_deterministic_rerun():
+    rng = np.random.default_rng(99)
+    m = random_symmetric(rng, 25)
+    first = qw.sym_eig(m)
+    second = qw.sym_eig(m)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sym_eig_rejects_non_finite_entries(bad):
+    m = np.eye(3)
+    m[0, 2] = m[2, 0] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        qw.sym_eig(m)
+    m = np.eye(3)
+    m[1, 1] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        qw.sym_eig(m)
+
+
 def test_evolve_identity_at_zero():
     rng = np.random.default_rng(0)
     m = random_symmetric(rng, 6)

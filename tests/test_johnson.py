@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qwsearch as qw
 from qwsearch import johnson
 from qwsearch.errors import CapacityError, DomainError
+from qwsearch.johnson import vertex_elements
 
 
 def colex_subsets(n, k):
@@ -375,3 +376,26 @@ def test_partition_invariance_at_a_raised_cap_builds_no_edges():
     # where the (k+1) x N x k gather of all positions at once peaked at
     # 8.26 (47 MB).
     assert peak < 6.3 * 8 * n_vert * k
+
+
+def colex_incidence_adjacency(n, k):
+    # independent reference: colex-sorted itertools.combinations and the
+    # pairwise intersection sizes of their 0/1 incidence rows, one matmul
+    subsets = sorted(itertools.combinations(range(1, n + 1), k), key=lambda c: c[::-1])
+    inc = np.zeros((len(subsets), n))
+    inc[np.arange(len(subsets))[:, None], np.array(subsets) - 1] = 1.0
+    return np.array(subsets, dtype=np.int64), (inc @ inc.T == k - 1).astype(np.float64)
+
+
+def test_adjacency_numpy_matches_module_surface():
+    # J(8,4) has n = 2k, J(70,2) has elements above 64, beyond any 64-bit
+    # subset mask, and J(14,6) and J(3003,1) sit at the default cap
+    for n, k in ((2, 1), (7, 2), (8, 4), (70, 2), (14, 6), (3003, 1)):
+        params = qw.GraphParams(n, k)
+        ref_elems, ref = colex_incidence_adjacency(n, k)
+        elems = vertex_elements(params)
+        assert elems.dtype == np.int64
+        assert np.array_equal(elems, ref_elems)
+        a = qw.adjacency_matrix(params)
+        assert a.dtype == np.float64
+        assert np.array_equal(a, ref)

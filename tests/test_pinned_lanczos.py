@@ -3,9 +3,9 @@ pinned bit for bit.
 
 The first table holds ``float.hex`` of the levels E_j and weights w_j that
 ``validation._lanczos`` returns for the marks w and w + 1 mod N of
-``validate_instance`` at gamma*, on J(6,3) w = 0 and 5, J(9,4) w = 17 and
-J(12,5) w = 100.  The second holds every check residual that
-``validate_instance`` reports on those four instances, and the third the
+``validate_instance`` at gamma*, on J(5,2) w = 3, J(6,3) w = 0 and 5,
+J(9,4) w = 17 and J(12,5) w = 100.  The second holds every check residual
+that ``validate_instance`` reports on those five instances, and the third the
 bounds of ``compare_full_reduced`` (w = 0) and ``compare_marked_vertices``
 (w = 0 against 5) on J(6,3) at 0.3 and 3 gamma*, t_max = 2*run_time.  A
 product of A with the Lanczos block at N = 792 rounds differently with the
@@ -23,6 +23,16 @@ import qwsearch as qw
 
 # (n, k, w): for the marks w and w + 1, (hex of E_j, hex of w_j)
 _PINNED = {
+    (5, 2, 3): (
+        (
+            ("-0x1.3411d5a057472p+0", "-0x1.39142817d2308p-1", "0x1.a358345d9f8fap-4"),
+            ("0x1.4ac69ef23db27p-1", "-0x1.4232fde5fd9b8p-2", "-0x1.f1213b3f27091p-7"),
+        ),
+        (
+            ("-0x1.3411d5a057472p+0", "-0x1.39142817d2308p-1", "0x1.a358345d9f8fcp-4"),
+            ("0x1.4ac69ef23db27p-1", "-0x1.4232fde5fd9b8p-2", "-0x1.f1213b3f27091p-7"),
+        ),
+    ),
     (6, 3, 0): (
         (
             (
@@ -115,6 +125,15 @@ _PINNED = {
 
 # (n, k, w): (check name, hex of its residual) in report order
 _REPORTS = {
+    (5, 2, 3): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.d3b55c32035bcp-46"),
+        ("vertex_independence", "0x1.d929446df8490p-46"),
+    ),
     (6, 3, 0): (
         ("spectrum_values", "0x1.8000000000000p-49"),
         ("spectrum_multiplicities", "0x0.0p+0"),

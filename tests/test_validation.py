@@ -225,7 +225,45 @@ def test_a_kept_graph_record_is_read_only():
     for values in (levels, weights):
         assert type(values) is tuple and len(values) == params.k + 1
         assert all(type(x) is float for x in values)
+    # the reduced matrix at gamma*, and the index's class sizes
+    gamma = qw.gamma_star(params)
+    assert np.array_equal(record.h_red, qw.reduced_hamiltonian(params, gamma))
+    index = qw.johnson._colex_index(params, params.num_vertices)
+    sizes = tuple(math.comb(3, l) * math.comb(4, l) for l in range(4))
+    assert index.sizes == sizes and all(type(x) is int for x in index.sizes)
+    assert np.array_equal(index.size_array, sizes)
+    assert np.array_equal(index.size_roots, np.sqrt(sizes))
+    for array in (record.h_red, index.size_array, index.size_roots):
+        assert array.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1
     assert qw.validation._memo_graph(params) is record
+
+
+def test_each_graph_forms_its_reduced_matrix_and_class_sizes_once(monkeypatch):
+    # Every mark of J(5,2), then of J(6,3): the reduced matrix at gamma* and
+    # the distance-class sizes depend on (n, k) alone, so each is formed
+    # once per graph, not once per mark.
+    qw.validation._memo_graph.cache_clear()
+    qw.johnson._memo_colex_index.cache_clear()
+    calls = {"reduced": 0, "sizes": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        qw.validation, "_reduced_matrix", counted("reduced", qw.validation._reduced_matrix)
+    )
+    monkeypatch.setattr(qw.johnson, "_class_sizes", counted("sizes", qw.johnson._class_sizes))
+    for graphs, (n, k) in enumerate(((5, 2), (6, 3)), start=1):
+        params = qw.GraphParams(n, k)
+        for w in range(params.num_vertices):
+            assert qw.validate_instance(params, w).all_passed
+        assert calls == {"reduced": graphs, "sizes": graphs}
 
 
 def dense_curve(h, w, times):
@@ -280,7 +318,8 @@ def test_projector_basis_is_exact_in_integers(n, k, w):
     params = qw.GraphParams(n, k)
     lambdas = qw.spectral_data(params).lambdas
     a = qw.adjacency_matrix(params)
-    basis = qw.validation._projector_basis(a, lambdas, w)
+    index = qw.johnson._colex_index(params, params.num_vertices)
+    basis = qw.validation._projector_basis(index, a, lambdas, w)
     ints = basis.astype(np.int64)
     assert np.array_equal(ints, basis)
     a_int, lam = a.astype(np.int64), [int(x) for x in lambdas]
@@ -372,9 +411,10 @@ def test_partition_invariance_residuals():
     params = qw.GraphParams(8, 3)
     a = qw.adjacency_matrix(params)
     a[1, 2] = a[2, 1] = 1.0 - a[1, 2]
-    label = qw.johnson._distance_labels(qw.johnson._colex_index(params, 56), 0)
+    index = qw.johnson._colex_index(params, 56)
+    label = qw.johnson._distance_labels(index, 0)
     indicators = (label == np.arange(params.k + 1)[:, None]).astype(np.float64)
-    residual = qw.validation._invariance_residual(indicators @ a.T, label)
+    residual = qw.validation._invariance_residual(index, indicators @ a.T, label)
     assert residual > 1e-12
     assert residual == pytest.approx(0.33993463423951, rel=1e-13)
 
