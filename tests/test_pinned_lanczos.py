@@ -5,7 +5,9 @@ The first table holds ``float.hex`` of the levels E_j and weights w_j that
 ``validation._lanczos`` returns for the marks w and w + 1 mod N of
 ``validate_instance`` at gamma*, on J(5,2) w = 3, J(6,3) w = 0 and 5,
 J(9,4) w = 17 and J(12,5) w = 100.  The second holds every check residual
-that ``validate_instance`` reports on those five instances, and the third the
+that ``validate_instance`` reports on every mark of J(5,2) and J(6,3), the 30
+instances of the ``oracle`` benchmark workload, and on J(9,4) w = 17 and
+J(12,5) w = 100; the third the
 bounds of ``compare_full_reduced`` (w = 0) and ``compare_marked_vertices``
 (w = 0 against 5) on J(6,3) at 0.3 and 3 gamma*, t_max = 2*run_time.  A
 product of A with the Lanczos block at N = 792 rounds differently with the
@@ -125,6 +127,33 @@ _PINNED = {
 
 # (n, k, w): (check name, hex of its residual) in report order
 _REPORTS = {
+    (5, 2, 0): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.23806bd56e0edp-45"),
+        ("vertex_independence", "0x1.e6b4bb363d3d4p-46"),
+    ),
+    (5, 2, 1): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.269c75ae4f65ap-45"),
+        ("vertex_independence", "0x1.27fc42ed45beep-45"),
+    ),
+    (5, 2, 2): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.d02f6ba6e3746p-46"),
+        ("vertex_independence", "0x1.d301198b0cca5p-46"),
+    ),
     (5, 2, 3): (
         ("spectrum_values", "0x1.8000000000000p-50"),
         ("spectrum_multiplicities", "0x0.0p+0"),
@@ -133,6 +162,60 @@ _REPORTS = {
         ("reduced_embedding", "0x1.0000000000000p-52"),
         ("oracle_equivalence", "0x1.d3b55c32035bcp-46"),
         ("vertex_independence", "0x1.d929446df8490p-46"),
+    ),
+    (5, 2, 4): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.d6d47fb283816p-46"),
+        ("vertex_independence", "0x1.da3dde3fd037ap-46"),
+    ),
+    (5, 2, 5): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.d51e27da6f550p-46"),
+        ("vertex_independence", "0x1.d8e0774d2614cp-46"),
+    ),
+    (5, 2, 6): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.d4fa2f9724d03p-46"),
+        ("vertex_independence", "0x1.e322274cb89c4p-46"),
+    ),
+    (5, 2, 7): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.df5fd7da01dc8p-46"),
+        ("vertex_independence", "0x1.e47db28d9c2eap-46"),
+    ),
+    (5, 2, 8): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.d6942f6c62a9ap-46"),
+        ("vertex_independence", "0x1.d6a6620248fcep-46"),
+    ),
+    (5, 2, 9): (
+        ("spectrum_values", "0x1.8000000000000p-50"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-52"),
+        ("oracle_equivalence", "0x1.d188874eaeaaep-46"),
+        ("vertex_independence", "0x1.23a8bf6a8e5c0p-45"),
     ),
     (6, 3, 0): (
         ("spectrum_values", "0x1.8000000000000p-49"),
@@ -143,6 +226,42 @@ _REPORTS = {
         ("oracle_equivalence", "0x1.e518e3d2553b8p-45"),
         ("vertex_independence", "0x1.d31c16644db34p-45"),
     ),
+    (6, 3, 1): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.e8ea73ff4345ep-45"),
+        ("vertex_independence", "0x1.dc948b2a24e0ap-45"),
+    ),
+    (6, 3, 2): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.ee9158982c68ep-45"),
+        ("vertex_independence", "0x1.ec1279ae86c31p-45"),
+    ),
+    (6, 3, 3): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.fa59e2ced1a90p-45"),
+        ("vertex_independence", "0x1.f2ddcb6e14ff8p-45"),
+    ),
+    (6, 3, 4): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-55"),
+        ("oracle_equivalence", "0x1.f36b2a0c8e24ap-45"),
+        ("vertex_independence", "0x1.e48124ffd811cp-45"),
+    ),
     (6, 3, 5): (
         ("spectrum_values", "0x1.8000000000000p-49"),
         ("spectrum_multiplicities", "0x0.0p+0"),
@@ -151,6 +270,132 @@ _REPORTS = {
         ("reduced_embedding", "0x1.0000000000000p-55"),
         ("oracle_equivalence", "0x1.ec4bd4ca3d51cp-45"),
         ("vertex_independence", "0x1.e7a79cecb4a55p-45"),
+    ),
+    (6, 3, 6): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.f6e03a63134eap-45"),
+        ("vertex_independence", "0x1.e8ad210f10006p-45"),
+    ),
+    (6, 3, 7): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.ed7070f14b74ep-45"),
+        ("vertex_independence", "0x1.eb0414b068bcdp-45"),
+    ),
+    (6, 3, 8): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.f8a491107c5eep-45"),
+        ("vertex_independence", "0x1.f268ee85a3b94p-45"),
+    ),
+    (6, 3, 9): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-53"),
+        ("oracle_equivalence", "0x1.f4d54ac686716p-45"),
+        ("vertex_independence", "0x1.f501b2ff15883p-45"),
+    ),
+    (6, 3, 10): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-53"),
+        ("oracle_equivalence", "0x1.fb29443c4de82p-45"),
+        ("vertex_independence", "0x1.009705c282fc2p-44"),
+    ),
+    (6, 3, 11): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.006ded347c78dp-44"),
+        ("vertex_independence", "0x1.fec7f58ac8d14p-45"),
+    ),
+    (6, 3, 12): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.f8c13cc1c5948p-45"),
+        ("vertex_independence", "0x1.fcc41af0bf4a4p-45"),
+    ),
+    (6, 3, 13): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.fed039cdc2b8ap-45"),
+        ("vertex_independence", "0x1.f28009437f560p-45"),
+    ),
+    (6, 3, 14): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-55"),
+        ("oracle_equivalence", "0x1.ee7d2b1485a04p-45"),
+        ("vertex_independence", "0x1.e90d890eb2779p-45"),
+    ),
+    (6, 3, 15): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-55"),
+        ("oracle_equivalence", "0x1.f5619c998c332p-45"),
+        ("vertex_independence", "0x1.e13a49eca9231p-45"),
+    ),
+    (6, 3, 16): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.e88a9105b4c4ap-45"),
+        ("vertex_independence", "0x1.d621daf7e562bp-45"),
+    ),
+    (6, 3, 17): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.ea50f3a5f524cp-45"),
+        ("vertex_independence", "0x1.d8f3f52315672p-45"),
+    ),
+    (6, 3, 18): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.eb54e52fb8172p-45"),
+        ("vertex_independence", "0x1.e1d85a0177760p-45"),
+    ),
+    (6, 3, 19): (
+        ("spectrum_values", "0x1.8000000000000p-49"),
+        ("spectrum_multiplicities", "0x0.0p+0"),
+        ("overlap_consistency", "0x0.0p+0"),
+        ("partition_invariance", "0x0.0p+0"),
+        ("reduced_embedding", "0x1.0000000000000p-54"),
+        ("oracle_equivalence", "0x1.f356620955284p-45"),
+        ("vertex_independence", "0x1.d9cbe1dde60e4p-45"),
     ),
     (9, 4, 17): (
         ("spectrum_values", "0x1.8000000000000p-46"),
