@@ -22,7 +22,7 @@ from .errors import DomainError
 # float64 matrix is 72 MB at the cap, and `validate` there (the adjacency,
 # one values-only dense eigensolve, Lanczos curves) takes about 3 s and
 # peaks near 170 MB; in one process a further marked vertex of the same
-# graph takes about 0.18 s, as the eigensolve's checks are kept per graph
+# graph takes about 0.1 s, as the eigensolve's checks are kept per graph
 # (validation._memo_graph).  Overridable per call and via the CLI.  The cap is
 # checked on every call, memoised index or not; the index itself is
 # O(N k), plus N k(n-k) int64 clique edges (1.2 MB at J(14,6)) once a

@@ -13,14 +13,21 @@ on (n, k) alone is computed once per graph and kept per process: a graph
 record here holds the closed-form spectrum, gamma*, t_max, the reduced
 model's curve, the reduced matrix H_red at gamma* and the spectrum and
 overlap checks, and the colex index of :mod:`qwsearch.johnson` holds the
-distance-class sizes and the bound of the integer projector basis.  Each
-further marked vertex pays only for its own work: its distance labels and
-class image, A, its projector basis, the two Lanczos runs and the two
-bounds.  The full-space curves come from Lanczos on the full
-H = -gamma*A - |w><w| started at |s>: the distance-class span holds |s>
-and |w> and is invariant under H, so the Krylov space closes after at
-most k+1 steps and the curve of its (k+1) x (k+1) tridiagonal is exact up
-to the closing beta times t (Saad, SIAM J. Numer. Anal. 29, 209 (1992)).  Each comparison of a mark
+distance-class sizes and the polynomial coefficients and bound of the
+integer projector basis.  Each further marked vertex pays only for its own
+work, in a number of numpy calls fixed by k: its distance labels (one
+gather and one reduction) and class image (one bincount and k row
+gathers), whose class sums are one more bincount; A; its projector basis
+(k-1 products of A with a vector and one with the coefficients); the two
+Lanczos runs, stepping together, each step one product of A with their
+2 x N block and two Gram-Schmidt passes of two stacked matrix-vector
+products, then one stacked eigensolve; and the two bounds, each one pass
+over its curves in Python floats.  The full-space curves come from
+Lanczos on the full H = -gamma*A - |w><w| started at |s>: the
+distance-class span holds |s> and |w> and is invariant under H, so the
+Krylov space closes after at most k+1 steps and the curve of its
+(k+1) x (k+1) tridiagonal is exact up to the closing beta times t (Saad,
+SIAM J. Numer. Anal. 29, 209 (1992)).  Each comparison of a mark
 with the reduced model runs the pair w, w + 1 mod N in one batch, whose
 runs close at one step.  A run that does not close, or a batch whose runs
 close at different steps, is refused, never truncated.  A curve, from
@@ -43,7 +50,6 @@ exactly those quantities per n; they run on the numpy-free reduced model
 import functools
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -114,19 +120,21 @@ def _lanczos(a, gamma, marks, params) -> tuple:
     basis = np.empty((n_marks, steps, n_vert))
     basis[:, 0] = 1.0 / math.sqrt(n_vert)
     tri = np.zeros((n_marks, steps, steps))
-    rows, cols = np.arange(n_marks), np.array(marks)
     for j in range(steps):
         q = basis[:, j]
         r = q @ a  # A is symmetric
         r *= -gamma
-        r[rows, cols] -= q[rows, cols]
-        # Gram-Schmidt twice against every earlier vector.
-        done = basis[:, : j + 1]
-        coef = done @ r[:, :, None]
-        r -= (coef.transpose(0, 2, 1) @ done)[:, 0]
-        again = done @ r[:, :, None]
-        r -= (again.transpose(0, 2, 1) @ done)[:, 0]
-        np.add(coef[:, j, 0], again[:, j, 0], out=tri[:, j, j])
+        for m, w in enumerate(marks):
+            r[m, w] -= q[m, w]
+        # Gram-Schmidt twice against every earlier vector, on r as a stack
+        # of 1 x N rows.
+        row, done = r[:, None], basis[:, : j + 1]
+        done_t = done.mT
+        coef = row @ done_t
+        row -= coef @ done
+        again = row @ done_t
+        row -= again @ done
+        np.add(coef[:, 0, j], again[:, 0, j], out=tri[:, j, j])
         norms = np.sqrt(np.add.reduce(r * r, axis=1))
         betas = norms.tolist()
         closed = sum(b <= tol for b in betas)
@@ -149,12 +157,9 @@ def _lanczos(a, gamma, marks, params) -> tuple:
     values, vectors = sym_eig(tri[:, :dim, :dim])
     # With Q the basis and |s> = Q e_0, the amplitude of |w> is <w| Q V
     # e^{-iEt} V^T e_0 = sum_j (V[0,j] * (V^T Q^T w)_j) e^{-iE_j t}.
-    weights = [
-        v[0] * (v.T @ basis[m, :dim, w]) for m, (w, v) in enumerate(zip(marks, vectors))
-    ]
     return tuple(
-        (tuple(levels), tuple(weights), beta)
-        for levels, weights, beta in zip(values.tolist(), np.array(weights).tolist(), betas)
+        (tuple(levels), tuple((v[0] * (v.T @ basis[m, :dim, w])).tolist()), beta)
+        for m, (w, v, levels, beta) in enumerate(zip(marks, vectors, values.tolist(), betas))
     )
 
 
@@ -167,33 +172,37 @@ def _reduced_curve(sd: SpectralData, gamma: float) -> tuple:
     return tuple([x - shift for x in levels]), weights, 0.0
 
 
-def _total(values) -> float:
-    # A float sum left to right: sum() compensates from Python 3.12 on, and
-    # the bounds must not depend on the interpreter.
-    total = 0.0
-    for x in values:
-        total += x
-    return total
-
-
 def _sup_distance(curve_a, curve_b, t_max) -> float:
     # A bound on max |p_a - p_b| over 0 <= t <= t_max for curves (levels,
     # weights, beta), p = |A|^2, A(t) = sum_j w_j e^{-iE_j t}:
     # |A_a - A_b| <= sum_j |w_a,j - w_b,j| + t sum_j |w_b,j| |E_a,j - E_b,j|
     # with levels in ascending order (a curve with fewer levels has weight 0
-    # and its partner's E on the levels it lacks, so zip stops at the shorter
-    # run), plus beta*t per Lanczos run, and |p_a - p_b| <= |A_a - A_b| (W_a
-    # + W_b), W = sum_j |w_j|.  Rounding adds eps W^2 ((d+1)(t max|E| + 1) +
-    # 3) per curve of d levels, eps = 2**-52: eigh's and the secular solve's
-    # levels are good to d eps max|E|, each phase rounds once more, and the
-    # exponential, d-term sum and modulus add d + 4.  A curve against itself
-    # is 0.0.
+    # and its partner's E on the levels it lacks, so the drift stops at the
+    # shorter run), plus beta*t per Lanczos run, and |p_a - p_b| <= |A_a -
+    # A_b| (W_a + W_b), W = sum_j |w_j|.  Rounding adds eps W^2 ((d+1)(t
+    # max|E| + 1) + 3) per curve of d levels, eps = 2**-52: eigh's and the
+    # secular solve's levels are good to d eps max|E|, each phase rounds once
+    # more, and the exponential, d-term sum and modulus add d + 4.  A curve
+    # against itself is 0.0.  Each sum is a plain float sum left to right,
+    # all of them in one pass (sum() compensates from Python 3.12 on, and
+    # the bounds must not depend on the interpreter).
     if curve_a is curve_b:
         return 0.0
     (levels_a, weights_a, beta_a), (levels_b, weights_b, beta_b) = curve_a, curve_b
-    mass_a, mass_b = _total(map(abs, weights_a)), _total(map(abs, weights_b))
-    spread = _total(abs(x - y) for x, y in zip_longest(weights_a, weights_b, fillvalue=0.0))
-    drift = _total(abs(w * (x - y)) for x, y, w in zip(levels_a, levels_b, weights_b))
+    mass_a = mass_b = spread = drift = 0.0
+    for x, y, u, v in zip(levels_a, levels_b, weights_a, weights_b):
+        mass_a += abs(u)
+        mass_b += abs(v)
+        spread += abs(u - v)
+        drift += abs(v * (x - y))
+    # At most one curve has weights beyond the other's, each against a 0.
+    common = min(len(weights_a), len(weights_b))
+    for u in weights_a[common:]:
+        mass_a += abs(u)
+        spread += abs(u)
+    for v in weights_b[common:]:
+        mass_b += abs(v)
+        spread += abs(v)
     bound = (mass_a + mass_b) * (spread + (drift + beta_a + beta_b) * t_max)
     for e, mass in ((levels_a, mass_a), (levels_b, mass_b)):
         bound += 2.0**-52 * mass * mass * ((len(e) + 1) * (t_max * max(map(abs, e)) + 1) + 3)
@@ -310,10 +319,21 @@ def _invariance_residual(index, image, label) -> float:
     # label == l, which _distance_labels has checked against the index's
     # class sizes.  Its entries and class sums are exact integers, so row l
     # minus its class-wise means, scaled by 1/sqrt(|class_l|), is exactly 0
-    # for equitable classes.
-    means = np.array([np.bincount(label, weights=row) for row in image]) / index.size_array
-    residual = np.linalg.norm(image - means[:, label], axis=1) / index.size_roots
-    return float(np.max(residual))
+    # for equitable classes.  One bincount sums every row over every class:
+    # bin l*(k+1) + c collects row l on class c, read from image.T, which is
+    # contiguous as _class_image returns it.
+    levels = len(image)
+    sums = np.bincount(
+        (label[:, None] + np.arange(0, levels * levels, levels)).ravel(),
+        weights=image.T.ravel(), minlength=levels * levels,
+    )
+    means = sums.reshape(levels, levels) / index.size_array
+    # The 2-norm of each row of the deviation, as numpy.linalg.norm forms it.
+    deviation = image - means[:, label]
+    deviation *= deviation
+    residual = np.sqrt(np.add.reduce(deviation, axis=1))
+    residual /= index.size_roots
+    return float(residual.max())
 
 
 def _partition_invariance(index, w) -> float:
@@ -336,33 +356,39 @@ def check_partition_invariance(
     return _partition_invariance(index, _int(w, "marked vertex w", 0, params.num_vertices - 1))
 
 
-def _projector_basis(index, a, lambdas, w) -> np.ndarray:
+def _projector_basis(index, a, w) -> np.ndarray:
     # Column l is prod_{j != l} (A - lambda_j)|w>, which is P_l|w> times the
-    # nonzero integer prod_{j != l} (lambda_l - lambda_j).  A and the lambdas
-    # are integers, and the row sums of |A - lambda_j| are at most
-    # f_j = lambda_0 + |lambda_j|, so every entry and partial sum of column
-    # l is at most prod_{j != l} f_j, the index's basis_bound, in magnitude.
-    # Below 2**53, checked first, the float products are exact.
+    # nonzero integer prod_{j != l} (lambda_l - lambda_j).  It is K c_l for
+    # the Krylov vectors K = [|w>, A|w>, ..., A^k|w>] and the coefficients
+    # c_l of prod_{j != l} (x - lambda_j), the index's basis_coefficients.
+    # A and the lambdas are integers, A^i|w> has entries at most lambda_0^i
+    # (A's row sums are lambda_0), and sum_i lambda_0^i |c_il| is at most
+    # prod_{j != l} f_j, f_j = lambda_0 + |lambda_j|, so every entry,
+    # product and partial sum is at most the index's basis_bound in
+    # magnitude.  Below 2**53, checked first, the float products are exact.
     if index.basis_bound >= 2**53:
         raise NumericalError("projector basis leaves the exact integer range of binary64")
-    basis = np.zeros((len(a), len(lambdas)))
-    basis[w] = 1.0
-    for j, lam in enumerate(lambdas):
-        product = a @ basis
-        product -= lam * basis
-        product[:, j] = basis[:, j]
-        basis = product
-    return basis
+    coefficients = index.basis_coefficients
+    krylov = np.zeros((len(coefficients), len(a)))
+    krylov[0, w] = 1.0
+    krylov[1] = a[w]  # A is symmetric
+    for i in range(2, len(krylov)):
+        np.matmul(krylov[i - 1], a, out=krylov[i])
+    return krylov.T @ coefficients
 
 
-def _embedding_residual(index, a, lambdas, gamma, h_red, w) -> float:
+def _embedding_residual(index, a, gamma, h_red, w) -> float:
     # B^T H B - H_red with H = -gamma*A - |w><w| applied to B, whose columns
     # P_l|w> / ||P_l|w>|| carry the sign that makes entry w, p_l^2 before
-    # scaling, positive; h_red is the reduced matrix at gamma.
-    basis = _projector_basis(index, a, lambdas, w)
-    basis /= np.copysign(np.linalg.norm(basis, axis=0), basis[w])
-    conjugated = -gamma * (basis.T @ (a @ basis)) - np.outer(basis[w], basis[w])
-    return float(np.max(np.abs(conjugated - h_red)))
+    # scaling, positive; h_red is the reduced matrix at gamma.  The column
+    # norms are formed as numpy.linalg.norm forms them, |w><w| as np.outer.
+    basis = _projector_basis(index, a, w)
+    basis /= np.copysign(np.sqrt(np.add.reduce(basis * basis, axis=0)), basis[w])
+    pinned = basis[w]
+    conjugated = -gamma * (basis.T @ (a @ basis))
+    conjugated -= pinned[:, None] * pinned
+    conjugated -= h_red
+    return float(np.abs(conjugated, out=conjugated).max())
 
 
 def reduced_embedding_residual(
@@ -376,9 +402,8 @@ def reduced_embedding_residual(
     gamma = _check_coupling(params, gamma)
     w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
     index = _colex_index(params, cap)
-    sd = spectral_data(params)
-    h_red = _reduced_matrix(sd, gamma)
-    return _embedding_residual(index, _adjacency(index), sd.lambdas, gamma, h_red, w)
+    h_red = _reduced_matrix(spectral_data(params), gamma)
+    return _embedding_residual(index, _adjacency(index), gamma, h_red, w)
 
 
 def overlap_consistency_residual(params: GraphParams) -> float:
@@ -402,12 +427,13 @@ def validate_instance(
     curve, the reduced matrix at gamma*, and the spectrum and overlap
     checks, whose values-only ``eigvalsh`` is the one dense eigensolve; the
     colex index keeps the distance-class sizes and the projector basis's
-    exactness bound.  The cap and the mark are checked first on every
-    call, and one N x N array is held at a time.  Each call pays for the
-    mark's own work: its distance labels and class image for partition
-    invariance, A, its projector basis for the embedding residual, and the
-    Lanczos runs of w and w2 = w + 1 mod N; a run that does not close
-    within k+1 steps raises :class:`NumericalError`.
+    coefficients and exactness bound.  The cap and the mark are checked
+    first on every call, and one N x N array is held at a time.  Each call
+    pays for the mark's own work, in a number of numpy calls fixed by k:
+    its distance labels and class image for partition invariance, A, its
+    projector basis for the embedding residual (k-1 products of A with a
+    vector), and the Lanczos runs of w and w2 = w + 1 mod N; a run that
+    does not close within k+1 steps raises :class:`NumericalError`.
     oracle_equivalence (w against the reduced model) and
     vertex_independence (w against w2) bound the curves' distance over all
     of [0, t_max]; see :func:`compare_full_reduced`.
@@ -417,7 +443,7 @@ def validate_instance(
     invariance = _partition_invariance(index, w)
     record = _memo_graph(params)
     a = _adjacency(index)
-    embedding = _embedding_residual(index, a, record.sd.lambdas, record.gamma, record.h_red, w)
+    embedding = _embedding_residual(index, a, record.gamma, record.h_red, w)
     w2 = (w + 1) % params.num_vertices
     full_w, full_w2 = _lanczos(a, record.gamma, (w, w2), params)
     oracle = _sup_distance(full_w, record.reduced, record.t_max)

@@ -107,3 +107,60 @@ def mp_reduced(params, gamma, times, dps=120):
             "w_overlap_sq": float(mpmath.fsum(c * q for c, q in zip(ground, p)) ** 2),
             "probs": [float(x) for x in probs],
         }
+
+
+def sup_distance_reference(curve_a, curve_b, t_max):
+    """Test-only reference for validation._sup_distance: the same bound on
+    max |p_a - p_b| over [0, t_max] for two curves (levels, weights, beta),
+    each sum a plain float sum left to right in a pass of its own.  The
+    curve with fewer levels has weight 0 on the levels it lacks, so the
+    weight sums run over the longer curve and the level drift stops at the
+    shorter one; rounding adds eps W^2 ((d+1)(t max|E| + 1) + 3) per curve
+    of d levels; a curve against itself is 0.0."""
+
+    def total(values):
+        # sum() compensates from Python 3.12 on
+        result = 0.0
+        for x in values:
+            result += x
+        return result
+
+    if curve_a is curve_b:
+        return 0.0
+    (levels_a, weights_a, beta_a), (levels_b, weights_b, beta_b) = curve_a, curve_b
+    mass_a, mass_b = total(map(abs, weights_a)), total(map(abs, weights_b))
+    longest = max(len(weights_a), len(weights_b))
+    padded_a = list(weights_a) + [0.0] * (longest - len(weights_a))
+    padded_b = list(weights_b) + [0.0] * (longest - len(weights_b))
+    spread = total(abs(x - y) for x, y in zip(padded_a, padded_b))
+    drift = total(abs(w * (x - y)) for x, y, w in zip(levels_a, levels_b, weights_b))
+    bound = (mass_a + mass_b) * (spread + (drift + beta_a + beta_b) * t_max)
+    for e, mass in ((levels_a, mass_a), (levels_b, mass_b)):
+        bound += 2.0**-52 * mass * mass * ((len(e) + 1) * (t_max * max(map(abs, e)) + 1) + 3)
+    return bound
+
+
+def invariance_residual_reference(index, image, label):
+    """Test-only reference for validation._invariance_residual: row l of
+    the class image minus its class-wise means, one bincount per row, in
+    numpy.linalg.norm, scaled by 1/sqrt(|class_l|); the largest row."""
+    import numpy as np
+
+    means = np.array([np.bincount(label, weights=row) for row in image]) / index.size_array
+    residual = np.linalg.norm(image - means[:, label], axis=1) / index.size_roots
+    return float(np.max(residual))
+
+
+def embedding_residual_reference(index, a, gamma, h_red, w):
+    """Test-only reference for validation._embedding_residual: the columns
+    of the exact projector basis normalised by numpy.linalg.norm with the
+    sign of entry w, conjugated by -gamma*A - |w><w| with np.outer, less
+    h_red, largest modulus."""
+    import numpy as np
+
+    import qwsearch as qw
+
+    basis = qw.validation._projector_basis(index, a, w)
+    basis /= np.copysign(np.linalg.norm(basis, axis=0), basis[w])
+    conjugated = -gamma * (basis.T @ (a @ basis)) - np.outer(basis[w], basis[w])
+    return float(np.max(np.abs(conjugated - h_red)))

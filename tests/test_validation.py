@@ -4,7 +4,15 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import peak_beta, probs_at
+from conftest import (
+    embedding_residual_reference,
+    invariance_residual_reference,
+    peak_beta,
+    probs_at,
+    sup_distance_reference,
+)
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qwsearch as qw
 from qwsearch import cli, johnson
@@ -29,6 +37,42 @@ def test_curves_independent_of_marked_vertex():
         gamma = qw.gamma_star(params)
         t_max = 2 * qw.run_time(params)
         assert qw.compare_marked_vertices(params, gamma, 0, w2, t_max) <= 1e-10
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def _curve(draw):
+    # levels and weights of one length d, a Lanczos run's closing beta
+    d = draw(st.integers(1, 6))
+    levels = tuple(draw(st.lists(_ENTRY, min_size=d, max_size=d)))
+    weights = tuple(draw(st.lists(_ENTRY, min_size=d, max_size=d)))
+    beta = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e-6))
+    return levels, weights, beta
+
+
+@given(
+    curve_a=_curve(),
+    curve_b=_curve(),
+    t_max=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e4),
+    same=st.sampled_from(["distinct", "same object", "equal copy"]),
+)
+def test_sup_distance_is_the_multi_pass_reference_bit_for_bit(curve_a, curve_b, t_max, same):
+    # _sup_distance forms its sums in one pass; each must be the plain
+    # left-to-right sum of its own pass, on curves of unequal lengths too.
+    if same == "same object":
+        curve_b = curve_a
+    elif same == "equal copy":
+        curve_b = tuple([*curve_a])
+        assert curve_b is not curve_a
+    got = qw.validation._sup_distance(curve_a, curve_b, t_max)
+    assert got.hex() == sup_distance_reference(curve_a, curve_b, t_max).hex()
+    if curve_b is curve_a:
+        assert got.hex() == "0x0.0p+0"
 
 
 def test_compare_marked_vertices_same_vertex_and_range():
@@ -319,7 +363,7 @@ def test_projector_basis_is_exact_in_integers(n, k, w):
     lambdas = qw.spectral_data(params).lambdas
     a = qw.adjacency_matrix(params)
     index = qw.johnson._colex_index(params, params.num_vertices)
-    basis = qw.validation._projector_basis(index, a, lambdas, w)
+    basis = qw.validation._projector_basis(index, a, w)
     ints = basis.astype(np.int64)
     assert np.array_equal(ints, basis)
     a_int, lam = a.astype(np.int64), [int(x) for x in lambdas]
@@ -417,6 +461,31 @@ def test_partition_invariance_residuals():
     residual = qw.validation._invariance_residual(index, indicators @ a.T, label)
     assert residual > 1e-12
     assert residual == pytest.approx(0.33993463423951, rel=1e-13)
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (9, 4), (12, 5)])
+def test_invariance_and_embedding_residuals_are_their_plain_forms(n, k):
+    # On images and reduced matrices that do not match, so that every
+    # residual is a nonzero float, in the image's own layout and in C
+    # order: one bincount for all class sums, the norms as numpy's own
+    # reduction and -|w><w| by broadcasting give the plain forms' bits.
+    params = qw.GraphParams(n, k)
+    index = johnson._colex_index(params, params.num_vertices)
+    a = johnson._adjacency(index)
+    rng = np.random.default_rng(n * 10 + k)
+    for w in rng.integers(params.num_vertices, size=3).tolist():
+        label = johnson._distance_labels(index, w)
+        image = johnson._class_image(index, label)
+        image += rng.integers(-3, 4, size=image.shape)
+        for layout in (image, np.ascontiguousarray(image)):
+            got = qw.validation._invariance_residual(index, layout, label)
+            assert got > 0.0
+            assert got.hex() == invariance_residual_reference(index, layout, label).hex()
+        gamma = float(rng.uniform(0.1, 3.0)) * qw.gamma_star(params)
+        off = qw.reduced_hamiltonian(params, gamma) + rng.normal(scale=1e-9, size=(k + 1, k + 1))
+        got = qw.validation._embedding_residual(index, a, gamma, off, w)
+        assert got > 0.0
+        assert got.hex() == embedding_residual_reference(index, a, gamma, off, w).hex()
 
 
 def test_partition_invariance_builds_no_dense_matrix():
