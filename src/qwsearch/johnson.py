@@ -24,9 +24,8 @@ them, so every dense matrix is one flat scatter into a fresh array owned
 by the caller, and the O(N k) users (vertex elements, distance partition,
 partition invariance) never build them.  It also keeps what the full-space
 checks read for every vertex alike, J(n,k) being vertex-transitive: the
-distance-class sizes and the polynomial coefficients and exactness bound
-of the oracle's integer projector basis, so that no marked vertex
-recomputes them.
+distance-class sizes and the exactness bound of the oracle's integer
+projector basis, so that no marked vertex recomputes them.
 
 The dense N x N objects built here (adjacency, search Hamiltonian) exist
 only as oracles for small instances, so they are guarded by a vertex cap;
@@ -73,20 +72,17 @@ class _ColexIndex:
     # = C(k,l)*C(n-k,l) is the size of distance class l around every
     # vertex, as Python ints, which the labels' guard compares against, and
     # as size_array with its square roots size_roots, which the partition
-    # invariance residual divides by; column l of basis_coefficients holds
-    # the coefficients of prod_{j != l} (x - lambda_j), constant term first,
-    # and basis_bound is prod_j f_j / min_j f_j, f_j = lambda_0 + |lambda_j|,
-    # the bound on every entry and partial sum of validation's integer
-    # projector basis formed from them.  Every array is int64, numpy's index
-    # type, or float64 for the roots and coefficients, and read-only: one
-    # index is shared by all callers in the process.
+    # invariance residual divides by; basis_bound is prod_j f_j / min_j f_j,
+    # f_j = lambda_0 + |lambda_j|, the bound on every entry and partial sum
+    # of validation's integer projector basis.  Every array is int64, numpy's
+    # index type, or float64 for the roots, and read-only: one index is
+    # shared by all callers in the process.
     params: GraphParams
     elems: np.ndarray
     faces: np.ndarray
     sizes: tuple
     size_array: np.ndarray
     size_roots: np.ndarray
-    basis_coefficients: np.ndarray
     basis_bound: int
 
     @functools.cached_property
@@ -154,22 +150,11 @@ def _memo_colex_index(params: GraphParams) -> _ColexIndex:
     size_roots = np.sqrt(size_array)
     lambdas = [_eigenvalue(n, k, l) for l in range(k + 1)]
     factors = [lambdas[0] + abs(lam) for lam in lambdas]
-    # Each polynomial is multiplied out in Python ints, one factor x -
-    # lambda_j at a time: its coefficients are at most basis_bound, so below
-    # 2**53, where the projector basis uses them, they are exact floats.
-    polynomials = []
-    for l in range(k + 1):
-        poly = [1]
-        for lam in lambdas[:l] + lambdas[l + 1:]:
-            poly = [low - lam * high for low, high in zip([0] + poly, poly + [0])]
-        polynomials.append(poly)
-    coefficients = np.array(polynomials, dtype=np.float64).T.copy()
-    for array in (elems, faces, size_array, size_roots, coefficients):
+    for array in (elems, faces, size_array, size_roots):
         array.flags.writeable = False
     return _ColexIndex(
         params=params, elems=elems, faces=faces, sizes=sizes, size_array=size_array,
-        size_roots=size_roots, basis_coefficients=coefficients,
-        basis_bound=math.prod(factors) // min(factors),
+        size_roots=size_roots, basis_bound=math.prod(factors) // min(factors),
     )
 
 
@@ -204,12 +189,11 @@ def _class_sizes(params: GraphParams) -> tuple:
 
 
 def _distance_labels(index: _ColexIndex, w: int) -> np.ndarray:
-    # label[v] = k - |v & w|, the graph distance of v from w, a checked mark:
-    # k plus -1 for each element of v in w, in one reduction.
+    # label[v] = k - |v & w|, the graph distance of v from w, a checked mark.
     params = index.params
     in_w = np.zeros(params.n + 1, dtype=np.int64)
-    in_w[index.elems[w]] = -1
-    label = np.add.reduce(in_w[index.elems], axis=1, initial=params.k)
+    in_w[index.elems[w]] = 1
+    label = params.k - in_w[index.elems].sum(axis=1)
     sizes = tuple(np.bincount(label, minlength=params.k + 1).tolist())
     if sizes != index.sizes:  # pragma: no cover - would indicate an indexing bug
         raise AssertionError(f"class sizes {sizes} != {index.sizes}")
@@ -233,10 +217,7 @@ def _class_image(index: _ColexIndex, label: np.ndarray) -> np.ndarray:
     image = counts.take(faces[0], axis=0)
     for position in faces[1:]:
         image += counts.take(position, axis=0)
-    # -kI sits at (v, label[v]) of the N x (k+1) sum: flat v*(k+1) + label[v].
-    own = np.arange(0, n_vert * (k + 1), k + 1)
-    own += label
-    image.reshape(-1)[own] -= k
+    image[np.arange(n_vert), label] -= k
     return image.T
 
 

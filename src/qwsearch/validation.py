@@ -12,17 +12,17 @@ check, made once per graph.  J(n,k) is vertex-transitive, so what depends
 on (n, k) alone is computed once per graph and kept per process: a graph
 record here holds the closed-form spectrum, gamma*, t_max, the reduced
 model's curve, the reduced matrix H_red at gamma* and the spectrum and
-overlap checks, and the colex index of :mod:`qwsearch.johnson` holds the
-distance-class sizes and the polynomial coefficients and bound of the
-integer projector basis.  Each further marked vertex pays only for its own
-work, in a number of numpy calls fixed by k: its distance labels (one
-gather and one reduction) and class image (one bincount and k row
-gathers), whose class sums are one more bincount; A; its projector basis
-(k-1 products of A with a vector and one with the coefficients); the two
-Lanczos runs, stepping together, each step one product of A with their
-2 x N block and two Gram-Schmidt passes of two stacked matrix-vector
-products, then one stacked eigensolve; and the two bounds, each one pass
-over its curves in Python floats.  The full-space curves come from
+overlap checks, a second per-graph memo holds the polynomial coefficients
+of the integer projector basis, and the colex index of
+:mod:`qwsearch.johnson` holds the distance-class sizes and the bound of
+that basis.  Each further marked vertex pays only for its own work, in a
+number of numpy calls fixed by k: its distance labels and class image (one
+bincount and k row gathers), whose class sums are one more bincount; A;
+its projector basis (k-1 products of A with a vector and one with the
+coefficients); the two Lanczos runs, stepping together, each step one
+product of A with their 2 x N block and two Gram-Schmidt passes of two
+stacked matrix-vector products, then one stacked eigensolve; and the two
+bounds in Python floats.  The full-space curves come from
 Lanczos on the full H = -gamma*A - |w><w| started at |s>: the
 distance-class span holds |s> and |w> and is invariant under H, so the
 Krylov space closes after at most k+1 steps and the curve of its
@@ -50,6 +50,7 @@ exactly those quantities per n; they run on the numpy-free reduced model
 import functools
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -69,6 +70,7 @@ from .johnson import (
 from .reduced import SweepRow, _check_time, _solve, asymptotics_row, convergence_sweep, run_time
 from .spectral import (
     SpectralData,
+    _eigenvalue,
     _reduced_matrix,
     multiplicity,
     overlap_sq_factorial,
@@ -129,7 +131,7 @@ def _lanczos(a, gamma, marks, params) -> tuple:
         # Gram-Schmidt twice against every earlier vector, on r as a stack
         # of 1 x N rows.
         row, done = r[:, None], basis[:, : j + 1]
-        done_t = done.mT
+        done_t = done.transpose(0, 2, 1)
         coef = row @ done_t
         row -= coef @ done
         again = row @ done_t
@@ -172,37 +174,33 @@ def _reduced_curve(sd: SpectralData, gamma: float) -> tuple:
     return tuple([x - shift for x in levels]), weights, 0.0
 
 
+def _total(values) -> float:
+    # A float sum left to right: sum() compensates from Python 3.12 on, and
+    # the bounds must not depend on the interpreter.
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _sup_distance(curve_a, curve_b, t_max) -> float:
     # A bound on max |p_a - p_b| over 0 <= t <= t_max for curves (levels,
     # weights, beta), p = |A|^2, A(t) = sum_j w_j e^{-iE_j t}:
     # |A_a - A_b| <= sum_j |w_a,j - w_b,j| + t sum_j |w_b,j| |E_a,j - E_b,j|
     # with levels in ascending order (a curve with fewer levels has weight 0
-    # and its partner's E on the levels it lacks, so the drift stops at the
-    # shorter run), plus beta*t per Lanczos run, and |p_a - p_b| <= |A_a -
-    # A_b| (W_a + W_b), W = sum_j |w_j|.  Rounding adds eps W^2 ((d+1)(t
-    # max|E| + 1) + 3) per curve of d levels, eps = 2**-52: eigh's and the
-    # secular solve's levels are good to d eps max|E|, each phase rounds once
-    # more, and the exponential, d-term sum and modulus add d + 4.  A curve
-    # against itself is 0.0.  Each sum is a plain float sum left to right,
-    # all of them in one pass (sum() compensates from Python 3.12 on, and
-    # the bounds must not depend on the interpreter).
+    # and its partner's E on the levels it lacks, so zip stops at the shorter
+    # run), plus beta*t per Lanczos run, and |p_a - p_b| <= |A_a - A_b| (W_a
+    # + W_b), W = sum_j |w_j|.  Rounding adds eps W^2 ((d+1)(t max|E| + 1) +
+    # 3) per curve of d levels, eps = 2**-52: eigh's and the secular solve's
+    # levels are good to d eps max|E|, each phase rounds once more, and the
+    # exponential, d-term sum and modulus add d + 4.  A curve against itself
+    # is 0.0.
     if curve_a is curve_b:
         return 0.0
     (levels_a, weights_a, beta_a), (levels_b, weights_b, beta_b) = curve_a, curve_b
-    mass_a = mass_b = spread = drift = 0.0
-    for x, y, u, v in zip(levels_a, levels_b, weights_a, weights_b):
-        mass_a += abs(u)
-        mass_b += abs(v)
-        spread += abs(u - v)
-        drift += abs(v * (x - y))
-    # At most one curve has weights beyond the other's, each against a 0.
-    common = min(len(weights_a), len(weights_b))
-    for u in weights_a[common:]:
-        mass_a += abs(u)
-        spread += abs(u)
-    for v in weights_b[common:]:
-        mass_b += abs(v)
-        spread += abs(v)
+    mass_a, mass_b = _total(map(abs, weights_a)), _total(map(abs, weights_b))
+    spread = _total(abs(x - y) for x, y in zip_longest(weights_a, weights_b, fillvalue=0.0))
+    drift = _total(abs(w * (x - y)) for x, y, w in zip(levels_a, levels_b, weights_b))
     bound = (mass_a + mass_b) * (spread + (drift + beta_a + beta_b) * t_max)
     for e, mass in ((levels_a, mass_a), (levels_b, mass_b)):
         bound += 2.0**-52 * mass * mass * ((len(e) + 1) * (t_max * max(map(abs, e)) + 1) + 3)
@@ -356,11 +354,31 @@ def check_partition_invariance(
     return _partition_invariance(index, _int(w, "marked vertex w", 0, params.num_vertices - 1))
 
 
+@functools.lru_cache(maxsize=_INDEX_MEMO_SIZE)
+def _basis_coefficients(params: GraphParams) -> np.ndarray:
+    # Column l holds the coefficients of prod_{j != l} (x - lambda_j),
+    # constant term first, multiplied out in Python ints one factor at a
+    # time.  Each is at most the index's basis_bound, so below 2**53, where
+    # the projector basis uses them, they are exact floats.  Kept per graph,
+    # read-only.
+    n, k = params.n, params.k
+    lambdas = [_eigenvalue(n, k, l) for l in range(k + 1)]
+    polynomials = []
+    for l in range(k + 1):
+        poly = [1]
+        for lam in lambdas[:l] + lambdas[l + 1:]:
+            poly = [low - lam * high for low, high in zip([0] + poly, poly + [0])]
+        polynomials.append(poly)
+    coefficients = np.array(polynomials, dtype=np.float64).T.copy()
+    coefficients.flags.writeable = False
+    return coefficients
+
+
 def _projector_basis(index, a, w) -> np.ndarray:
     # Column l is prod_{j != l} (A - lambda_j)|w>, which is P_l|w> times the
     # nonzero integer prod_{j != l} (lambda_l - lambda_j).  It is K c_l for
     # the Krylov vectors K = [|w>, A|w>, ..., A^k|w>] and the coefficients
-    # c_l of prod_{j != l} (x - lambda_j), the index's basis_coefficients.
+    # c_l of prod_{j != l} (x - lambda_j), from _basis_coefficients.
     # A and the lambdas are integers, A^i|w> has entries at most lambda_0^i
     # (A's row sums are lambda_0), and sum_i lambda_0^i |c_il| is at most
     # prod_{j != l} f_j, f_j = lambda_0 + |lambda_j|, so every entry,
@@ -368,7 +386,7 @@ def _projector_basis(index, a, w) -> np.ndarray:
     # magnitude.  Below 2**53, checked first, the float products are exact.
     if index.basis_bound >= 2**53:
         raise NumericalError("projector basis leaves the exact integer range of binary64")
-    coefficients = index.basis_coefficients
+    coefficients = _basis_coefficients(index.params)
     krylov = np.zeros((len(coefficients), len(a)))
     krylov[0, w] = 1.0
     krylov[1] = a[w]  # A is symmetric
@@ -425,9 +443,9 @@ def validate_instance(
     process for the last 8 graphs (immutable, arrays read-only): the
     closed-form spectrum, gamma*, t_max = 2*run_time, the reduced model's
     curve, the reduced matrix at gamma*, and the spectrum and overlap
-    checks, whose values-only ``eigvalsh`` is the one dense eigensolve; the
-    colex index keeps the distance-class sizes and the projector basis's
-    coefficients and exactness bound.  The cap and the mark are checked
+    checks, whose values-only ``eigvalsh`` is the one dense eigensolve, and
+    the projector basis's polynomial coefficients; the colex index keeps
+    the distance-class sizes and the basis's exactness bound.  The cap and the mark are checked
     first on every call, and one N x N array is held at a time.  Each call
     pays for the mark's own work, in a number of numpy calls fixed by k:
     its distance labels and class image for partition invariance, A, its
