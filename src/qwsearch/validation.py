@@ -445,13 +445,14 @@ def validate_instance(
     curve, the reduced matrix at gamma*, and the spectrum and overlap
     checks, whose values-only ``eigvalsh`` is the one dense eigensolve, and
     the projector basis's polynomial coefficients; the colex index keeps
-    the distance-class sizes and the basis's exactness bound.  The cap and the mark are checked
-    first on every call, and one N x N array is held at a time.  Each call
-    pays for the mark's own work, in a number of numpy calls fixed by k:
-    its distance labels and class image for partition invariance, A, its
-    projector basis for the embedding residual (k-1 products of A with a
-    vector), and the Lanczos runs of w and w2 = w + 1 mod N; a run that
-    does not close within k+1 steps raises :class:`NumericalError`.
+    the distance-class sizes and the basis's exactness bound.  The cap and
+    the mark are checked first on every call, and one N x N array is held
+    at a time.  Each call pays for the mark's own work, in a number of
+    numpy calls fixed by k: its distance labels and class image for
+    partition invariance, A, its projector basis for the embedding residual
+    (k-1 products of A with a vector), and the Lanczos runs of w and w2 =
+    w + 1 mod N; a run that does not close within k+1 steps raises
+    :class:`NumericalError`.
     oracle_equivalence (w against the reduced model) and
     vertex_independence (w against w2) bound the curves' distance over all
     of [0, t_max]; see :func:`compare_full_reduced`.

@@ -62,8 +62,9 @@ def _curve(draw):
     same=st.sampled_from(["distinct", "same object", "equal copy"]),
 )
 def test_sup_distance_is_the_multi_pass_reference_bit_for_bit(curve_a, curve_b, t_max, same):
-    # _sup_distance forms its sums in one pass; each must be the plain
-    # left-to-right sum of its own pass, on curves of unequal lengths too.
+    # Each sum of _sup_distance is a plain left-to-right float sum; the
+    # reference pads the shorter weights by hand where _sup_distance uses
+    # zip_longest, and both must agree on curves of unequal lengths too.
     if same == "same object":
         curve_b = curve_a
     elif same == "equal copy":
