@@ -63,9 +63,12 @@ def _gamma_star_ratio(params: GraphParams, mults) -> tuple:
     # the multiplicities m_0..m_k.
     n, k = params.n, params.k
     top = _eigenvalue(n, k, 0)
-    gaps = [top - _eigenvalue(n, k, l) for l in range(1, k + 1)]
-    den = math.prod(gaps)
-    num = sum(m * (den // d) for m, d in zip(mults[1:], gaps))
+    gaps, den, num = [], 1, 0
+    for l in range(1, k + 1):
+        gaps.append(top - _eigenvalue(n, k, l))
+        den *= gaps[-1]
+    for m, d in zip(mults[1:], gaps):
+        num += m * (den // d)
     return num, params.num_vertices * den
 
 

@@ -38,11 +38,11 @@ e_0 and 1/R_0 with p.
 This module imports no numpy: ``simulate`` and ``sweep`` run on it alone.
 """
 
-import cmath
 import math
 import sys
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import coupling
 from .domain import GraphParams, _check_coupling, _int, _real
@@ -61,6 +61,7 @@ _CLAMP_WARN_EXCESS = 1e-10
 _NEWTON_STEPS = 64
 _SECULAR_STEPS = 32
 _SETTLED = 2.0**-27
+_first = itemgetter(0)
 
 
 def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
@@ -77,8 +78,10 @@ def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
     if not gamma * (n - 2 * k + 2) >= _TINY:
         raise NumericalError(f"gamma={gamma} puts the levels of J({n},{k}) closer "
                              f"than binary64 resolves")
-    p2 = [m / big_n for m in sd.mults]
-    d = [l * (n - l + 1) for l in range(k + 1)]
+    p2, d = [], []
+    for l, m in enumerate(sd.mults):
+        p2.append(m / big_n)
+        d.append(l * (n - l + 1))
     num, den = ratio or coupling._gamma_star_ratio(params, sd.mults)
     # gamma*(d_l - d_i) is rounded once from the exact integer difference: a
     # product of floats is exact below 2**53, and a/b is gamma's dyadic value.
@@ -89,7 +92,7 @@ def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
         # - d_i) and terms being (x_l, p_l^2, p_l^2/x_l) over l >= 1 at pole 0
         # and None elsewhere; at pole 0, c = S - 1 = (gamma* - gamma)/gamma
         # exactly, rounded once.
-        poles = []
+        poles, terms = [], []
         for di in d:
             row, c, slope = [], -1.0, 0.0
             for dl, q in zip(d, p2):
@@ -99,29 +102,37 @@ def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
                     u = q / x
                     c += u
                     slope += u / x
+                    if not di:
+                        terms.append((x, q, u))
             poles.append((row, c, slope, None))
         row, _, slope, _ = poles[0]
-        terms = [(x, q, q / x) for x, q in zip(row[1:], p2[1:])]
         poles[0] = (row, (num * b - den * a) / (den * a), slope, terms)
         levels, weights, sums, offsets, steps = [], [], [], [], 0
-        for j in range(k + 1):
+        for j, (_, c, slope, _) in enumerate(poles):
             # Root j lies between the poles j-1 and j (below pole 0 for j =
-            # 0, where f(-1) >= 0).  It is solved at the pole whose model
-            # puts it nearer, and again at the other if it lies beyond the
-            # midpoint.
+            # 0, where f(-1) >= 0).  It is solved at the pole whose quadratic
+            # model slope*delta^2 + c*delta - p_i^2 puts it nearer, and again
+            # at the other if it lies beyond the midpoint.  Each model root
+            # is taken in the form without cancellation: left of pole j, and
+            # right of pole j-1 (kept from the pass before).
+            if j:
+                right = 2 * qj / (abs(cj) + disc) if cj >= 0 else (
+                    (abs(cj) + disc) / (2 * sj) if sj else math.inf)
+            qj, cj, sj = p2[j], c, slope
+            disc = math.sqrt(c * c + 4 * slope * qj)
+            left = -2 * qj / (abs(c) + disc) if c <= 0 else (
+                -(abs(c) + disc) / (2 * slope) if slope else -math.inf)
             if j == 0:
-                i, delta, used = 0, *_root(poles[0], p2, -1.0, _model(poles[0], p2[0], -1))
+                i, far, start, width = 0, -1.0, left, math.inf
             else:
                 width = poles[j - 1][0][j]
-                right = _model(poles[j - 1], p2[j - 1], 1)
-                left = _model(poles[j], p2[j], -1)
                 i, far, start = (j - 1, width, right) if right <= -left else (j, -width, left)
-                delta, used = _root(poles[i], p2, far, start)
-                if abs(delta) > width / 2:
-                    i, far, start = (j, -width / 2, delta - width) if far > 0 else (
-                        j - 1, width / 2, delta + width)
-                    delta, more = _root(poles[i], p2, far, start)
-                    used += more
+            delta, used = _root(poles[i], p2, far, start)
+            if abs(delta) > width / 2:
+                i, far, start = (j, -width / 2, delta - width) if far > 0 else (
+                    j - 1, width / 2, delta + width)
+                delta, more = _root(poles[i], p2, far, start)
+                used += more
             steps = max(steps, used)
             # R_j summed left to right: sum() compensates from Python 3.12 on,
             # and every supported interpreter must print the same digits.
@@ -144,43 +155,6 @@ def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
     return tuple(levels), tuple(weights), tuple(sums), tuple(offsets), steps
 
 
-def _model(pole: tuple, p2: float, side: int) -> float:
-    # The root of the pole's quadratic model slope*delta^2 + c*delta - p2 =
-    # 0 on the side (+1 or -1) of the pole, in the form without cancellation.
-    _, c, slope, _ = pole
-    disc = math.sqrt(c * c + 4 * slope * p2)
-    if side * c >= 0:  # the smaller root
-        return side * 2 * p2 / (abs(c) + disc)
-    return side * (abs(c) + disc) / (2 * slope) if slope else side * math.inf
-
-
-def _secular(pole: tuple, p2: list, delta: float) -> tuple:
-    # (G, G') at the offset delta from pole i, G(delta) = delta (r(delta) -
-    # 1) - p_i^2 = -delta f, r = sum_{l != i} p_l^2/(x_l - delta), and G' =
-    # G/delta + delta R.  The sums over every l, the pole's own term -p_i^2/
-    # delta included, give G = delta (r - p_i^2/delta - 1) and R at once.
-    # At pole 0, r - 1 is also (S - 1) + delta T(delta), T = sum_{l >= 1}
-    # p_l^2/(x_l (x_l - delta)) > 0: that form keeps the digits the exact
-    # 1 - S carries wherever its terms are smaller than those of r - 1.
-    row, c, _, terms = pole
-    r = t = rr = 0.0
-    if terms is None:
-        for x, q in zip(row, p2):
-            inv = 1.0 / (x - delta)
-            r += q * inv
-            rr += q * inv * inv
-        g = delta * (r - 1.0)
-        return g, g / delta + delta * rr
-    for x, q, u in terms:
-        inv = 1.0 / (x - delta)
-        r += q * inv
-        t += u * inv
-        rr += q * inv * inv
-    dt = delta * t
-    g = delta * (c + dt if abs(c) + abs(dt) < r + 1.0 else r - 1.0) - p2[0]
-    return g, g / delta + delta * (p2[0] / delta / delta + rr)
-
-
 def _root(pole: tuple, p2: list, far: float, start: float) -> tuple:
     # (delta, steps): the root of G between the pole (offset 0) and far,
     # by Newton from start, or from far/2 where start lies outside.  G is
@@ -188,15 +162,43 @@ def _root(pole: tuple, p2: list, far: float, start: float) -> tuple:
     # negative between the pole and the root and positive beyond (where
     # Newton steps stay); each evaluation narrows the bracket (lo, hi), and
     # a step that leaves it is replaced by the bracket's midpoint.
+    #
+    # Each step takes G(delta) = delta (r(delta) - 1) - p_i^2 = -delta f, r =
+    # sum_{l != i} p_l^2/(x_l - delta), and G' = G/delta + delta R.  The sums
+    # over every l, the pole's own term -p_i^2/delta included, give G =
+    # delta (r - p_i^2/delta - 1) and R at once.  At pole 0, r - 1 is also
+    # (S - 1) + delta T(delta), T = sum_{l >= 1} p_l^2/(x_l (x_l - delta)) >
+    # 0: that form keeps the digits the exact 1 - S carries wherever its
+    # terms are smaller than those of r - 1.
+    row, c, _, terms = pole
+    q0 = p2[0]
     lo, hi = (0.0, far) if far > 0 else (far, 0.0)
-    delta = start if lo < start < hi else far / 2
+    delta, rising = start if lo < start < hi else far / 2, far > 0
     for steps in range(1, _SECULAR_STEPS + 1):
-        g, dg = _secular(pole, p2, delta)
+        r = t = rr = 0.0
+        if terms is None:
+            for x, q in zip(row, p2):
+                inv = 1.0 / (x - delta)
+                q *= inv
+                r += q
+                rr += q * inv
+            g = delta * (r - 1.0)
+            dg = g / delta + delta * rr
+        else:
+            for x, q, u in terms:
+                inv = 1.0 / (x - delta)
+                q *= inv
+                r += q
+                t += u * inv
+                rr += q * inv
+            dt = delta * t
+            g = delta * (c + dt if abs(c) + abs(dt) < r + 1.0 else r - 1.0) - q0
+            dg = g / delta + delta * (q0 / delta / delta + rr)
         if not math.isfinite(dg):
             raise NumericalError(f"the secular equation leaves binary64 at offset {delta!r}")
         if g == 0:
             return delta, steps
-        if (g < 0) == (far > 0):
+        if (g < 0) == rising:
             lo = delta
         else:
             hi = delta
@@ -304,13 +306,13 @@ def _curve_at(terms: tuple, t: float) -> tuple:
     return t, c0 * c0 + s0 * s0, 2 * (s0 * c1 - c0 * s1), p2
 
 
-def _bound(row: tuple, r: float, bounds: tuple) -> tuple:
-    # (bound, row): p within r of row = (t, p, p', p'') is at most bound, by
-    # Taylor's theorem with |p''| <= bounds[0] and |p'''| <= bounds[1].
+def _bound(row: tuple, r: float, bounds: tuple) -> float:
+    # p within r of row = (t, p, p', p'') is at most this, by Taylor's
+    # theorem with |p''| <= bounds[0] and |p'''| <= bounds[1].
     _, p, d1, d2 = row
     x = max(-r, min(r, -d1 / d2 if d2 < 0 else math.copysign(r, d1)))
     cubic = d1 * x + d2 * x * x / 2 + bounds[1] * r * r * r / 6
-    return p + min(cubic, abs(d1) * r + bounds[0] * r * r / 2), row
+    return p + min(cubic, abs(d1) * r + bounds[0] * r * r / 2)
 
 
 def _newton(terms: tuple, row: tuple, t0: float, t1: float) -> tuple:
@@ -326,17 +328,17 @@ def _newton(terms: tuple, row: tuple, t0: float, t1: float) -> tuple:
 
 def _refine(terms: tuple, bounds: tuple, tol: float, stack: list, best: tuple) -> tuple:
     # best raised to the maximum of p, less at most tol, over the segments
-    # (lo, hi, _bound at a row inside) on the stack.  With r the distance
-    # from that row to the farther end, p is monotone on the segment if
-    # |p'| > bounds[0] r, and peaks at an end; it is concave if p'' +
-    # bounds[1] r < 0, and a Newton on p' that keeps a bracket, and bisects
-    # where a step leaves it, finds its one maximum; else the segment is
-    # halved at the row.
+    # (_bound at a row inside, lo, hi, that row) on the stack.  With r the
+    # distance from that row to the farther end, p is monotone on the
+    # segment if |p'| > bounds[0] r, and peaks at an end; it is concave if
+    # p'' + bounds[1] r < 0, and a Newton on p' that keeps a bracket, and
+    # bisects where a step leaves it, finds its one maximum; else the
+    # segment is halved at the row.
     while stack:
-        lo, hi, (top, row) = stack.pop()
-        r = max(row[0] - lo, hi - row[0])
+        top, lo, hi, row = stack.pop()
         if top <= best[1] + tol:
             continue
+        r = max(row[0] - lo, hi - row[0])
         if abs(row[2]) > bounds[0] * r:
             row = _curve_at(terms, hi if row[2] > 0 else lo)
             best = row if row[1] > best[1] else best
@@ -357,7 +359,8 @@ def _refine(terms: tuple, bounds: tuple, tol: float, stack: list, best: tuple) -
                 best = row if row[1] > best[1] else best
         elif hi - lo > 4 * math.ulp(hi):
             for u, v in ((lo, row[0]), (row[0], hi)):
-                stack.append((u, v, _bound(_curve_at(terms, u + (v - u) / 2), (v - u) / 2, bounds)))
+                mid = _curve_at(terms, u + (v - u) / 2)
+                stack.append((_bound(mid, (v - u) / 2, bounds), u, v, mid))
     return best
 
 
@@ -367,112 +370,130 @@ def _curve(levels, weights) -> tuple:
     # sorts the levels by |w_j|, largest first), and _curve_at's terms.  The
     # shift leaves p unchanged and keeps the phases e_j t, and their
     # rounding, small.
-    w = [abs(y) for y in weights]
+    w = list(map(abs, weights))
     order = sorted(range(len(w)), key=w.__getitem__, reverse=True)
     centre = (levels[order[0]] + levels[order[1]]) / 2
-    e = [v - centre for v in levels]
-    return tuple([(x, y, y * x, y * x * x) for x, y in zip(e, weights)]), e, w, order
+    e, terms = [], []
+    for v, y in zip(levels, weights):
+        v -= centre
+        e.append(v)
+        terms.append((v, y, y * v, y * v * v))
+    return tuple(terms), e, w, order
 
 
 def _peak(curve: tuple, t0: float, t1: float) -> tuple:
     # find_peak on the _curve of a solved reduced model; the bracket is
-    # already checked.  The README ("Peak search") derives the windows and
-    # bounds used here.
+    # already checked.  The README ("Peak search") derives the windows, arcs
+    # and bounds used here: the climb, then the arcs about each crest of
+    # P2 in one loop, then one segment stack.
     terms, e, w, (a, b, *others) = curve
-    signed = [term[1] for term in terms]
     m0 = m1 = m2 = m3 = 0.0
     for x, z in zip(e, w):
         x = abs(x)
         m0 += z
-        m1 += z * x
-        m2 += z * x * x
-        m3 += z * x * x * x
+        z *= x
+        m1 += z
+        z *= x
+        m2 += z
+        m3 += z * x
     tol = 4 * _EPS * m0 * (t1 * m1 + len(w) + 5)
     bounds = (2 * (m0 * m2 + m1 ** 2), 2 * (m0 * m3 + 3 * m1 * m2))
     spread = max(e) - min(e)
     reach = math.pi / 4 / spread if spread else math.inf
     c = others[0] if others and e[others[0]] and w[others[0]] else None
-    wc = w[c] if c is not None else 0.0
-    rho, amp, gap = max(m0 - w[a] - w[b] - wc, 0.0), 2 * w[a] * w[b], abs(e[b] - e[a])
-    phase = 0.0 if signed[a] * signed[b] > 0 else math.pi
-    arg = lambda t: (signed[c] < 0) * math.pi - cmath.phase(
-        signed[a] * cmath.exp(1j * e[a] * t) + signed[b] * cmath.exp(1j * e[b] * t)
-    )
-    crest = (phase + 2 * math.pi * math.ceil((gap * t0 - phase) / (2 * math.pi))) / (gap or 1)
-    best, spans = (t0, -math.inf, 0.0, 0.0), [(t0, t1)]
+    wa, wb, wc = w[a], w[b], w[c] if c is not None else 0.0
+    ea, eb, sa, sb = e[a], e[b], terms[a][1], terms[b][1]
+    rho, amp, gap = max(m0 - wa - wb - wc, 0.0), 2 * wa * wb, abs(eb - ea)
+    phase = 0.0 if sa * sb > 0 else math.pi
+    crest = (phase + math.tau * math.ceil((gap * t0 - phase) / math.tau)) / (gap or 1)
+    best, parts = (t0, -math.inf, 0.0, 0.0), [(t0, t1)]
     if amp and gap and crest <= t1:
         # Newton from the crest of the ripple of c nearest the crest of P2
-        # gives best, a value p reaches.
+        # gives best, a value p reaches.  arg(t) = arg(w_c) - arg(A2(t)),
+        # A2 = w_a e^{i e_a t} + w_b e^{i e_b t}; a zero imaginary part is
+        # +0, as in the complex product.
         t = crest
         if c is not None:
+            ec, turn = e[c], math.pi if terms[c][1] < 0 else 0.0
+            arg = lambda t: turn - math.atan2(
+                sa * math.sin(ea * t) + sb * math.sin(eb * t) or 0.0,
+                sa * math.cos(ea * t) + sb * math.cos(eb * t))
             psi = arg(crest)
-            t = (2 * math.pi * round((e[c] * crest + psi) / (2 * math.pi)) - psi) / e[c]
+            t = (math.tau * round((ec * crest + psi) / math.tau) - psi) / ec
         best = _newton(terms, _curve_at(terms, min(t1, max(t0, t))), t0, t1)
-        level = best[1] + tol - 2 * (w[a] + w[b] + wc) * rho - rho * rho
+        level = best[1] + tol - 2 * (wa + wb + wc) * rho - rho * rho
         p2_min = (math.sqrt(level) - wc) ** 2 if level > wc * wc else 0.0
-        floor = (p2_min - w[a] ** 2 - w[b] ** 2) / amp
+        floor = (p2_min - wa ** 2 - wb ** 2) / amp
         if floor > 1:
-            spans = []
+            parts = []
         elif floor > -1:
             half = math.acos(floor) / gap
-            first = math.ceil((gap * (t0 - half) - phase) / (2 * math.pi))
-            last = math.floor((gap * (t1 + half) - phase) / (2 * math.pi))
+            first = math.ceil((gap * (t0 - half) - phase) / math.tau)
+            last = math.floor((gap * (t1 + half) - phase) / math.tau)
             if last - first >= MAX_SCAN_SAMPLES:
                 raise NumericalError(_too_many(t0, t1))
-            crests = [(phase + 2 * math.pi * j) / gap for j in range(first, last + 1)]
-            spans = [(max(t0, x - half), min(t1, x + half), x) for x in crests]
-            spans = [span for span in spans if span[0] <= span[1]]
-            if c is not None and p2_min > 0:
-                spans = _ripple_parts(e, w, a, b, c, phase, arg, spans, level, p2_min)
-    counts = [max(1, math.ceil((span[1] - span[0]) / (2 * reach))) for span in spans]
-    if sum(counts) > MAX_SCAN_SAMPLES:
-        raise NumericalError(_too_many(t0, t1))
-    # Each point of the spans lies within reach = 1/8 of the fastest period
+            parts = []
+            ripple = c is not None and p2_min > 0
+            if ripple:
+                # About a crest tau of theta = e_c t + arg(t), keep where
+                # cos(theta) >= c_min; arg drifts from its value at the
+                # crest of P2 by gap (|w_a| + |w_b|)/(2 |A2|) per unit time
+                # at most.
+                aec = abs(ec)
+                period, drift = math.pi / aec, gap * (wa + wb) / (2 * math.sqrt(p2_min) * aec)
+                base, gain, twc = wa ** 2 + wb ** 2, level - wc ** 2, 2 * wc
+            for j in range(first, last + 1):
+                x = (phase + math.tau * j) / gap
+                lo, hi = max(t0, x - half), min(t1, x + half)
+                if not lo <= hi:
+                    continue
+                if not ripple:
+                    parts.append((lo, hi))
+                    continue
+                psi = arg(x)
+                y, z = (ec * lo + psi) / math.tau, (ec * hi + psi) / math.tau
+                y, z = (z, y) if z < y else (y, z)
+                for m in range(math.ceil(y - 0.5), math.floor(z + 0.5) + 1):
+                    tau = (math.tau * m - psi) / ec
+                    u = tau - period if tau - period > lo else lo
+                    v = tau + period if tau + period < hi else hi
+                    near = x if u < x < v else u if x <= u else v
+                    top = base + amp * math.cos(gap * near - phase)
+                    c_min = (gain - top) / (twc * math.sqrt(top if gain >= top else p2_min))
+                    if c_min > 1:
+                        continue
+                    width = math.acos(max(c_min, -1.0)) / aec + drift * (abs(tau - x) + period)
+                    u, v = max(u, tau - width), min(v, tau + width)
+                    if u <= v:
+                        parts.append((parts.pop()[0], v) if parts and parts[-1][1] == u else (u, v))
+    # Each point of the parts lies within reach = 1/8 of the fastest period
     # 2 pi/(max e - min e) of the point of its segment where p is sampled:
-    # the centre, or best where that is as near.
+    # the centre, or best where that is as near.  The segments are counted
+    # before any is sampled.
+    span, count = 2 * reach, 0
+    for lo, hi in parts:
+        count += max(1, math.ceil((hi - lo) / span))
+    if count > MAX_SCAN_SAMPLES:
+        raise NumericalError(_too_many(t0, t1))
     stack = []
-    for (lo, hi, *_), n in zip(spans, counts):
-        ends = [lo + (hi - lo) * (j / n) for j in range(n)] + [hi] if n > 1 else (lo, hi)
-        for u, v in zip(ends, ends[1:]):
+    for lo, hi in parts:
+        n = max(1, math.ceil((hi - lo) / span))
+        u = lo
+        for i in range(1, n + 1):
+            v = lo + (hi - lo) * (i / n) if i < n else hi
             if u <= best[0] <= v and best[0] - u <= reach and v - best[0] <= reach:
                 row = best
             else:
                 row = _curve_at(terms, u + (v - u) / 2)
                 best = row if row[1] > best[1] else best
             r = row[0] - u if row[0] - u > v - row[0] else v - row[0]
-            stack.append((u, v, _bound(row, r, bounds)))
-    stack.sort(key=lambda segment: segment[2][0])
+            stack.append((_bound(row, r, bounds), u, v, row))
+            u = v
+    stack.sort(key=_first)
     t, p = _newton(terms, _refine(terms, bounds, tol, stack, best), t0, t1)[:2]
     if t in (t0, t1):
         raise BracketError(f"no interior maximum in bracket ({t0}, {t1}); maximum at an endpoint")
     return t, _clamp(p)
-
-
-def _ripple_parts(e, w, a, b, c, phase, arg, spans, level, p2_min) -> list:
-    # The parts of the spans where cos(theta) >= c_min about a crest tau of
-    # theta = e_c t + arg(t), arg(t) = arg(w_c) - arg(A2(t)), which drifts
-    # from its value at the crest of P2 by gap (|w_a| + |w_b|)/(2 |A2|) per
-    # unit time at most.
-    amp, gap, period = 2 * w[a] * w[b], abs(e[b] - e[a]), math.pi / abs(e[c])
-    drift = gap * (w[a] + w[b]) / (2 * math.sqrt(p2_min) * abs(e[c]))
-    base, gain, parts = w[a] ** 2 + w[b] ** 2, level - w[c] ** 2, []
-    for lo, hi, crest in spans:
-        psi = arg(crest)
-        ends = sorted(((e[c] * lo + psi) / (2 * math.pi), (e[c] * hi + psi) / (2 * math.pi)))
-        for j in range(math.ceil(ends[0] - 0.5), math.floor(ends[1] + 0.5) + 1):
-            tau = (2 * math.pi * j - psi) / e[c]
-            u = tau - period if tau - period > lo else lo
-            v = tau + period if tau + period < hi else hi
-            near = crest if u < crest < v else u if crest <= u else v
-            top = base + amp * math.cos(gap * near - phase)
-            c_min = (gain - top) / (2 * w[c] * math.sqrt(top if gain >= top else p2_min))
-            if c_min > 1:
-                continue
-            width = math.acos(max(c_min, -1.0)) / abs(e[c]) + drift * (abs(tau - crest) + period)
-            u, v = max(u, tau - width), min(v, tau + width)
-            if u <= v:
-                parts.append((parts.pop()[0], v) if parts and parts[-1][1] == u else (u, v))
-    return parts
 
 
 def _too_many(t0: float, t1: float) -> str:

@@ -92,15 +92,18 @@ class SpectralData:
 
 def spectral_data(params: GraphParams) -> SpectralData:
     """All closed-form spectral quantities of J(n,k) in one bundle."""
-    n, k = params.n, params.k
-    levels = range(k + 1)
+    n, k, n_vert = params.n, params.k, params.num_vertices
     # lambda_l - lambda_(l+1) = n - 2l >= 2 once n >= 2k: strictly decreasing.
-    lambdas = tuple([float(_eigenvalue(n, k, l)) for l in levels])
-    n_vert = params.num_vertices
-    mults = tuple(_multiplicity(n, l) for l in levels)
-    # sqrt(m_l / N) as in overlap(), from the multiplicities already in hand
-    overlaps = tuple([math.sqrt(m / n_vert) for m in mults])
-    return SpectralData(params=params, lambdas=lambdas, mults=mults, overlaps=overlaps)
+    # Each overlap is sqrt(m_l / N) as in overlap(), from the multiplicity in
+    # hand.
+    lambdas, mults, overlaps = [], [], []
+    for l in range(k + 1):
+        lambdas.append(float(_eigenvalue(n, k, l)))
+        m = _multiplicity(n, l)
+        mults.append(m)
+        overlaps.append(math.sqrt(m / n_vert))
+    return SpectralData(params=params, lambdas=tuple(lambdas), mults=tuple(mults),
+                        overlaps=tuple(overlaps))
 
 
 def reduced_hamiltonian(params: GraphParams, gamma: float) -> "numpy.ndarray":
