@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .domain import GraphParams, _int, _real
 from .errors import DomainError, UnsupportedParameterError
-from .spectral import _eigenvalue, _multiplicity
+from .spectral import _multiplicity
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,9 @@ def _gamma_star_ratio(params: GraphParams, mults) -> tuple:
     # gamma_star as the exact integer pair (numerator, denominator), from
     # the multiplicities m_0..m_k.
     n, k = params.n, params.k
-    top = _eigenvalue(n, k, 0)
-    gaps, den, num = [], 1, 0
-    for l in range(1, k + 1):
-        gaps.append(top - _eigenvalue(n, k, l))
-        den *= gaps[-1]
-    for m, d in zip(mults[1:], gaps):
-        num += m * (den // d)
+    gaps = [l * (n - l + 1) for l in range(1, k + 1)]
+    den = math.prod(gaps)
+    num = sum([m * (den // d) for m, d in zip(mults[1:], gaps)])
     return num, params.num_vertices * den
 
 

@@ -61,7 +61,6 @@ _CLAMP_WARN_EXCESS = 1e-10
 _NEWTON_STEPS = 64
 _SECULAR_STEPS = 32
 _SETTLED = 2.0**-27
-_first = itemgetter(0)
 
 
 def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
@@ -109,24 +108,20 @@ def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
         poles[0] = (row, (num * b - den * a) / (den * a), slope, terms)
         levels, weights, sums, offsets, steps = [], [], [], [], 0
         for j, (_, c, slope, _) in enumerate(poles):
-            # Root j lies between the poles j-1 and j (below pole 0 for j =
-            # 0, where f(-1) >= 0).  It is solved at the pole whose quadratic
-            # model slope*delta^2 + c*delta - p_i^2 puts it nearer, and again
-            # at the other if it lies beyond the midpoint.  Each model root
-            # is taken in the form without cancellation: left of pole j, and
-            # right of pole j-1 (kept from the pass before).
-            if j:
-                right = 2 * qj / (abs(cj) + disc) if cj >= 0 else (
-                    (abs(cj) + disc) / (2 * sj) if sj else math.inf)
-            qj, cj, sj = p2[j], c, slope
-            disc = math.sqrt(c * c + 4 * slope * qj)
-            left = -2 * qj / (abs(c) + disc) if c <= 0 else (
-                -(abs(c) + disc) / (2 * slope) if slope else -math.inf)
+            # Root j lies between the poles j-1 and j (in (-1, 0) for j = 0, as
+            # f(-1) >= 0).  It is solved at the pole whose quadratic model
+            # slope*delta^2 + c*delta - p_i^2 puts it nearer (each root in its
+            # form without cancellation), and again at the other past the
+            # midpoint.
+            s = abs(c) + math.sqrt(c * c + 4 * slope * p2[j])
+            near, wide = 2 * p2[j] / s, s / (2 * slope) if slope else math.inf
+            left = -near if c <= 0 else -wide
             if j == 0:
                 i, far, start, width = 0, -1.0, left, math.inf
             else:
                 width = poles[j - 1][0][j]
                 i, far, start = (j - 1, width, right) if right <= -left else (j, -width, left)
+            right = near if c >= 0 else wide
             delta, used = _root(poles[i], p2, far, start)
             if abs(delta) > width / 2:
                 i, far, start = (j, -width / 2, delta - width) if far > 0 else (
@@ -156,22 +151,19 @@ def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
 
 
 def _root(pole: tuple, p2: list, far: float, start: float) -> tuple:
-    # (delta, steps): the root of G between the pole (offset 0) and far,
-    # by Newton from start, or from far/2 where start lies outside.  G is
-    # convex between the neighbouring poles and -p_i^2 at 0, so it is
-    # negative between the pole and the root and positive beyond (where
-    # Newton steps stay); each evaluation narrows the bracket (lo, hi), and
-    # a step that leaves it is replaced by the bracket's midpoint.
-    #
-    # Each step takes G(delta) = delta (r(delta) - 1) - p_i^2 = -delta f, r =
-    # sum_{l != i} p_l^2/(x_l - delta), and G' = G/delta + delta R.  The sums
-    # over every l, the pole's own term -p_i^2/delta included, give G =
-    # delta (r - p_i^2/delta - 1) and R at once.  At pole 0, r - 1 is also
-    # (S - 1) + delta T(delta), T = sum_{l >= 1} p_l^2/(x_l (x_l - delta)) >
-    # 0: that form keeps the digits the exact 1 - S carries wherever its
-    # terms are smaller than those of r - 1.
-    row, c, _, terms = pole
-    q0 = p2[0]
+    # (delta, steps): the root of G(delta) = -delta f = delta (r(delta) - 1)
+    # - p_i^2 between the pole (offset 0) and far, by Newton from start, or
+    # from far/2 where start lies outside.  G is convex between the
+    # neighbouring poles and -p_i^2 at 0, so it is negative between the pole
+    # and the root and positive beyond (where Newton steps stay); each step
+    # narrows the bracket (lo, hi), and one that leaves it is replaced by its
+    # midpoint.  A step sums over every l, the pole's own term -p_i^2/delta
+    # included, for G = delta (r - p_i^2/delta - 1) and G' = G/delta +
+    # delta R at once.  At pole 0, r - 1 is also (S - 1) + delta T(delta),
+    # T = sum_{l >= 1} p_l^2/(x_l (x_l - delta)) > 0: that form keeps the
+    # digits the exact 1 - S carries wherever its terms are smaller than
+    # those of r - 1.
+    (row, c, _, terms), q0 = pole, p2[0]
     lo, hi = (0.0, far) if far > 0 else (far, 0.0)
     delta, rising = start if lo < start < hi else far / 2, far > 0
     for steps in range(1, _SECULAR_STEPS + 1):
@@ -373,19 +365,14 @@ def _curve(levels, weights) -> tuple:
     w = list(map(abs, weights))
     order = sorted(range(len(w)), key=w.__getitem__, reverse=True)
     centre = (levels[order[0]] + levels[order[1]]) / 2
-    e, terms = [], []
-    for v, y in zip(levels, weights):
-        v -= centre
-        e.append(v)
-        terms.append((v, y, y * v, y * v * v))
-    return tuple(terms), e, w, order
+    e = [v - centre for v in levels]
+    return tuple([(x, y, y * x, y * x * x) for x, y in zip(e, weights)]), e, w, order
 
 
 def _peak(curve: tuple, t0: float, t1: float) -> tuple:
     # find_peak on the _curve of a solved reduced model; the bracket is
     # already checked.  The README ("Peak search") derives the windows, arcs
-    # and bounds used here: the climb, then the arcs about each crest of
-    # P2 in one loop, then one segment stack.
+    # and bounds used here.
     terms, e, w, (a, b, *others) = curve
     m0 = m1 = m2 = m3 = 0.0
     for x, z in zip(e, w):
@@ -409,9 +396,8 @@ def _peak(curve: tuple, t0: float, t1: float) -> tuple:
     best, parts = (t0, -math.inf, 0.0, 0.0), [(t0, t1)]
     if amp and gap and crest <= t1:
         # Newton from the crest of the ripple of c nearest the crest of P2
-        # gives best, a value p reaches.  arg(t) = arg(w_c) - arg(A2(t)),
-        # A2 = w_a e^{i e_a t} + w_b e^{i e_b t}; a zero imaginary part is
-        # +0, as in the complex product.
+        # gives best, a value p reaches.  arg(t) = arg(w_c) - arg(A2(t)), A2
+        # = w_a e^{i e_a t} + w_b e^{i e_b t}, a zero Im A2 taken as +0.
         t = crest
         if c is not None:
             ec, turn = e[c], math.pi if terms[c][1] < 0 else 0.0
@@ -432,16 +418,14 @@ def _peak(curve: tuple, t0: float, t1: float) -> tuple:
             last = math.floor((gap * (t1 + half) - phase) / math.tau)
             if last - first >= MAX_SCAN_SAMPLES:
                 raise NumericalError(_too_many(t0, t1))
-            parts = []
-            ripple = c is not None and p2_min > 0
+            # The window about each crest x of P2, cut where c ripples to arcs
+            # about the crests tau of theta = e_c t + arg(t) with cos(theta) >=
+            # c_min; arg moves at most gap (|w_a| + |w_b|)/(2 |A2|) per unit t.
+            parts, ripple = [], c is not None and p2_min > 0
             if ripple:
-                # About a crest tau of theta = e_c t + arg(t), keep where
-                # cos(theta) >= c_min; arg drifts from its value at the
-                # crest of P2 by gap (|w_a| + |w_b|)/(2 |A2|) per unit time
-                # at most.
-                aec = abs(ec)
-                period, drift = math.pi / aec, gap * (wa + wb) / (2 * math.sqrt(p2_min) * aec)
-                base, gain, twc = wa ** 2 + wb ** 2, level - wc ** 2, 2 * wc
+                period, aec = math.pi / abs(ec), abs(ec)
+                drift = gap * (wa + wb) / (2 * math.sqrt(p2_min) * aec)
+                base, gain = wa ** 2 + wb ** 2, level - wc ** 2
             for j in range(first, last + 1):
                 x = (phase + math.tau * j) / gap
                 lo, hi = max(t0, x - half), min(t1, x + half)
@@ -459,26 +443,27 @@ def _peak(curve: tuple, t0: float, t1: float) -> tuple:
                     v = tau + period if tau + period < hi else hi
                     near = x if u < x < v else u if x <= u else v
                     top = base + amp * math.cos(gap * near - phase)
-                    c_min = (gain - top) / (twc * math.sqrt(top if gain >= top else p2_min))
+                    c_min = (gain - top) / (2 * wc * math.sqrt(top if gain >= top else p2_min))
                     if c_min > 1:
                         continue
                     width = math.acos(max(c_min, -1.0)) / aec + drift * (abs(tau - x) + period)
                     u, v = max(u, tau - width), min(v, tau + width)
-                    if u <= v:
-                        parts.append((parts.pop()[0], v) if parts and parts[-1][1] == u else (u, v))
+                    if u <= v and parts and parts[-1][1] == u:
+                        parts[-1] = (parts[-1][0], v)
+                    elif u <= v:
+                        parts.append((u, v))
     # Each point of the parts lies within reach = 1/8 of the fastest period
     # 2 pi/(max e - min e) of the point of its segment where p is sampled:
     # the centre, or best where that is as near.  The segments are counted
     # before any is sampled.
-    span, count = 2 * reach, 0
+    count = 0
     for lo, hi in parts:
-        count += max(1, math.ceil((hi - lo) / span))
+        count += max(1, math.ceil((hi - lo) / (2 * reach)))
     if count > MAX_SCAN_SAMPLES:
         raise NumericalError(_too_many(t0, t1))
     stack = []
     for lo, hi in parts:
-        n = max(1, math.ceil((hi - lo) / span))
-        u = lo
+        n, u = max(1, math.ceil((hi - lo) / (2 * reach))), lo
         for i in range(1, n + 1):
             v = lo + (hi - lo) * (i / n) if i < n else hi
             if u <= best[0] <= v and best[0] - u <= reach and v - best[0] <= reach:
@@ -489,7 +474,7 @@ def _peak(curve: tuple, t0: float, t1: float) -> tuple:
             r = row[0] - u if row[0] - u > v - row[0] else v - row[0]
             stack.append((_bound(row, r, bounds), u, v, row))
             u = v
-    stack.sort(key=_first)
+    stack.sort(key=itemgetter(0))
     t, p = _newton(terms, _refine(terms, bounds, tol, stack, best), t0, t1)[:2]
     if t in (t0, t1):
         raise BracketError(f"no interior maximum in bracket ({t0}, {t1}); maximum at an endpoint")

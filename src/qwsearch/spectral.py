@@ -93,17 +93,14 @@ class SpectralData:
 def spectral_data(params: GraphParams) -> SpectralData:
     """All closed-form spectral quantities of J(n,k) in one bundle."""
     n, k, n_vert = params.n, params.k, params.num_vertices
-    # lambda_l - lambda_(l+1) = n - 2l >= 2 once n >= 2k: strictly decreasing.
-    # Each overlap is sqrt(m_l / N) as in overlap(), from the multiplicity in
-    # hand.
+    # lambda_l - lambda_(l+1) = n - 2l >= 2 once n >= 2k: strictly decreasing;
+    # each overlap is sqrt(m_l / N) as in overlap().
     lambdas, mults, overlaps = [], [], []
     for l in range(k + 1):
         lambdas.append(float(_eigenvalue(n, k, l)))
-        m = _multiplicity(n, l)
-        mults.append(m)
-        overlaps.append(math.sqrt(m / n_vert))
-    return SpectralData(params=params, lambdas=tuple(lambdas), mults=tuple(mults),
-                        overlaps=tuple(overlaps))
+        mults.append(_multiplicity(n, l))
+        overlaps.append(math.sqrt(mults[-1] / n_vert))
+    return SpectralData(params, tuple(lambdas), tuple(mults), tuple(overlaps))
 
 
 def reduced_hamiltonian(params: GraphParams, gamma: float) -> "numpy.ndarray":
