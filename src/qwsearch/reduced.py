@@ -25,8 +25,9 @@ convex between the neighbouring poles.  Newton on it starts from the
 quadratic model T(0) delta^2 + (r(0) - 1) delta - p_i^2 at the pole whose
 model puts the root nearer, inside the bracket of the root's two poles
 (-1 and 0 for the lowest root), and a root found past the midpoint is
-solved again at the other pole.  A solve takes at most 32 steps or is
-refused with :class:`NumericalError`.
+solved again at the other pole.  Each step is one pass over the pole's
+terms for G and G' together; a solve takes at most 32 steps or is refused
+with :class:`NumericalError`.
 
 The eigenvector of mu_j is v_l = p_l/((gamma d_l - mu_j) sqrt(R_j)), R_j =
 sum_l p_l^2/(gamma d_l - mu_j)^2, so each weight w_j = v_0 (v . p) of the
@@ -397,7 +398,7 @@ def _peak(curve: tuple, t0: float, t1: float) -> tuple:
     if amp and gap and crest <= t1:
         # Newton from the crest of the ripple of c nearest the crest of P2
         # gives best, a value p reaches.  arg(t) = arg(w_c) - arg(A2(t)), A2
-        # = w_a e^{i e_a t} + w_b e^{i e_b t}, a zero Im A2 taken as +0.
+        # = w_a e^{i e_a t} + w_b e^{i e_b t}; a zero Im A2 counts as +0.
         t = crest
         if c is not None:
             ec, turn = e[c], math.pi if terms[c][1] < 0 else 0.0
@@ -569,8 +570,9 @@ def convergence_sweep(k: int, n_list, jobs: int = 1) -> list:
 
     ``n_list`` is a non-empty, strictly ascending iterable of integers.
     Rows are computed one after another in input order.  ``jobs`` must be
-    an integer >= 1 and is otherwise ignored: a row costs well under a
-    millisecond, and a thread pool was slower at every measured size.
+    an integer >= 1 and is otherwise ignored: a row at k <= 8 costs under a
+    millisecond (more near n = 2k at larger k: README, "sweep"), and a
+    thread pool was slower at every measured size.
     """
     _int(jobs, "jobs", 1)
     try:
