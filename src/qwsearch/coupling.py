@@ -59,8 +59,8 @@ def gamma_star(params: GraphParams) -> float:
 
 
 def _gamma_star_ratio(params: GraphParams, mults) -> tuple:
-    # gamma_star as the exact integer pair (numerator, denominator), from
-    # the multiplicities m_0..m_k.
+    # gamma_star as the exact integer pair (numerator, denominator), from the
+    # multiplicities m_0..m_k and the gaps d_l = lambda_0 - lambda_l = l(n-l+1).
     n, k = params.n, params.k
     gaps = [l * (n - l + 1) for l in range(1, k + 1)]
     den = math.prod(gaps)
