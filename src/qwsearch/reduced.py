@@ -111,9 +111,9 @@ def _solve(sd: SpectralData, gamma: float, ratio: tuple = None) -> tuple:
         for j, (_, c, slope, _) in enumerate(poles):
             # Root j lies between the poles j-1 and j (in (-1, 0) for j = 0, as
             # f(-1) >= 0).  It is solved at the pole whose quadratic model
-            # slope*delta^2 + c*delta - p_i^2 puts it nearer (each root in its
-            # form without cancellation), and again at the other past the
-            # midpoint.
+            # slope*delta^2 + c*delta - p_i^2 puts it nearer (left of pole j, or
+            # right of pole j-1, kept from the pass before), and again at the
+            # other past the midpoint; each model root is taken without cancellation.
             s = abs(c) + math.sqrt(c * c + 4 * slope * p2[j])
             near, wide = 2 * p2[j] / s, s / (2 * slope) if slope else math.inf
             left = -near if c <= 0 else -wide
