@@ -22,10 +22,9 @@ consulted.  It carries the clique edges, the sorted flat positions of the
 off-diagonal nonzeros of A, built only when a dense builder first asks for
 them, so every dense matrix is one flat scatter into a fresh array owned
 by the caller, and the O(N k) users (vertex elements, distance partition,
-partition invariance) never build them.  It also keeps what the full-space
-checks read for every vertex alike, J(n,k) being vertex-transitive: the
-distance-class sizes and the exactness bound of the oracle's integer
-projector basis, so that no marked vertex recomputes them.
+partition invariance) never build them.  The index is only the graph:
+what the full-space checks read for every vertex alike is kept per graph
+in :mod:`qwsearch.validation`.
 
 The dense N x N objects built here (adjacency, search Hamiltonian) exist
 only as oracles for small instances, so they are guarded by a vertex cap;
@@ -44,7 +43,6 @@ import numpy as np
 
 from .domain import DEFAULT_FULL_CAP, GraphParams, _check_coupling, _int
 from .errors import CapacityError
-from .spectral import _eigenvalue
 
 # Colex indices kept per process, least recently used dropped first.  A
 # caller cycling through more instances than this rebuilds each one.
@@ -67,23 +65,16 @@ class DistancePartition:
 class _ColexIndex:
     # elems[v]: sorted elements of vertex v; faces[v, i]: colex rank (among
     # the (k-1)-subsets) of elems[v] without its i-th element.  The faces
-    # are the nonzeros of the inclusion matrix W with A = W^T W - kI.  The
-    # rest depends on (n, k) alone, as J(n,k) is vertex-transitive: sizes[l]
-    # = C(k,l)*C(n-k,l) is the size of distance class l around every
-    # vertex, as Python ints, which the labels' guard compares against, and
-    # as size_array with its square roots size_roots, which the partition
-    # invariance residual divides by; basis_bound is prod_j f_j / min_j f_j,
-    # f_j = lambda_0 + |lambda_j|, the bound on every entry and partial sum
-    # of validation's integer projector basis.  Every array is int64, numpy's
-    # index type, or float64 for the roots, and read-only: one index is
-    # shared by all callers in the process.
+    # are the nonzeros of the inclusion matrix W with A = W^T W - kI.
+    # sizes[l] = C(k,l)*C(n-k,l), as Python ints, is the size of distance
+    # class l around every vertex, J(n,k) being vertex-transitive; the
+    # labels' guard compares against it.  Every array is int64, numpy's
+    # index type, and read-only: one index is shared by all callers in the
+    # process.
     params: GraphParams
     elems: np.ndarray
     faces: np.ndarray
     sizes: tuple
-    size_array: np.ndarray
-    size_roots: np.ndarray
-    basis_bound: int
 
     @functools.cached_property
     def edges(self) -> np.ndarray:
@@ -145,17 +136,9 @@ def _memo_colex_index(params: GraphParams) -> _ColexIndex:
     shift = binom[elems - 1, pos]
     faces = np.cumsum(keep - shift, axis=1)
     faces += shift.sum(axis=1, keepdims=True) - keep
-    sizes = _class_sizes(params)
-    size_array = np.array(sizes, dtype=np.int64)
-    size_roots = np.sqrt(size_array)
-    lambdas = [_eigenvalue(n, k, l) for l in range(k + 1)]
-    factors = [lambdas[0] + abs(lam) for lam in lambdas]
-    for array in (elems, faces, size_array, size_roots):
+    for array in (elems, faces):
         array.flags.writeable = False
-    return _ColexIndex(
-        params=params, elems=elems, faces=faces, sizes=sizes, size_array=size_array,
-        size_roots=size_roots, basis_bound=math.prod(factors) // min(factors),
-    )
+    return _ColexIndex(params=params, elems=elems, faces=faces, sizes=_class_sizes(params))
 
 
 def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:

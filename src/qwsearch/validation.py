@@ -9,15 +9,15 @@ full-space success-probability curve against the reduced-model curve.
 One N x N array, the adjacency A, serves every full-space check, and the
 only dense eigensolve is the values-only ``eigvalsh`` of the spectrum
 check, made once per graph.  J(n,k) is vertex-transitive, so what depends
-on (n, k) alone is computed once per graph and kept per process: a graph
-record here holds the closed-form spectrum, gamma*, t_max, the reduced
-model's curve, the reduced matrix H_red at gamma* and the spectrum and
-overlap checks, a second per-graph memo holds the polynomial coefficients
-of the integer projector basis, and the colex index of
-:mod:`qwsearch.johnson` holds the distance-class sizes and the bound of
-that basis.  Each further marked vertex pays only for its own work, in a
-number of numpy calls fixed by k: its distance labels and class image (one
-bincount and k row gathers), whose class sums are one more bincount; A;
+on (n, k) alone is computed once per graph and kept per process in one
+record: the closed-form spectrum, gamma*, t_max, the reduced model's
+curve, H_red at gamma*, the distance-class sizes, the integer projector
+basis's polynomial coefficients and exactness bound, and, formed on first
+read, the spectrum and overlap checks; the colex index of
+:mod:`qwsearch.johnson` is only the graph.  Each further marked vertex
+pays only for its own work, in a number of numpy calls fixed by k: its
+distance labels and class image (one bincount and k row gathers), whose
+class sums are one more bincount; A;
 its projector basis (k-1 products of A with a vector and one with the
 coefficients); the two Lanczos runs, stepping together, each step one
 product of A with their 2 x N block and two Gram-Schmidt passes of two
@@ -227,7 +227,7 @@ def compare_full_reduced(
     gamma, t_max = _check_time(params, gamma, t_max, "t_max")
     w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
     full = _full_lanczos(params, gamma, (w, (w + 1) % params.num_vertices), cap)[0]
-    return _sup_distance(full, _reduced_curve(spectral_data(params), gamma), t_max)
+    return _sup_distance(full, _reduced_curve(_memo_graph(params).sd, gamma), t_max)
 
 
 def _full_lanczos(params, gamma, marks, cap) -> tuple:
@@ -258,46 +258,78 @@ def compare_marked_vertices(
     return _sup_distance(curves[0], curves[-1], t_max)
 
 
-def _spectrum_checks(sd, dense) -> tuple:
-    # dense is eigvalsh's output, ascending.
-    expanded = np.repeat(sd.lambdas[::-1], sd.mults[::-1])
-    value_residual = float(np.max(np.abs(dense - expanded)))
-    counts = np.count_nonzero(np.abs(dense[:, None] - sd.lambdas) <= _CLUSTER_TOL, axis=0)
-    mismatches = np.count_nonzero(counts != sd.mults)
-    return (
-        CheckResult("spectrum_values", value_residual, 1e-8),
-        CheckResult("spectrum_multiplicities", float(mismatches), 0.0),
-    )
-
-
 @dataclass(frozen=True)
 class _GraphRecord:
-    # What validate_instance computes from (n, k) alone, immutable: reduced
-    # is the reduced model's curve (levels, weights, beta), h_red the
-    # read-only reduced matrix at gamma, and checks are spectrum_values,
-    # spectrum_multiplicities and overlap_consistency, in report order.
+    # What the full-space checks read from (n, k) alone, immutable, arrays
+    # read-only: the reduced model's curve (levels, weights, beta) and
+    # matrix at gamma = gamma*; the class sizes |class l| = C(k,l)*C(n-k,l)
+    # and their square roots; column l of coefficients holds those of
+    # prod_{j != l} (x - lambda_j), constant term first, and basis_bound =
+    # prod_j f_j / min_j f_j, f_j = lambda_0 + |lambda_j|, bounds them and
+    # every entry and partial sum of the projector basis.
     sd: SpectralData
     gamma: float
     t_max: float
     reduced: tuple
     h_red: np.ndarray
-    checks: tuple
+    size_array: np.ndarray
+    size_roots: np.ndarray
+    coefficients: np.ndarray
+    basis_bound: int
+
+    @functools.cached_property
+    def checks(self) -> tuple:
+        # spectrum_values, spectrum_multiplicities and overlap_consistency,
+        # formed on first read.  Callers check their cap first, so A is
+        # built with the cap at N, and dropped before this returns, ahead of
+        # the caller's own A.  eigvalsh's values are ascending.
+        sd, params = self.sd, self.sd.params
+        dense = np.linalg.eigvalsh(adjacency_matrix(params, params.num_vertices))
+        expanded = np.repeat(sd.lambdas[::-1], sd.mults[::-1])
+        value_residual = float(np.max(np.abs(dense - expanded)))
+        counts = np.count_nonzero(np.abs(dense[:, None] - sd.lambdas) <= _CLUSTER_TOL, axis=0)
+        mismatches = np.count_nonzero(counts != sd.mults)
+        return (
+            CheckResult("spectrum_values", value_residual, 1e-8),
+            CheckResult("spectrum_multiplicities", float(mismatches), 0.0),
+            CheckResult("overlap_consistency", overlap_consistency_residual(params), 1e-13),
+        )
 
 
 @functools.lru_cache(maxsize=_INDEX_MEMO_SIZE)
 def _memo_graph(params: GraphParams) -> _GraphRecord:
-    # Callers check their cap first, so A is built here with the cap at N.
-    # It is dropped before this returns, ahead of the caller's own A, so
-    # one N x N array is live at a time.
+    # The class sizes are the index's, read with the cap at N as for A.
+    # The coefficients are multiplied out in Python ints, exact as floats
+    # below 2**53, where the projector basis uses them.
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
-    reduced = _reduced_curve(sd, gamma)
     h_red = _reduced_matrix(sd, gamma)
-    h_red.flags.writeable = False
-    dense = np.linalg.eigvalsh(adjacency_matrix(params, params.num_vertices))
-    overlap = overlap_consistency_residual(params)
-    checks = _spectrum_checks(sd, dense) + (CheckResult("overlap_consistency", overlap, 1e-13),)
-    return _GraphRecord(sd, gamma, 2.0 * run_time(params), reduced, h_red, checks)
+    size_array = np.array(_colex_index(params, params.num_vertices).sizes, dtype=np.int64)
+    size_roots = np.sqrt(size_array)
+    lambdas = [_eigenvalue(params.n, params.k, l) for l in range(params.k + 1)]
+    polynomials = []
+    for l in range(params.k + 1):
+        poly = [1]
+        for lam in lambdas[:l] + lambdas[l + 1:]:
+            poly = [low - lam * high for low, high in zip([0] + poly, poly + [0])]
+        polynomials.append(poly)
+    coefficients = np.array(polynomials, dtype=np.float64).T.copy()
+    factors = [lambdas[0] + abs(lam) for lam in lambdas]
+    for array in (h_red, size_array, size_roots, coefficients):
+        array.flags.writeable = False
+    return _GraphRecord(
+        sd, gamma, 2.0 * run_time(params), _reduced_curve(sd, gamma), h_red, size_array,
+        size_roots, coefficients, math.prod(factors) // min(factors),
+    )
+
+
+def _exact_record(params: GraphParams) -> _GraphRecord:
+    # The graph's record, refused before any N x N array is built where the
+    # projector basis would leave the exact integer range of binary64.
+    record = _memo_graph(params)
+    if record.basis_bound >= 2**53:
+        raise NumericalError("projector basis leaves the exact integer range of binary64")
+    return record
 
 
 def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> ValidationReport:
@@ -312,7 +344,7 @@ def check_spectrum(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> Validati
     return ValidationReport(checks=_memo_graph(params).checks[:2])
 
 
-def _invariance_residual(index, image, label) -> float:
+def _invariance_residual(record, image, label) -> float:
     # image[l] is A|nu_l> for the 0/1 indicators nu_l of the classes
     # label == l, which _distance_labels has checked against the index's
     # class sizes.  Its entries and class sums are exact integers, so row l
@@ -325,18 +357,18 @@ def _invariance_residual(index, image, label) -> float:
         (label[:, None] + np.arange(0, levels * levels, levels)).ravel(),
         weights=image.T.ravel(), minlength=levels * levels,
     )
-    means = sums.reshape(levels, levels) / index.size_array
+    means = sums.reshape(levels, levels) / record.size_array
     # The 2-norm of each row of the deviation, as numpy.linalg.norm forms it.
     deviation = image - means[:, label]
     deviation *= deviation
     residual = np.sqrt(np.add.reduce(deviation, axis=1))
-    residual /= index.size_roots
+    residual /= record.size_roots
     return float(residual.max())
 
 
-def _partition_invariance(index, w) -> float:
+def _partition_invariance(index, record, w) -> float:
     label = _distance_labels(index, w)
-    return _invariance_residual(index, _class_image(index, label), label)
+    return _invariance_residual(record, _class_image(index, label), label)
 
 
 def check_partition_invariance(
@@ -351,56 +383,34 @@ def check_partition_invariance(
     when the classes are equitable.
     """
     index = _colex_index(params, cap)
-    return _partition_invariance(index, _int(w, "marked vertex w", 0, params.num_vertices - 1))
+    w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
+    return _partition_invariance(index, _memo_graph(params), w)
 
 
-@functools.lru_cache(maxsize=_INDEX_MEMO_SIZE)
-def _basis_coefficients(params: GraphParams) -> np.ndarray:
-    # Column l holds the coefficients of prod_{j != l} (x - lambda_j),
-    # constant term first, multiplied out in Python ints one factor at a
-    # time.  Each is at most the index's basis_bound, so below 2**53, where
-    # the projector basis uses them, they are exact floats.  Kept per graph,
-    # read-only.
-    n, k = params.n, params.k
-    lambdas = [_eigenvalue(n, k, l) for l in range(k + 1)]
-    polynomials = []
-    for l in range(k + 1):
-        poly = [1]
-        for lam in lambdas[:l] + lambdas[l + 1:]:
-            poly = [low - lam * high for low, high in zip([0] + poly, poly + [0])]
-        polynomials.append(poly)
-    coefficients = np.array(polynomials, dtype=np.float64).T.copy()
-    coefficients.flags.writeable = False
-    return coefficients
-
-
-def _projector_basis(index, a, w) -> np.ndarray:
+def _projector_basis(record, a, w) -> np.ndarray:
     # Column l is prod_{j != l} (A - lambda_j)|w>, which is P_l|w> times the
     # nonzero integer prod_{j != l} (lambda_l - lambda_j).  It is K c_l for
     # the Krylov vectors K = [|w>, A|w>, ..., A^k|w>] and the coefficients
-    # c_l of prod_{j != l} (x - lambda_j), from _basis_coefficients.
+    # c_l of prod_{j != l} (x - lambda_j), the record's column l.
     # A and the lambdas are integers, A^i|w> has entries at most lambda_0^i
     # (A's row sums are lambda_0), and sum_i lambda_0^i |c_il| is at most
     # prod_{j != l} f_j, f_j = lambda_0 + |lambda_j|, so every entry,
-    # product and partial sum is at most the index's basis_bound in
-    # magnitude.  Below 2**53, checked first, the float products are exact.
-    if index.basis_bound >= 2**53:
-        raise NumericalError("projector basis leaves the exact integer range of binary64")
-    coefficients = _basis_coefficients(index.params)
-    krylov = np.zeros((len(coefficients), len(a)))
+    # product and partial sum is at most the record's basis_bound in
+    # magnitude.  Below 2**53, checked before A is built, they are exact.
+    krylov = np.zeros((len(record.coefficients), len(a)))
     krylov[0, w] = 1.0
     krylov[1] = a[w]  # A is symmetric
     for i in range(2, len(krylov)):
         np.matmul(krylov[i - 1], a, out=krylov[i])
-    return krylov.T @ coefficients
+    return krylov.T @ record.coefficients
 
 
-def _embedding_residual(index, a, gamma, h_red, w) -> float:
+def _embedding_residual(record, a, gamma, h_red, w) -> float:
     # B^T H B - H_red with H = -gamma*A - |w><w| applied to B, whose columns
     # P_l|w> / ||P_l|w>|| carry the sign that makes entry w, p_l^2 before
     # scaling, positive; h_red is the reduced matrix at gamma.  The column
     # norms are formed as numpy.linalg.norm forms them, |w><w| as np.outer.
-    basis = _projector_basis(index, a, w)
+    basis = _projector_basis(record, a, w)
     basis /= np.copysign(np.sqrt(np.add.reduce(basis * basis, axis=0)), basis[w])
     pinned = basis[w]
     conjugated = -gamma * (basis.T @ (a @ basis))
@@ -416,12 +426,14 @@ def reduced_embedding_residual(
     B being the orthonormal basis P_l|w>/p_l of the invariant subspace.
 
     B comes from the exact integer vectors prod_{j != l} (A - lambda_j)|w>
-    and H acts through the dense A, so no eigensolve is made."""
+    and H acts through the dense A, so no eigensolve is made; a basis past
+    binary64's exact integers raises :class:`NumericalError` before A."""
     gamma = _check_coupling(params, gamma)
     w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
     index = _colex_index(params, cap)
-    h_red = _reduced_matrix(spectral_data(params), gamma)
-    return _embedding_residual(index, _adjacency(index), gamma, h_red, w)
+    record = _exact_record(params)
+    h_red = _reduced_matrix(record.sd, gamma)
+    return _embedding_residual(record, _adjacency(index), gamma, h_red, w)
 
 
 def overlap_consistency_residual(params: GraphParams) -> float:
@@ -440,15 +452,16 @@ def validate_instance(
     """Every full-space check on one instance, aggregated for reporting.
 
     What depends on (n, k) alone is computed once per graph and kept per
-    process for the last 8 graphs (immutable, arrays read-only): the
-    closed-form spectrum, gamma*, t_max = 2*run_time, the reduced model's
-    curve, the reduced matrix at gamma*, and the spectrum and overlap
-    checks, whose values-only ``eigvalsh`` is the one dense eigensolve, and
-    the projector basis's polynomial coefficients; the colex index keeps
-    the distance-class sizes and the basis's exactness bound.  The cap and
-    the mark are checked first on every call, and one N x N array is held
-    at a time.  Each call pays for the mark's own work, in a number of
-    numpy calls fixed by k: its distance labels and class image for
+    process for the last 8 graphs in one record (immutable, arrays
+    read-only): the closed-form spectrum, gamma*, t_max = 2*run_time, the
+    reduced model's curve, the reduced matrix at gamma*, the distance-class
+    sizes, the projector basis's polynomial coefficients and exactness
+    bound, and the spectrum and overlap checks, whose values-only
+    ``eigvalsh`` is the one dense eigensolve.  The cap and the mark are
+    checked first on every call, then the bound: a graph past it raises
+    :class:`NumericalError` before any N x N array is built.  One N x N
+    array is held at a time.  Each call pays for the mark's own work, in a
+    number of numpy calls fixed by k: its distance labels and class image for
     partition invariance, A, its projector basis for the embedding residual
     (k-1 products of A with a vector), and the Lanczos runs of w and w2 =
     w + 1 mod N; a run that does not close within k+1 steps raises
@@ -459,14 +472,15 @@ def validate_instance(
     """
     index = _colex_index(params, cap)
     w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
-    invariance = _partition_invariance(index, w)
-    record = _memo_graph(params)
+    record = _exact_record(params)
+    invariance = _partition_invariance(index, record, w)
+    checks = record.checks  # before A, so one N x N array is live at a time
     a = _adjacency(index)
-    embedding = _embedding_residual(index, a, record.gamma, record.h_red, w)
+    embedding = _embedding_residual(record, a, record.gamma, record.h_red, w)
     w2 = (w + 1) % params.num_vertices
     full_w, full_w2 = _lanczos(a, record.gamma, (w, w2), params)
     oracle = _sup_distance(full_w, record.reduced, record.t_max)
-    checks = record.checks + (
+    checks += (
         CheckResult("partition_invariance", invariance, 1e-12),
         CheckResult("reduced_embedding", embedding, 1e-10),
         CheckResult("oracle_equivalence", oracle, 1e-9),

@@ -140,18 +140,18 @@ def sup_distance_reference(curve_a, curve_b, t_max):
     return bound
 
 
-def invariance_residual_reference(index, image, label):
+def invariance_residual_reference(record, image, label):
     """Test-only reference for validation._invariance_residual: row l of
     the class image minus its class-wise means, one bincount per row, in
     numpy.linalg.norm, scaled by 1/sqrt(|class_l|); the largest row."""
     import numpy as np
 
-    means = np.array([np.bincount(label, weights=row) for row in image]) / index.size_array
-    residual = np.linalg.norm(image - means[:, label], axis=1) / index.size_roots
+    means = np.array([np.bincount(label, weights=row) for row in image]) / record.size_array
+    residual = np.linalg.norm(image - means[:, label], axis=1) / record.size_roots
     return float(np.max(residual))
 
 
-def embedding_residual_reference(index, a, gamma, h_red, w):
+def embedding_residual_reference(record, a, gamma, h_red, w):
     """Test-only reference for validation._embedding_residual: the columns
     of the exact projector basis normalised by numpy.linalg.norm with the
     sign of entry w, conjugated by -gamma*A - |w><w| with np.outer, less
@@ -160,7 +160,7 @@ def embedding_residual_reference(index, a, gamma, h_red, w):
 
     import qwsearch as qw
 
-    basis = qw.validation._projector_basis(index, a, w)
+    basis = qw.validation._projector_basis(record, a, w)
     basis /= np.copysign(np.linalg.norm(basis, axis=0), basis[w])
     conjugated = -gamma * (basis.T @ (a @ basis)) - np.outer(basis[w], basis[w])
     return float(np.max(np.abs(conjugated - h_red)))

@@ -459,6 +459,36 @@ def test_find_peak_refuses_a_bracket_that_needs_too_many_samples():
     assert peak < 200_000
 
 
+def test_find_peak_refuses_a_bracket_of_too_many_segments():
+    # J(1e7, 2) at gamma* over 0.9 pi/gap: few enough windows about the
+    # carriers' crests, but their arcs need over MAX_SCAN_SAMPLES segments,
+    # refused when counted, before any is sampled.
+    params = qw.GraphParams(10**7, 2)
+    bracket = (0.0, 0.9 * math.pi / qw.asymptotics_row(params).gap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="samples"):
+            qw.find_peak(params, qw.gamma_star(params), bracket)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
+
+def test_peak_of_a_curve_whose_third_level_does_not_ripple():
+    # The third level sits at the carriers' midpoint, so its centred level
+    # is 0 and it ripples no window: p(t) = |0.2 + 0.8i sin t|^2 = 0.04 +
+    # 0.64 sin^2 t, whose maxima 0.68 lie at t = pi/2 + m pi.
+    levels, weights = (-1.0, 0.0, 1.0), (0.4, 0.2, -0.4)
+    curve = qw.reduced._curve(levels, weights)
+    assert curve[1][curve[3][2]] == 0.0
+    t_peak, p_peak = qw.reduced._peak(curve, 0.1, 9.0)
+    beta = peak_beta(levels, weights, 9.0)
+    assert abs(p_peak - 0.68) <= beta
+    assert abs(0.04 + 0.64 * math.sin(t_peak) ** 2 - p_peak) <= beta
+    assert math.cos(t_peak) == pytest.approx(0.0, abs=1e-7)
+
+
 def _phase_rounding_bound(levels, t1):
     # |dp| <= 2 * max phase error, since |amplitude| <= 1 and sum |w_j| <= 1.
     return 8 * np.finfo(float).eps * (1 + np.max(np.abs(levels)) * t1)

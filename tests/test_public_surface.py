@@ -229,7 +229,7 @@ REAL_ARGUMENTS = {
 }
 _NOT_REAL = [
     True, np.True_, 1 + 0j, np.complex128(1), "1.0", None, [1.0], np.array([1.0, 2.0]),
-    math.nan, math.inf,
+    math.nan, math.inf, pytest.param(10**400, id="10**400"),
 ]
 
 
@@ -237,8 +237,9 @@ _NOT_REAL = [
 @pytest.mark.parametrize("name", REAL_ARGUMENTS)
 def test_real_arguments_refuse_what_is_not_a_finite_real(name, value):
     # One check decides: a bool, a complex (numpy would drop its imaginary
-    # part with only a warning), a string, None, a sequence, an array, NaN
-    # and inf are each a DomainError naming the argument.
+    # part with only a warning), a string, None, a sequence, an array, NaN,
+    # inf and an int beyond binary64 are each a DomainError naming the
+    # argument.
     argument = name.split("-")[-1]
     with pytest.raises(DomainError, match=f"^{argument} must be a finite real"):
         REAL_ARGUMENTS[name][0](value)

@@ -270,19 +270,74 @@ def test_a_kept_graph_record_is_read_only():
     for values in (levels, weights):
         assert type(values) is tuple and len(values) == params.k + 1
         assert all(type(x) is float for x in values)
-    # the reduced matrix at gamma*, and the index's class sizes
+    # the reduced matrix at gamma*, and the class sizes, the index's and the record's
     gamma = qw.gamma_star(params)
     assert np.array_equal(record.h_red, qw.reduced_hamiltonian(params, gamma))
     index = qw.johnson._colex_index(params, params.num_vertices)
     sizes = tuple(math.comb(3, l) * math.comb(4, l) for l in range(4))
     assert index.sizes == sizes and all(type(x) is int for x in index.sizes)
-    assert np.array_equal(index.size_array, sizes)
-    assert np.array_equal(index.size_roots, np.sqrt(sizes))
-    for array in (record.h_red, index.size_array, index.size_roots):
+    assert np.array_equal(record.size_array, sizes)
+    assert np.array_equal(record.size_roots, np.sqrt(sizes))
+    for array in (record.h_red, record.size_array, record.size_roots):
         assert array.flags.writeable is False
         with pytest.raises(ValueError, match="read-only"):
             array[0] += 1
     assert qw.validation._memo_graph(params) is record
+
+
+def test_partition_and_embedding_checks_make_no_eigensolve(monkeypatch):
+    # A fresh graph's record forms its spectrum check only when that is
+    # read: the partition invariance and the embedding residual read the
+    # same record without a dense eigensolve, and validate_instance then
+    # makes the one values-only eigvalsh on it.
+    params = qw.GraphParams(9, 4)
+    qw.validation._memo_graph.cache_clear()
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def recorded(matrix, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(matrix)))
+            return _original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    memo = qw.validation._memo_graph
+    assert qw.check_partition_invariance(params, 17) == 0.0
+    assert qw.validation.reduced_embedding_residual(params, qw.gamma_star(params), 17) <= 1e-10
+    assert calls == [] and (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+    assert qw.validate_instance(params, 17).all_passed
+    assert calls == [("eigvalsh", (126, 126)), ("eigh", (2, 5, 5))]
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 2)
+
+
+def test_a_graph_past_the_exact_basis_is_refused_before_any_dense_array(monkeypatch, capsys):
+    # J(18,8), N = 43758 at a raised cap: the projector basis's bound is
+    # 2.1e16, past 2**53, and A would take 15.3 GB.  Both dense constructors
+    # raise here, so a refusal that came after one would show as their error.
+    params = qw.GraphParams(18, 8)
+    n_vert = params.num_vertices
+
+    def no_dense(*args):
+        raise AssertionError("an N x N array was built")
+
+    monkeypatch.setattr(johnson, "_adjacency", no_dense)
+    monkeypatch.setattr(qw.validation, "_adjacency", no_dense)
+    assert qw.validation._memo_graph(params).basis_bound >= 2**53
+    gamma = qw.gamma_star(params)
+    for call in (
+        lambda: qw.validate_instance(params, 5, cap=n_vert),
+        lambda: qw.validation.reduced_embedding_residual(params, gamma, 5, cap=n_vert),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="exact integer range of binary64"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 8 * n_vert**2  # the colex index, when built cold: 17 MB
+    assert cli.main(["validate", "--n", "18", "--k", "8", "--full-cap", str(n_vert)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "exact integer range of binary64" in err
 
 
 def test_each_graph_forms_its_reduced_matrix_and_class_sizes_once(monkeypatch):
@@ -363,8 +418,7 @@ def test_projector_basis_is_exact_in_integers(n, k, w):
     params = qw.GraphParams(n, k)
     lambdas = qw.spectral_data(params).lambdas
     a = qw.adjacency_matrix(params)
-    index = qw.johnson._colex_index(params, params.num_vertices)
-    basis = qw.validation._projector_basis(index, a, w)
+    basis = qw.validation._projector_basis(qw.validation._memo_graph(params), a, w)
     ints = basis.astype(np.int64)
     assert np.array_equal(ints, basis)
     a_int, lam = a.astype(np.int64), [int(x) for x in lambdas]
@@ -459,7 +513,8 @@ def test_partition_invariance_residuals():
     index = qw.johnson._colex_index(params, 56)
     label = qw.johnson._distance_labels(index, 0)
     indicators = (label == np.arange(params.k + 1)[:, None]).astype(np.float64)
-    residual = qw.validation._invariance_residual(index, indicators @ a.T, label)
+    record = qw.validation._memo_graph(params)
+    residual = qw.validation._invariance_residual(record, indicators @ a.T, label)
     assert residual > 1e-12
     assert residual == pytest.approx(0.33993463423951, rel=1e-13)
 
@@ -472,6 +527,7 @@ def test_invariance_and_embedding_residuals_are_their_plain_forms(n, k):
     # reduction and -|w><w| by broadcasting give the plain forms' bits.
     params = qw.GraphParams(n, k)
     index = johnson._colex_index(params, params.num_vertices)
+    record = qw.validation._memo_graph(params)
     a = johnson._adjacency(index)
     rng = np.random.default_rng(n * 10 + k)
     for w in rng.integers(params.num_vertices, size=3).tolist():
@@ -479,14 +535,14 @@ def test_invariance_and_embedding_residuals_are_their_plain_forms(n, k):
         image = johnson._class_image(index, label)
         image += rng.integers(-3, 4, size=image.shape)
         for layout in (image, np.ascontiguousarray(image)):
-            got = qw.validation._invariance_residual(index, layout, label)
+            got = qw.validation._invariance_residual(record, layout, label)
             assert got > 0.0
-            assert got.hex() == invariance_residual_reference(index, layout, label).hex()
+            assert got.hex() == invariance_residual_reference(record, layout, label).hex()
         gamma = float(rng.uniform(0.1, 3.0)) * qw.gamma_star(params)
         off = qw.reduced_hamiltonian(params, gamma) + rng.normal(scale=1e-9, size=(k + 1, k + 1))
-        got = qw.validation._embedding_residual(index, a, gamma, off, w)
+        got = qw.validation._embedding_residual(record, a, gamma, off, w)
         assert got > 0.0
-        assert got.hex() == embedding_residual_reference(index, a, gamma, off, w).hex()
+        assert got.hex() == embedding_residual_reference(record, a, gamma, off, w).hex()
 
 
 def test_partition_invariance_builds_no_dense_matrix():
