@@ -11,8 +11,11 @@ never with ``sum()``, which compensates from Python 3.12 on.
 Exit codes: 0 success, 1 a validation check failed, 2 usage or domain
 error, 3 numerical failure.  Among the domain errors: a C(n,k) beyond
 binary64, refused at once however large n and k are; a time t whose phase
-bound (gamma*k(n-k) + 1)*t overflows; and a run time that overflows
-binary64 (at every n from k = 171, and from n = 4176 at k = 170).
+bound (gamma*k(n-k) + 1)*t overflows; a run time that overflows
+binary64 (at every n from k = 171, and from n = 4176 at k = 170); and a
+dense build that does not fit in memory, such as ``validate --n 2000 --k 2
+--full-cap 2000000``, whose N x N adjacency would take 29 TiB
+(``MemoryError``).
 
 ``spectrum`` and ``gamma`` are exact arithmetic, and ``simulate`` and
 ``sweep`` run on the reduced model's secular solve in plain floats
@@ -221,7 +224,7 @@ def main(argv=None) -> int:
     try:
         columns, rows, code = args.func(args)
         _write(render(rows, columns, args.format), args.out)
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

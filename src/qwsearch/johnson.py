@@ -18,13 +18,15 @@ invariance check.
 
 The index is memoised per process for the last few (n, k) and its arrays
 are read-only; the vertex cap is checked on every call, before the memo is
-consulted.  It carries the clique edges, the sorted flat positions of the
-off-diagonal nonzeros of A, built only when a dense builder first asks for
-them, so every dense matrix is one flat scatter into a fresh array owned
-by the caller, and the O(N k) users (vertex elements, distance partition,
-partition invariance) never build them.  The index is only the graph:
-what the full-space checks read for every vertex alike is kept per graph
-in :mod:`qwsearch.validation`.
+consulted.  A handle holds (n, k) and the distance-class sizes, and each
+array is built when it is first read, so a caller that refuses the graph
+after the cap builds no array of size N.  The index carries the clique
+edges, the sorted flat positions of the off-diagonal nonzeros of A, built
+only when a dense builder first asks for them, so every dense matrix is
+one flat scatter into a fresh array owned by the caller, and the O(N k)
+users (vertex elements, distance partition, partition invariance) never
+build them.  The index is only the graph: what the full-space checks read
+for every vertex alike is kept per graph in :mod:`qwsearch.validation`.
 
 The dense N x N objects built here (adjacency, search Hamiltonian) exist
 only as oracles for small instances, so they are guarded by a vertex cap;
@@ -63,18 +65,53 @@ class DistancePartition:
 
 @dataclass(frozen=True)
 class _ColexIndex:
-    # elems[v]: sorted elements of vertex v; faces[v, i]: colex rank (among
-    # the (k-1)-subsets) of elems[v] without its i-th element.  The faces
-    # are the nonzeros of the inclusion matrix W with A = W^T W - kI.
     # sizes[l] = C(k,l)*C(n-k,l), as Python ints, is the size of distance
     # class l around every vertex, J(n,k) being vertex-transitive; the
-    # labels' guard compares against it.  Every array is int64, numpy's
-    # index type, and read-only: one index is shared by all callers in the
-    # process.
+    # labels' guard compares against it.  Every array is built on first
+    # read, so a handle costs O(k) and a caller that refuses the graph
+    # builds none: elems[v], the sorted elements of vertex v; faces[v, i],
+    # the colex rank (among the (k-1)-subsets) of elems[v] without its i-th
+    # element, the nonzeros of the inclusion matrix W with A = W^T W - kI;
+    # and the clique edges.  Every array is int64, numpy's index type, and
+    # read-only: one index is shared by all callers in the process.
     params: GraphParams
-    elems: np.ndarray
-    faces: np.ndarray
     sizes: tuple
+
+    @functools.cached_property
+    def elems(self) -> np.ndarray:
+        n, k = self.params.n, self.params.k
+        # s -> n+1-s maps colex order onto reversed lex order, the order in
+        # which itertools.combinations emits the images.
+        lex = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), k)),
+            dtype=np.int64,
+            count=self.params.num_vertices * k,
+        ).reshape(-1, k)
+        elems = (n + 1) - lex[::-1, ::-1]
+        elems.flags.writeable = False
+        return elems
+
+    @functools.cached_property
+    def faces(self) -> np.ndarray:
+        n, k = self.params.n, self.params.k
+        # binom[a, b] = C(a, b) for a < n, b <= k by Pascal's rule: column b
+        # is the exclusive running sum of column b-1.  Every entry is at
+        # most N.
+        binom = np.zeros((n, k + 1), dtype=np.int64)
+        binom[:, 0] = 1
+        for b in range(1, k + 1):
+            np.cumsum(binom[:-1, b - 1], out=binom[1:, b])
+        # Dropping c_i leaves C(c_j - 1, j + 1) for j < i (c_j keeps its
+        # place) and C(c_j - 1, j) for j > i (c_j moves down one place),
+        # 0-based j: face_i = sum_j shift_j + sum_{j <= i} (keep_j -
+        # shift_j) - keep_i.
+        pos = np.arange(k)
+        keep = binom[self.elems - 1, pos + 1]
+        shift = binom[self.elems - 1, pos]
+        faces = np.cumsum(keep - shift, axis=1)
+        faces += shift.sum(axis=1, keepdims=True) - keep
+        faces.flags.writeable = False
+        return faces
 
     @functools.cached_property
     def edges(self) -> np.ndarray:
@@ -83,9 +120,9 @@ class _ColexIndex:
         # the union of the cliques on each face's n-k+1 supersets, minus the
         # diagonal, and every edge lies in one clique only.  Built on first
         # use, so the O(N k) callers never pay its N k(n-k) entries; the
-        # result is allocated before the temporaries, which then leave no
-        # hole under it when they are freed.
-        n_vert, k = self.elems.shape
+        # result is allocated after the faces and before the temporaries,
+        # which then leave no hole under it when they are freed.
+        n_vert, k = self.faces.shape
         size = self.params.n - k + 1
         n_faces = math.comb(self.params.n, k - 1)
         edges = np.empty((n_faces, size * (size - 1)), dtype=np.int64)
@@ -113,32 +150,7 @@ def _colex_index(params: GraphParams, cap: int) -> _ColexIndex:
 
 @functools.lru_cache(maxsize=_INDEX_MEMO_SIZE)
 def _memo_colex_index(params: GraphParams) -> _ColexIndex:
-    n, k = params.n, params.k
-    # s -> n+1-s maps colex order onto reversed lex order, the order in
-    # which itertools.combinations emits the images.
-    lex = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), k)),
-        dtype=np.int64,
-        count=params.num_vertices * k,
-    ).reshape(-1, k)
-    elems = (n + 1) - lex[::-1, ::-1]
-    # binom[a, b] = C(a, b) for a < n, b <= k by Pascal's rule: column b is
-    # the exclusive running sum of column b-1.  Every entry is at most N.
-    binom = np.zeros((n, k + 1), dtype=np.int64)
-    binom[:, 0] = 1
-    for b in range(1, k + 1):
-        np.cumsum(binom[:-1, b - 1], out=binom[1:, b])
-    # Dropping c_i leaves C(c_j - 1, j + 1) for j < i (c_j keeps its place)
-    # and C(c_j - 1, j) for j > i (c_j moves down one place), 0-based j:
-    # face_i = sum_j shift_j + sum_{j <= i} (keep_j - shift_j) - keep_i.
-    pos = np.arange(k)
-    keep = binom[elems - 1, pos + 1]
-    shift = binom[elems - 1, pos]
-    faces = np.cumsum(keep - shift, axis=1)
-    faces += shift.sum(axis=1, keepdims=True) - keep
-    for array in (elems, faces):
-        array.flags.writeable = False
-    return _ColexIndex(params=params, elems=elems, faces=faces, sizes=_class_sizes(params))
+    return _ColexIndex(params=params, sizes=_class_sizes(params))
 
 
 def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:
@@ -151,8 +163,9 @@ def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndar
 
 def _adjacency(index: _ColexIndex, weight: float = 1.0) -> np.ndarray:
     # One flat scatter of ``weight`` on the edges into a fresh zero matrix,
-    # so -gamma*A is written in the same pass; the diagonal stays +0.0.
-    n_vert = len(index.elems)
+    # so -gamma*A is written in the same pass; the diagonal stays +0.0.  A
+    # cold index builds its faces before A and its edges after it.
+    n_vert = len(index.faces)
     a = np.zeros((n_vert, n_vert), dtype=np.float64)
     a.reshape(-1)[index.edges] = weight
     return a

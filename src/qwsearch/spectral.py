@@ -27,11 +27,9 @@ ndarray, and numpy is imported when that matrix is built.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .domain import GraphParams, _check_coupling, _int
-from .errors import DomainError
 
 
 def _eigenvalue(n: int, k: int, ell: int) -> int:
@@ -63,17 +61,14 @@ def overlap_sq_factorial(params: GraphParams, ell: int) -> float:
     """p_l^2 via the factorial form k!(n-k)!(n-2l+1) / (l!(n-l+1)!).
 
     Independent of :func:`overlap`; kept as a cross-check route and
-    evaluated as an exact integer ratio to avoid float factorials.  Refused
-    with :class:`DomainError` where n-l+1 exceeds ``sys.maxsize``, the
-    range of ``math.factorial``.
+    evaluated as an exact integer ratio, correctly rounded, with the
+    factorials cancelled: (n-2l+1) prod_{j=l+1..k} j / prod_{j=n-k+1..n-l+1}
+    j, O(k) integer products at every n, with no upper limit on n.
     """
     ell = _int(ell, "ell", 0, params.k)
     n, k = params.n, params.k
-    if n - ell + 1 > sys.maxsize:
-        raise DomainError(f"(n-l+1)! with n={n}, l={ell} is beyond math.factorial")
-    num = math.factorial(k) * math.factorial(n - k) * (n - 2 * ell + 1)
-    den = math.factorial(ell) * math.factorial(n - ell + 1)
-    return num / den
+    num = (n - 2 * ell + 1) * math.prod(range(ell + 1, k + 1))
+    return num / math.prod(range(n - k + 1, n - ell + 2))
 
 
 @dataclass(frozen=True)

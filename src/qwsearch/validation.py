@@ -13,8 +13,10 @@ on (n, k) alone is computed once per graph and kept per process in one
 record: the closed-form spectrum, gamma*, t_max, the reduced model's
 curve, H_red at gamma*, the distance-class sizes, the integer projector
 basis's polynomial coefficients and exactness bound, and, formed on first
-read, the spectrum and overlap checks; the colex index of
-:mod:`qwsearch.johnson` is only the graph.  Each further marked vertex
+read, the spectrum and overlap checks.  All but the spectrum check come
+from (n, k) in work that does not grow with N or n, so the record builds
+no array of size N; the colex index of :mod:`qwsearch.johnson` is only
+the graph, each of its arrays built on first read.  Each further marked vertex
 pays only for its own work, in a number of numpy calls fixed by k: its
 distance labels and class image (one bincount and k row gathers), whose
 class sums are one more bincount; A;
@@ -64,6 +66,7 @@ from .johnson import (
     _class_image,
     _colex_index,
     _distance_labels,
+    _memo_colex_index,
     adjacency_matrix,
 )
 # SweepRow, asymptotics_row and convergence_sweep are re-exported.
@@ -281,10 +284,11 @@ class _GraphRecord:
     def checks(self) -> tuple:
         # spectrum_values, spectrum_multiplicities and overlap_consistency,
         # formed on first read.  Callers check their cap first, so A is
-        # built with the cap at N, and dropped before this returns, ahead of
-        # the caller's own A.  eigvalsh's values are ascending.
+        # built from the memoised index with no cap of its own, and dropped
+        # before this returns, ahead of the caller's own A.  eigvalsh's
+        # values are ascending.
         sd, params = self.sd, self.sd.params
-        dense = np.linalg.eigvalsh(adjacency_matrix(params, params.num_vertices))
+        dense = np.linalg.eigvalsh(_adjacency(_memo_colex_index(params)))
         expanded = np.repeat(sd.lambdas[::-1], sd.mults[::-1])
         value_residual = float(np.max(np.abs(dense - expanded)))
         counts = np.count_nonzero(np.abs(dense[:, None] - sd.lambdas) <= _CLUSTER_TOL, axis=0)
@@ -298,22 +302,20 @@ class _GraphRecord:
 
 @functools.lru_cache(maxsize=_INDEX_MEMO_SIZE)
 def _memo_graph(params: GraphParams) -> _GraphRecord:
-    # The class sizes are the index's, read with the cap at N as for A.
-    # The coefficients are multiplied out in Python ints, exact as floats
-    # below 2**53, where the projector basis uses them.
+    # The class sizes are the index handle's, which builds no array.  The
+    # coefficients come from np.poly's float convolution, exact while every
+    # partial coefficient is below 2**53, which basis_bound guarantees
+    # wherever the projector basis uses them.
     sd = spectral_data(params)
     gamma = coupling.gamma_star(params)
     h_red = _reduced_matrix(sd, gamma)
-    size_array = np.array(_colex_index(params, params.num_vertices).sizes, dtype=np.int64)
+    size_array = np.array(_memo_colex_index(params).sizes, dtype=np.int64)
     size_roots = np.sqrt(size_array)
     lambdas = [_eigenvalue(params.n, params.k, l) for l in range(params.k + 1)]
-    polynomials = []
-    for l in range(params.k + 1):
-        poly = [1]
-        for lam in lambdas[:l] + lambdas[l + 1:]:
-            poly = [low - lam * high for low, high in zip([0] + poly, poly + [0])]
-        polynomials.append(poly)
-    coefficients = np.array(polynomials, dtype=np.float64).T.copy()
+    coefficients = np.array(
+        [np.poly(lambdas[:l] + lambdas[l + 1:])[::-1] for l in range(params.k + 1)],
+        dtype=np.float64,
+    ).T.copy()
     factors = [lambdas[0] + abs(lam) for lam in lambdas]
     for array in (h_red, size_array, size_roots, coefficients):
         array.flags.writeable = False
@@ -427,7 +429,8 @@ def reduced_embedding_residual(
 
     B comes from the exact integer vectors prod_{j != l} (A - lambda_j)|w>
     and H acts through the dense A, so no eigensolve is made; a basis past
-    binary64's exact integers raises :class:`NumericalError` before A."""
+    binary64's exact integers raises :class:`NumericalError` before any
+    array of size N, the colex index's included."""
     gamma = _check_coupling(params, gamma)
     w = _int(w, "marked vertex w", 0, params.num_vertices - 1)
     index = _colex_index(params, cap)
@@ -459,7 +462,8 @@ def validate_instance(
     bound, and the spectrum and overlap checks, whose values-only
     ``eigvalsh`` is the one dense eigensolve.  The cap and the mark are
     checked first on every call, then the bound: a graph past it raises
-    :class:`NumericalError` before any N x N array is built.  One N x N
+    :class:`NumericalError` before any array of size N is built, the
+    colex index's included.  One N x N
     array is held at a time.  Each call pays for the mark's own work, in a
     number of numpy calls fixed by k: its distance labels and class image for
     partition invariance, A, its projector basis for the embedding residual

@@ -139,6 +139,44 @@ def test_validate_rejects_over_cap():
     assert b"91390" in out.stderr
 
 
+def test_a_dense_build_out_of_memory_is_a_domain_error(monkeypatch, capsys):
+    # validate --n 2000 --k 2 --full-cap 2000000 would ask numpy for a
+    # 29 TiB adjacency; the allocation's MemoryError is raised here instead.
+    message = ("Unable to allocate 29.1 TiB for an array with shape (1999000, 1999000) "
+               "and data type float64")
+
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(qw.validation, "_adjacency", no_memory)
+    assert cli.main(["validate", "--n", "7", "--k", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n, k, gamma, message", [
+    (10, 3, "1e-150", None),
+    (10, 3, "5.5e-155", None),
+    (10, 3, "5.3e-155", "the secular equation of J(10,3) at gamma=5.3e-155 leaves binary64"),
+    (10, 3, "1e-155", "the secular equation leaves binary64 at offset"),
+    (1000, 3, "3.3e-154", None),
+    (1000, 3, "3.1e-154", "the secular equation leaves binary64 at offset"),
+    (6, 3, "5e-324", "gamma=5e-324 puts the levels of J(6,3) closer than binary64 resolves"),
+])
+def test_tiny_couplings_answer_down_to_the_solvers_limit(n, k, gamma, message, capsys):
+    # The pole offsets are about gamma, so R_j ~ 1/gamma^2 overflows just
+    # below 5.4e-155 at J(10,3) and 3.2e-154 at J(1000,3); each of the
+    # solver's three refusals exits 3 with its own message.
+    code = cli.main(["simulate", "--n", str(n), "--k", str(k), "--gamma", gamma])
+    out, err = capsys.readouterr()
+    if message is None:
+        assert code == 0 and err == ""
+        assert float(out.splitlines()[1].split(",")[2]) > 0.0
+    else:
+        assert code == 3 and out == ""
+        assert err.startswith(f"numerical failure: {message}")
+
+
 def test_validate_k2_trivial_instance():
     out = run("validate", "--n", "2", "--k", "1")
     assert out.returncode == 0

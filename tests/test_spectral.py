@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,9 +27,16 @@ def test_numpy_integer_levels_answer_as_python_ints():
             assert type(value) is int and value == level_fn(big, int(ell))
 
 
-def test_overlap_sq_factorial_refuses_n_beyond_math_factorial():
-    with pytest.raises(DomainError, match="math.factorial"):
-        qw.overlap_sq_factorial(qw.GraphParams(10**19, 2), 1)
+def test_overlap_sq_factorial_is_the_rounded_ratio_at_the_top_of_its_range():
+    # The factorials cancel to O(k) integer products, so n far past
+    # math.factorial's range answers at once, and both routes round the
+    # same rational.
+    start = time.perf_counter()
+    for params in (qw.GraphParams(10**19, 2), qw.GraphParams(10**18, 8)):
+        for ell in range(params.k + 1):
+            expected = qw.multiplicity(params, ell) / params.num_vertices
+            assert qw.overlap_sq_factorial(params, ell).hex() == expected.hex()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_multiplicity_examples():

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from dataclasses import asdict
 
@@ -321,6 +322,7 @@ def test_a_graph_past_the_exact_basis_is_refused_before_any_dense_array(monkeypa
 
     monkeypatch.setattr(johnson, "_adjacency", no_dense)
     monkeypatch.setattr(qw.validation, "_adjacency", no_dense)
+    johnson._memo_colex_index.cache_clear()
     assert qw.validation._memo_graph(params).basis_bound >= 2**53
     gamma = qw.gamma_star(params)
     for call in (
@@ -334,10 +336,42 @@ def test_a_graph_past_the_exact_basis_is_refused_before_any_dense_array(monkeypa
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.01 * 8 * n_vert**2  # the colex index, when built cold: 17 MB
+        # no array of the index either: its elements alone take 2.8 MB
+        assert peak < 1e6
+    index = johnson._memo_colex_index(params)
+    assert "elems" not in vars(index) and "faces" not in vars(index)
     assert cli.main(["validate", "--n", "18", "--k", "8", "--full-cap", str(n_vert)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "exact integer range of binary64" in err
+
+
+def test_a_large_graph_past_the_exact_basis_is_refused_at_once(monkeypatch, capsys):
+    # J(30,15), N = 1.55e8 at a raised cap: its colex index would take
+    # about 37 GB, so reading any of its arrays fails the test.
+    def no_index(self):
+        raise AssertionError("an array of the colex index was built")
+
+    monkeypatch.setattr(johnson._ColexIndex, "elems", property(no_index))
+    start = time.perf_counter()
+    assert cli.main(["validate", "--n", "30", "--k", "15", "--full-cap", "155117520"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "exact integer range of binary64" in err
+
+
+def test_a_refused_check_builds_no_array_of_the_index():
+    params = qw.GraphParams(9, 4)
+    johnson._memo_colex_index.cache_clear()
+    index = johnson._memo_colex_index(params)
+    with pytest.raises(CapacityError, match="cap 125"):
+        qw.check_spectrum(params, cap=125)
+    with pytest.raises(CapacityError, match="cap 125"):
+        qw.check_partition_invariance(params, 0, cap=125)
+    for w in (-1, 126):
+        with pytest.raises(DomainError, match="marked vertex"):
+            qw.check_partition_invariance(params, w)
+    assert johnson._memo_colex_index(params) is index
+    assert vars(index) == {"params": params, "sizes": (1, 20, 60, 40, 5)}
 
 
 def test_each_graph_forms_its_reduced_matrix_and_class_sizes_once(monkeypatch):
