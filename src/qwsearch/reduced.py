@@ -52,9 +52,9 @@ from .spectral import SpectralData, spectral_data
 
 # The bound on scan's samples and find_peak's.  scan holds all m samples at
 # once, and the CLI renders them as one text: `qwsearch scan --n 6 --k 3
-# --m 1000000` takes 1.6-2.2 s and peaks at 194 MB of RSS for its 39 MB CSV
-# report (JSON: 1.8-2.2 s, 208 MB, 58 MB) on a shared 2-vCPU x86_64 VM with
-# one BLAS thread.
+# --m 1000000` takes 0.75 s and peaks at 130 MB of RSS for its 39 MB CSV
+# report (JSON: 0.76 s, 184 MB, 58 MB), medians of 6 runs on a shared 2-vCPU
+# x86_64 VM with one BLAS thread.
 MAX_SCAN_SAMPLES = 10**6
 _EPS = 2.0**-52
 _TINY = sys.float_info.min

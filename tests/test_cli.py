@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -381,6 +382,77 @@ def test_large_scan_report_matches_cell_by_cell_spelling(fmt, capsys):
     res = qw.scan(params, qw.gamma_star(params), 0.0, 2 * qw.run_time(params), 100001)
     rows = list(zip(res.times.tolist(), res.probs.tolist()))
     assert capsys.readouterr().out == _spell_cell_by_cell(rows, ("t", "prob"), fmt)
+
+
+# The array path spells every float64 cell by numpy arithmetic, exactly
+# where 1e-280 <= |x| <= 1e280 and away from a rounding tie, and by
+# '%.17g' % x elsewhere: both sides of every edge of that argument.
+_POWERS_OF_TEN = [float(f"1e{i}") for i in range(-300, 301)]
+_EDGE_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                1.7976931348623157e308, math.inf, math.nan, 1e-280, 1e280, 1e-5, 1e16, 1e17]
+_EDGE_FLOATS += [math.nextafter(v, to) for v in _EDGE_FLOATS[7:] + _POWERS_OF_TEN
+                 for to in (0.0, math.inf)] + _POWERS_OF_TEN
+_EDGE_FLOATS += [-v for v in _EDGE_FLOATS]
+_ARRAY_CELLS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.floats(1e-6, 1e18),
+    st.integers(1, 2**20).flatmap(lambda m: st.integers(1, 60).map(lambda j: m / 2**j)),
+)
+
+
+@st.composite
+def _array_report(draw):
+    width = draw(st.integers(1, 3))
+    cells = draw(st.lists(_ARRAY_CELLS, min_size=width, max_size=300 * width))
+    a = np.array(cells[:len(cells) // width * width]).reshape(-1, width)
+    return a, [f"c{j}" for j in range(width)]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(report=_array_report(), fmt=st.sampled_from(["csv", "json"]))
+def test_array_report_matches_cell_by_cell_spelling(report, fmt):
+    a, columns = report
+    assert cli.render(a, columns, fmt) == _spell_cell_by_cell(a.tolist(), columns, fmt)
+
+
+def test_array_spelling_is_percent_17g_on_a_million_values():
+    # Random bit patterns, values spread over 1e-6..1e18, powers of ten and
+    # their neighbours, dyadic fractions (many of them ties at 17 digits),
+    # the layout boundaries 1e-5, 1e-4, 1e16 and 1e17 with 50 neighbours on
+    # each side, integers and a uniform grid of [0, 1].
+    rng = np.random.default_rng(20211)
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+    below, above = [edges], [edges]
+    for _ in range(50):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    values = np.concatenate([
+        rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-6, 18, 300_000) * rng.choice([-1.0, 1.0], 300_000),
+        _EDGE_FLOATS,
+        (np.arange(1, 10_001) / 2.0 ** np.arange(1, 61, 3)[:, None]).ravel(),
+        *below, *above,
+        np.arange(1.0, 200_001.0),
+        np.linspace(0.0, 1.0, 10**5 + 1),
+    ])
+    assert values.size > 10**6
+    got = cli.render(values[:, None], ["x"], "csv").split("\n")
+    want = ["x", *("%.17g" % v for v in values.tolist()), ""]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+@pytest.mark.parametrize("m", [1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_array_report_blocks_and_column_names(m, fmt):
+    # An array report is spelled in blocks of 4096 rows; names may hold %
+    # and non-ASCII text, and a name holding NUL takes the per-cell path.
+    rng = np.random.default_rng(m)
+    a = np.column_stack((np.linspace(0.0, 7.5, m), rng.random(m), -(10.0 ** rng.uniform(-9, 9, m))))
+    for columns in (["t%", "prob", "p_é"], ["t", "a\0b", "c"]):
+        assert cli.render(a, columns, fmt) == _spell_cell_by_cell(a.tolist(), columns, fmt)
 
 
 # Small values are drawn as often as the full ranges, so that many examples

@@ -124,6 +124,26 @@ def test_gamma_closed_form_equals_sum_on_grid(k):
         assert qw.gamma_closed_form(from_graph(params)) == pytest.approx(star, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_gamma_closed_form_is_gamma_star_as_a_rational_function_of_n(k):
+    # The grid above checks the identity at chosen n; sympy proves it for
+    # every n: the difference of the two rational functions cancels to 0.
+    sympy = pytest.importorskip("sympy")
+    n = sympy.Symbol("n", positive=True)
+
+    def comb(l):
+        return sympy.prod([n - i for i in range(l)]) / sympy.factorial(l)
+
+    star = sum((comb(l) - comb(l - 1)) / (comb(k) * l * (n - l + 1)) for l in range(1, k + 1))
+    assert all(c == int(c) for c in _CLOSED_NUM[k])
+    x = 1 / n
+    poly = sum(int(c) * x**i for i, c in enumerate(_CLOSED_NUM[k]))
+    den = int(_CLOSED_LEAD[k]) * sympy.prod([(1 - j * x) ** 2 for j in range(1, k)])
+    closed = x * (1 - k * x) * poly / den
+    assert sympy.cancel(star - closed) == 0
+    assert closed.subs(n, 100) == exact_gamma_star(100, k) == exact_closed_form(100, k)
+
+
 def test_gamma_closed_form_unsupported_k():
     for k in (1, 2, 6, 7):
         with pytest.raises(UnsupportedParameterError):

@@ -772,3 +772,13 @@ def test_validate_instance_63_passes_all():
     ]
     oracle = next(c for c in report.checks if c.name == "oracle_equivalence")
     assert oracle.residual <= 1e-9
+
+
+def test_overlap_consistency_reads_exactly_zero():
+    # m_l / N and overlap_sq_factorial's cancelled ratio are the same
+    # rational, each rounded once, so the two routes agree bit for bit:
+    # 4680 graphs, k = 1..12, every n = 2k..399 and n = 1e6, 1e12, 1e18.
+    # validate's threshold stays 1e-13.
+    for k in range(1, 13):
+        for n in (*range(2 * k, 400), 10**6, 10**12, 10**18):
+            assert qw.validation.overlap_consistency_residual(qw.GraphParams(n, k)) == 0.0, (n, k)
