@@ -224,13 +224,15 @@ def test_sweep_byte_identical_across_runs_and_jobs():
 
 # "$ qwsearch <arguments>" lines, each followed by that command's stdout.
 # The bare-interpreter CI job diffs the same commands' output against this
-# file on Python 3.10, 3.11 and 3.13.
+# file on Python 3.10, 3.11 and 3.13, and tests/test_numpy_free.py with
+# numpy blocked.
 _EXACT_COMMANDS = os.path.join(os.path.dirname(__file__), "exact_commands.txt")
 
 
 def test_exact_commands_print_the_checked_in_bytes(capsys):
-    # simulate and sweep sum their floats left to right, so every supported
-    # interpreter prints these bytes; sum() compensates from Python 3.12 on.
+    # spectrum and gamma are exact arithmetic, and simulate and sweep sum
+    # their floats left to right, so every supported interpreter prints these
+    # bytes; sum() compensates from Python 3.12 on.
     with open(_EXACT_COMMANDS, encoding="utf-8", newline="") as fh:
         expected = fh.read()
     commands = [line.split()[2:] for line in expected.splitlines() if line.startswith("$ ")]
@@ -239,8 +241,13 @@ def test_exact_commands_print_the_checked_in_bytes(capsys):
         assert cli.main(argv) == 0
         printed.append(f"$ qwsearch {' '.join(argv)}\n{capsys.readouterr().out}")
     assert "".join(printed) == expected
-    assert sorted(int(argv[2]) for argv in commands if argv[0] == "sweep") == list(range(1, 9))
+    assert sorted({int(argv[2]) for argv in commands if argv[0] == "sweep"}) == list(range(1, 9))
     assert "simulate --n 100 --k 40".split() in commands
+    # every command that loads no numpy, in both formats
+    assert {(argv[0], "json" in argv) for argv in commands} == {
+        (command, json_format) for command in ("spectrum", "gamma", "simulate", "sweep")
+        for json_format in (False, True)
+    }
 
 
 def test_out_file_and_dir_override(tmp_path):

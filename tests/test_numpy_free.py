@@ -71,6 +71,29 @@ def test_exact_commands_give_the_same_bytes_without_numpy(argv, code):
     assert free.stderr.startswith(b"error: ") if code else free.stderr == b""
 
 
+# Every command of tests/exact_commands.txt in one child with numpy blocked;
+# the child prints the file back: each "$ qwsearch" line, then the report.
+_RUN_CHECKED_IN = """
+import sys
+sys.modules["numpy"] = None
+from qwsearch import cli
+with open(sys.argv[1], encoding="utf-8") as fh:
+    commands = [line for line in fh if line.startswith("$ ")]
+for line in commands:
+    sys.stdout.write(line)
+    assert cli.main(line.split()[2:]) == 0
+assert sys.modules["numpy"] is None
+"""
+
+
+def test_checked_in_commands_print_their_bytes_without_numpy():
+    path = os.path.join(os.path.dirname(__file__), "exact_commands.txt")
+    out = _python(_RUN_CHECKED_IN, path)
+    assert out.returncode == 0, out.stderr.decode()
+    with open(path, "rb") as fh:
+        assert out.stdout == fh.read()
+
+
 def test_a_numerical_command_fails_under_the_block():
     # The block is real: scan needs numpy and cannot run without it.
     free = _python(_RUN_MAIN, "block", "scan", "--n", "9", "--k", "4")
