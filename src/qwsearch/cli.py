@@ -1,15 +1,14 @@
 """Command-line interface: spectra, couplings, simulations, validation, sweeps.
 
-Reports are CSV (default) or JSON, written to stdout or ``--out PATH``, and
-spelled in one ``%`` pass over a template of the whole report, header or
-JSON brackets included, the same bytes as ``_cell`` on each cell: every
-real number with 17 significant digits, which round-trips binary64 exactly,
-so identical invocations give identical bytes, on every supported
+Reports are CSV (default) or JSON, written to stdout or ``--out PATH`` in
+slices, each cell spelled by ``_cell`` under one framing (``_framing``):
+every real number with 17 significant digits, which round-trips binary64
+exactly, so identical invocations give identical bytes, on every supported
 interpreter: each float sum that reaches a report is taken left to right,
 never with ``sum()``, which compensates from Python 3.12 on.  ``scan``
 hands ``render`` its samples as one 2-D float64 array, whose cells are
 spelled by numpy arithmetic in blocks of rows, byte for byte as
-``'%.17g' % v``, with no Python float per sample.
+``_cell`` spells them, with no Python float per sample.
 
 Exit codes: 0 success, 1 a validation check failed, 2 usage or domain
 error, 3 numerical failure.  Among the domain errors: a C(n,k) beyond
@@ -31,7 +30,6 @@ import os
 import sys
 from dataclasses import astuple, fields
 from functools import lru_cache
-from itertools import chain
 
 from . import coupling
 from .domain import DEFAULT_FULL_CAP, GraphParams
@@ -42,8 +40,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-_SPECS = {frozenset([float]): "%.17g", frozenset([int]): "%d"}  # as _cell spells them
-_BLOCK = 4096  # rows per block of a report's template, or of an array report
+_BLOCK = 4096  # rows per block of an array report
+_SLICE = 1 << 16  # characters per write: a text stream encodes each write whole
 
 
 def _cell(value, fmt: str) -> str:
@@ -58,38 +56,32 @@ def _cell(value, fmt: str) -> str:
     return str(value)
 
 
+def _framing(columns, fmt: str):
+    # (head, seps, tail): a report with rows is head, then each cell after
+    # its column's separator (seps[0], between rows, is left out before the
+    # first cell), then tail
+    if fmt == "csv":
+        return ",".join(columns) + "\n", ["\n"] + [","] * (len(columns) - 1), "\n"
+    first = f'"{columns[0]}": '
+    return "[\n  {" + first, ["},\n  {" + first] + [f', "{c}": ' for c in columns[1:]], "}\n]\n"
+
+
 def render(rows, columns, fmt: str) -> str:
     """Rows (value sequences in column order, iterated once) to CSV or JSON text.
 
-    rows may also be a 2-D float64 array, one row per report row, spelled
-    from the array in blocks of rows: the same bytes as its ``tolist()``.
+    Each cell is spelled by ``_cell``.  rows may also be a 2-D float64
+    array, one row per report row, spelled from the array in blocks of rows:
+    the same bytes as its ``tolist()``.
     """
     if (getattr(rows, "dtype", None) == "float64" and rows.ndim == 2 and rows.size
             and "\0" not in "".join(columns)):
         return _spell_array(rows, columns, fmt)
-    cells, width, specs = list(chain.from_iterable(rows)), len(columns), []
-    for j in range(width):
-        specs.append(_SPECS.get(frozenset(map(type, cells[j::width])), "%s"))
-        if specs[-1] == "%s":
-            cells[j::width] = [_cell(v, fmt) for v in cells[j::width]]
-    m, cells = len(cells) // width, tuple(cells)
-    names = [c.replace("%", "%%") for c in columns]
-    if fmt == "csv":
-        return _template(",".join(names) + "\n", ",".join(specs) + "\n", "", "", m) % cells
-    row = "  {" + ", ".join([f'"{c}": {s}' for c, s in zip(names, specs)]) + "}"
-    return _template("[\n", row, ",\n", "\n]\n", m) % cells
-
-
-def _template(head, row, sep, tail, m: int) -> str:
-    # head + sep.join([row] * m) + tail, the whole report's template, so the
-    # report is spelled once and never copied to add its header or brackets.
-    # It is joined from blocks of rows: no other report-sized string or list
-    # is built.
-    if m == 0:
-        return head + tail
-    q, r = divmod(m - 1, _BLOCK)
-    block = (row + sep) * _BLOCK
-    return "".join([head] + [block] * q + [(row + sep) * r, row, tail])
+    head, seps, tail = _framing(columns, fmt)
+    cells = [sep + _cell(v, fmt) for row in rows for sep, v in zip(seps, row)]
+    if not cells:
+        return head if fmt == "csv" else "[\n\n]\n"
+    cells[0] = cells[0][len(seps[0]):]
+    return "".join([head, *cells, tail])
 
 
 # An array report is spelled without a Python float per cell.  Each block of
@@ -219,12 +211,7 @@ def _spell_array(a, columns, fmt: str) -> str:
     import numpy as np
 
     rows, width = a.shape
-    if fmt == "csv":
-        head, seps, tail = ",".join(columns) + "\n", ["\n"] + [","] * (width - 1), "\n"
-    else:
-        first = f'"{columns[0]}": '
-        head, tail = "[\n  {" + first, "}\n]\n"
-        seps = ["},\n  {" + first] + [f', "{c}": ' for c in columns[1:]]
+    head, seps, tail = _framing(columns, fmt)
     seps = [s.encode() for s in seps]
     pad = max(map(len, seps))
     template = np.frombuffer(b"".join(s.rjust(pad, b"\0") + b"\0" * _SLOT for s in seps),
@@ -244,15 +231,17 @@ def _spell_array(a, columns, fmt: str) -> str:
 
 
 def _write(text: str, out):
+    # slice by slice, so the report is never encoded into one more copy
+    slices = (text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices)
         return
     out_dir = os.environ.get("QWSEARCH_OUT_DIR")
     if out_dir and not os.path.isabs(out):
         out = os.path.join(out_dir, out)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(slices)
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 

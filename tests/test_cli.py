@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -309,6 +310,33 @@ def test_gamma_at_large_k_prints_the_correctly_rounded_sum(n, k):
     assert parse_csv(out.stdout)[0]["gamma_star"] == format(float(exact), ".17g")
 
 
+@pytest.mark.parametrize("target", ["stdout", "out"])
+def test_a_large_report_is_written_without_a_copy_of_it(target, tmp_path, monkeypatch):
+    # A text stream encodes each write whole; _write hands it slices, so its
+    # traced peak stays far below the report's size.
+    text = "é,0.10000000000000001\n" * 1_000_000
+    size = len(text.encode())
+    assert size >= 20 * 10**6
+    path = tmp_path / "report.csv"
+    tracemalloc.start()
+    try:
+        if target == "stdout":
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                monkeypatch.setattr(sys, "stdout", fh)
+                tracemalloc.reset_peak()
+                cli._write(text, None)
+                peak = tracemalloc.get_traced_memory()[1]
+                monkeypatch.undo()
+        else:
+            tracemalloc.reset_peak()
+            cli._write(text, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, peak
+    assert path.read_bytes() == text.encode()
+
+
 def test_usage_errors_exit_two():
     assert run("no-such-command").returncode == 2
     assert run("spectrum", "--n", "6").returncode == 2  # missing --k
@@ -521,7 +549,8 @@ def test_any_arguments_give_an_exit_code_and_no_nan(argv, capsys):
 @pytest.mark.parametrize("m", [0, 1, 4095, 4096, 4097, 8193])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_template_blocks_and_escaped_names(m, fmt):
-    # the template is joined from blocks of rows, and a column name may hold %
+    # rows past the array path's block size, spelled cell by cell, and column
+    # names holding % (once a template's format characters) as they are
     rows = [(0.1 * i, i, "x%s" if i % 2 else None) for i in range(m)]
     columns = ["t%", "100%d", "s"]
     assert cli.render(iter(rows), columns, fmt) == _spell_cell_by_cell(rows, columns, fmt)
