@@ -41,7 +41,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 _BLOCK = 4096  # rows per block of an array report
-_SLICE = 1 << 16  # characters per write: a text stream encodes each write whole
+_SLICE = 1 << 16  # characters per write of a report
 
 
 def _cell(value, fmt: str) -> str:
@@ -231,7 +231,8 @@ def _spell_array(a, columns, fmt: str) -> str:
 
 
 def _write(text: str, out):
-    # slice by slice, so the report is never encoded into one more copy
+    # A text stream encodes each write whole; slice by slice, the report is
+    # never encoded into one more copy.
     slices = (text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
     if out is None:
         sys.stdout.writelines(slices)

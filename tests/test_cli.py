@@ -549,8 +549,8 @@ def test_any_arguments_give_an_exit_code_and_no_nan(argv, capsys):
 @pytest.mark.parametrize("m", [0, 1, 4095, 4096, 4097, 8193])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_template_blocks_and_escaped_names(m, fmt):
-    # rows past the array path's block size, spelled cell by cell, and column
-    # names holding % (once a template's format characters) as they are
+    # more rows than an array report's block, spelled cell by cell, and
+    # column names holding % written as they are
     rows = [(0.1 * i, i, "x%s" if i % 2 else None) for i in range(m)]
     columns = ["t%", "100%d", "s"]
     assert cli.render(iter(rows), columns, fmt) == _spell_cell_by_cell(rows, columns, fmt)
