@@ -313,11 +313,12 @@ def cmd_sweep(args):
 
 
 def _n_list(text: str):
+    # An empty item is not an integer either: "100,,1000" is refused, not
+    # read as "100,1000".
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad n-list {text!r}") from exc
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

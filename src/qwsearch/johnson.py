@@ -22,11 +22,19 @@ consulted.  A handle holds (n, k) and the distance-class sizes, and each
 array is built when it is first read, so a caller that refuses the graph
 after the cap builds no array of size N.  The index carries the clique
 edges, the sorted flat positions of the off-diagonal nonzeros of A, built
-only when a dense builder first asks for them, so every dense matrix is
-one flat scatter into a fresh array owned by the caller, and the O(N k)
-users (vertex elements, distance partition, partition invariance) never
-build them.  The index is only the graph: what the full-space checks read
-for every vertex alike is kept per graph in :mod:`qwsearch.validation`.
+only when a dense builder first asks for them; the O(N k) users (vertex
+elements, distance partition, partition invariance) never build them.
+Every dense matrix is a scatter of the edges into one fresh N x N array
+owned by the caller.  Most of that build is the kernel zeroing the
+array's pages as the scatter first touches them, so an array of 32 MiB or
+more, in a process that may run on two CPUs or more, is scattered by two
+threads: the edges are split at the array's flat midpoint, and a helper
+thread writes the upper half while the caller writes the lower.  At the
+cap, J(14,6)'s 72 MB Hamiltonian then takes 7 ms instead of 10.  Smaller
+arrays, and every build under a one-CPU affinity, are scattered by the
+caller alone, where a second thread did not pay.  The index is only the
+graph: what the full-space checks read for every vertex alike is kept per
+graph in :mod:`qwsearch.validation`.
 
 The dense N x N objects built here (adjacency, search Hamiltonian) exist
 only as oracles for small instances, so they are guarded by a vertex cap;
@@ -39,6 +47,8 @@ numpy; the full space built here needs it.
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +59,18 @@ from .errors import CapacityError
 # Colex indices kept per process, least recently used dropped first.  A
 # caller cycling through more instances than this rebuilds each one.
 _INDEX_MEMO_SIZE = 8
+
+# Dense matrices of at least this many bytes are scattered by two threads
+# when the calling thread may run on two CPUs or more.  Most of such a
+# build is the kernel zeroing the fresh pages as the scatter first touches
+# them: J(14,6)'s 72 MB full_hamiltonian took 9.6 ms on one thread, of
+# which zeroing and touching its pages alone took 7.6-7.9 ms, and 6.9 ms
+# on two.  Below this size a split did not pay: J(12,5) 0.36 -> 0.62 ms,
+# J(13,6) 1.46 -> 1.59 ms and J(14,5) 2.2 -> 2.8 ms (23-32 MB, which glibc
+# serves from the heap and zeroes inside calloc).  Under a one-CPU
+# affinity it gained nothing at J(14,6) and lost up to 0.5 ms.  Measured
+# in process on a shared 2-vCPU x86_64 VM.
+_SPLIT_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -162,13 +184,53 @@ def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndar
 
 
 def _adjacency(index: _ColexIndex, weight: float = 1.0) -> np.ndarray:
-    # One flat scatter of ``weight`` on the edges into a fresh zero matrix,
+    # A flat scatter of ``weight`` on the edges into a fresh zero matrix,
     # so -gamma*A is written in the same pass; the diagonal stays +0.0.  A
-    # cold index builds its faces before A and its edges after it.
+    # cold index builds its faces before A and its edges after it.  From
+    # _SPLIT_BYTES on, with two CPUs or more, the edges are split at the
+    # flat midpoint: a helper thread scatters the upper half while the
+    # caller scatters the lower, then joins it and re-raises what it
+    # raised, so no half-written matrix is returned.  Both halves write the
+    # same weight to disjoint positions, so the bytes do not depend on the
+    # split.
     n_vert = len(index.faces)
     a = np.zeros((n_vert, n_vert), dtype=np.float64)
-    a.reshape(-1)[index.edges] = weight
+    flat = a.reshape(-1)
+    edges = index.edges
+    if a.nbytes < _SPLIT_BYTES or _usable_cpus() < 2:
+        _scatter(flat, edges, weight)
+        return a
+    mid = int(np.searchsorted(edges, flat.size // 2))
+    raised = []
+
+    def upper_half():
+        try:
+            _scatter(flat, edges[mid:], weight)
+        except BaseException as exc:  # re-raised by the caller below
+            raised.append(exc)
+
+    helper = threading.Thread(target=upper_half, name="qwsearch-scatter")
+    helper.start()
+    try:
+        _scatter(flat, edges[:mid], weight)
+    finally:
+        helper.join()
+    if raised:
+        raise raised[0]
     return a
+
+
+def _scatter(flat: np.ndarray, positions: np.ndarray, weight: float) -> None:
+    # numpy releases the GIL in the scatter's loop, so two of them overlap.
+    flat[positions] = weight
+
+
+def _usable_cpus() -> int:
+    # The CPUs this thread may run on, which is what a helper inherits.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity outside Linux
+        return os.cpu_count() or 1
 
 
 def adjacency_matrix(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:
@@ -238,8 +300,8 @@ def full_hamiltonian(
 
     The coupling and the marked vertex are checked before anything is
     built, and H is written in one pass: -gamma on the edges by the
-    adjacency's flat scatter, then -1 at [w, w].  The call allocates one
-    N x N array, and the zeros of H are +0.0.
+    adjacency's scatter, then -1 at [w, w].  The call allocates one N x N
+    array, and the zeros of H are +0.0.
     """
     gamma = _check_coupling(params, gamma)
     w = _int(w, "marked vertex w", 0, params.num_vertices - 1)

@@ -215,6 +215,13 @@ def test_sweep_empty_n_list():
     assert run("sweep", "--k", "2", "--n-list", "").returncode == 2
 
 
+@pytest.mark.parametrize("n_list", ["100,,1000", ",100", "100,", "100, ,1000"])
+def test_sweep_refuses_an_empty_n_list_item(n_list):
+    out = run("sweep", "--k", "3", "--n-list", n_list)
+    assert out.returncode == 2 and out.stdout == b""
+    assert b"bad n-list" in out.stderr
+
+
 def test_sweep_byte_identical_across_runs_and_jobs():
     first = run("sweep", "--k", "3", "--n-list", "100,1000", "--format", "json")
     second = run("sweep", "--k", "3", "--n-list", "100,1000", "--format", "json")
