@@ -27,12 +27,11 @@ elements, distance partition, partition invariance) never build them.
 Every dense matrix is a scatter of the edges into one fresh N x N array
 owned by the caller.  Most of that build is the kernel zeroing the
 array's pages as the scatter first touches them, so an array of 32 MiB or
-more, in a process that may run on two CPUs or more, is scattered by two
-threads: the edges are split at the array's flat midpoint, and a helper
-thread writes the upper half while the caller writes the lower.  At the
-cap, J(14,6)'s 72 MB Hamiltonian then takes 7 ms instead of 10.  Smaller
-arrays, and every build under a one-CPU affinity, are scattered by the
-caller alone, where a second thread did not pay.  The index is only the
+more is scattered by two threads: the edges are split at the array's flat
+midpoint, and a helper thread writes the upper half while the caller
+writes the lower.  At the cap, J(14,6)'s 72 MB Hamiltonian then takes 7 ms
+instead of 10.  Smaller arrays are scattered by the caller alone, where a
+second thread did not pay.  The index is only the
 graph: what the full-space checks read for every vertex alike is kept per
 graph in :mod:`qwsearch.validation`.
 
@@ -47,7 +46,6 @@ numpy; the full space built here needs it.
 import functools
 import itertools
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -60,16 +58,14 @@ from .errors import CapacityError
 # caller cycling through more instances than this rebuilds each one.
 _INDEX_MEMO_SIZE = 8
 
-# Dense matrices of at least this many bytes are scattered by two threads
-# when the calling thread may run on two CPUs or more.  Most of such a
-# build is the kernel zeroing the fresh pages as the scatter first touches
-# them: J(14,6)'s 72 MB full_hamiltonian took 9.6 ms on one thread, of
+# Dense matrices of at least this many bytes are scattered by two threads.
+# Most of such a build is the kernel zeroing the fresh pages as the scatter
+# first touches them: J(14,6)'s 72 MB full_hamiltonian took 9.6 ms on one thread, of
 # which zeroing and touching its pages alone took 7.6-7.9 ms, and 6.9 ms
 # on two.  Below this size a split did not pay: J(12,5) 0.36 -> 0.62 ms,
 # J(13,6) 1.46 -> 1.59 ms and J(14,5) 2.2 -> 2.8 ms (23-32 MB, which glibc
-# serves from the heap and zeroes inside calloc).  Under a one-CPU
-# affinity it gained nothing at J(14,6) and lost up to 0.5 ms.  Measured
-# in process on a shared 2-vCPU x86_64 VM.
+# serves from the heap and zeroes inside calloc).  Measured in process on
+# a shared 2-vCPU x86_64 VM.
 _SPLIT_BYTES = 32 << 20
 
 
@@ -187,17 +183,16 @@ def _adjacency(index: _ColexIndex, weight: float = 1.0) -> np.ndarray:
     # A flat scatter of ``weight`` on the edges into a fresh zero matrix,
     # so -gamma*A is written in the same pass; the diagonal stays +0.0.  A
     # cold index builds its faces before A and its edges after it.  From
-    # _SPLIT_BYTES on, with two CPUs or more, the edges are split at the
-    # flat midpoint: a helper thread scatters the upper half while the
-    # caller scatters the lower, then joins it and re-raises what it
-    # raised, so no half-written matrix is returned.  Both halves write the
-    # same weight to disjoint positions, so the bytes do not depend on the
-    # split.
+    # _SPLIT_BYTES on, the edges are split at the flat midpoint: a helper
+    # thread scatters the upper half while the caller scatters the lower,
+    # then joins it and re-raises what it raised, so no half-written matrix
+    # is returned.  Both halves write the same weight to disjoint
+    # positions, so the bytes do not depend on the split.
     n_vert = len(index.faces)
     a = np.zeros((n_vert, n_vert), dtype=np.float64)
     flat = a.reshape(-1)
     edges = index.edges
-    if a.nbytes < _SPLIT_BYTES or _usable_cpus() < 2:
+    if a.nbytes < _SPLIT_BYTES:
         _scatter(flat, edges, weight)
         return a
     mid = int(np.searchsorted(edges, flat.size // 2))
@@ -223,14 +218,6 @@ def _adjacency(index: _ColexIndex, weight: float = 1.0) -> np.ndarray:
 def _scatter(flat: np.ndarray, positions: np.ndarray, weight: float) -> None:
     # numpy releases the GIL in the scatter's loop, so two of them overlap.
     flat[positions] = weight
-
-
-def _usable_cpus() -> int:
-    # The CPUs this thread may run on, which is what a helper inherits.
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity outside Linux
-        return os.cpu_count() or 1
 
 
 def adjacency_matrix(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 import threading
 import tracemalloc
 
@@ -297,7 +296,6 @@ def test_the_split_scatter_writes_the_single_scatters_bytes(monkeypatch, n, k, w
     params = qw.GraphParams(n, k)
     caller = threading.current_thread()
     threads = record_scatters(monkeypatch)
-    monkeypatch.setattr(johnson, "_usable_cpus", lambda: 2)
     for build in (
         lambda: qw.adjacency_matrix(params),
         lambda: qw.full_hamiltonian(params, 0.1075, w),
@@ -326,7 +324,6 @@ def test_an_error_in_either_half_reaches_the_caller_after_the_join(monkeypatch, 
 
     monkeypatch.setattr(johnson, "_scatter", failing)
     monkeypatch.setattr(johnson, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(johnson, "_usable_cpus", lambda: 2)
     with pytest.raises(MemoryError, match=raiser):
         qw.full_hamiltonian(qw.GraphParams(9, 4), 0.5, 3)
     helpers = [t for t in threads if t is not caller]
@@ -335,10 +332,9 @@ def test_an_error_in_either_half_reaches_the_caller_after_the_join(monkeypatch, 
 
 
 def test_the_split_path_keeps_the_dense_contracts(monkeypatch):
-    # J(14,6)'s 72 MB is above the size rule, so two CPUs split every build
+    # J(14,6)'s 72 MB is above the size rule, so every build is split
     caller = threading.current_thread()
     threads = record_scatters(monkeypatch)
-    monkeypatch.setattr(johnson, "_usable_cpus", lambda: 2)
     test_full_hamiltonian_allocates_one_matrix()
     assert_dense_builders_match_the_clique_scatter(14, 6, 0.1075, 1500)
     assert len(threads) == 10 and threads.count(caller) == 5
@@ -348,24 +344,8 @@ def test_below_the_size_rule_one_thread_scatters(monkeypatch):
     params = qw.GraphParams(14, 5)  # 32.1 MB, under 32 MiB
     assert 8 * params.num_vertices**2 < johnson._SPLIT_BYTES
     threads = record_scatters(monkeypatch)
-    monkeypatch.setattr(johnson, "_usable_cpus", lambda: 2)
     qw.full_hamiltonian(params, 0.5, 0)
     assert threads == [threading.current_thread()]
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
-def test_one_cpu_scatters_on_the_calling_thread(monkeypatch):
-    params = qw.GraphParams(14, 6)
-    threads = record_scatters(monkeypatch)
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        assert johnson._usable_cpus() == 1
-        h = qw.full_hamiltonian(params, 0.1075, 1500)
-    finally:
-        os.sched_setaffinity(0, cpus)
-    assert threads == [threading.current_thread()]
-    assert np.count_nonzero(h) == params.num_vertices * params.degree + 1
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (11, 1), (12, 1), (6, 3), (9, 4), (14, 6)])
