@@ -1,3 +1,5 @@
+import errno
+import gc
 import json
 import math
 import os
@@ -347,6 +349,86 @@ def test_a_large_report_is_written_without_a_copy_of_it(target, tmp_path, monkey
 def test_usage_errors_exit_two():
     assert run("no-such-command").returncode == 2
     assert run("spectrum", "--n", "6").returncode == 2  # missing --k
+
+
+def _child_env(unbuffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_pipe_exits_two_with_one_line(unbuffered):
+    # The report (about 4 MB) outgrows the pipe, so the child writes into a
+    # pipe whose reader is gone.
+    proc = subprocess.Popen(CMD + ["scan", "--n", "6", "--k", "3", "--m", "100001"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env(unbuffered))
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        err = proc.stderr.read()
+        proc.stderr.close()
+    assert (code, err) == (2, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n".encode())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_full_stdout_device_exits_two_with_one_line(unbuffered):
+    with open("/dev/full", "wb") as full:
+        out = subprocess.run(CMD + ["spectrum", "--n", "100", "--k", "3"], stdout=full,
+                             stderr=subprocess.PIPE, env=_child_env(unbuffered), timeout=120)
+    expected = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n".encode()
+    assert (out.returncode, out.stderr) == (2, expected)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "6", "--k", "3"],
+    ["spectrum", "--n", "3", "--k", "2"],
+    ["simulate", "--n", "10", "--k", "3", "--gamma", "1e-200"],
+    ["scan", "--n", "6", "--k", "3", "--m", "5000"],
+], ids=lambda argv: " ".join(argv[:5]))
+def test_main_leaves_the_collector_as_it_finds_it(argv, enabled, capsys):
+    # Only run(), the process entry point, disables and freezes the collector.
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    if not enabled:
+        gc.disable()
+    try:
+        cli.main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--n", "6", "--k", "3"], 0),
+    (["spectrum", "--n", "3", "--k", "2"], 2),
+    (["simulate", "--n", "10", "--k", "3", "--gamma", "1e-200"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_run_is_what_python_m_qwsearch_runs(argv, code):
+    module = run(*argv)
+    entry = subprocess.run([sys.executable, "-c", "from qwsearch import cli; cli.run()", *argv],
+                           capture_output=True, env=_child_env(True), timeout=120)
+    assert (entry.returncode, entry.stdout, entry.stderr) == (
+        module.returncode, module.stdout, module.stderr)
+    assert module.returncode == code and bool(module.stdout) == (code == 0)
+
+
+def test_the_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    with open(path, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"qwsearch": "qwsearch.cli:run"}
 
 
 def test_render_spells_every_cell_type():
