@@ -12,9 +12,9 @@ spelled by numpy arithmetic in blocks of rows, byte for byte as
 
 Exit codes: 0 success, 1 a validation check failed, 2 usage or domain
 error, 3 numerical failure.  Among the domain errors: a report that cannot
-be written to stdout or ``--out`` (a closed pipe, a full device); a C(n,k) beyond
-binary64, refused at once however large n and k are; a time t whose phase
-bound (gamma*k(n-k) + 1)*t overflows; a run time that overflows
+be written to stdout or ``--out`` (a closed pipe, a full device); a C(n,k)
+beyond binary64, refused at once however large n and k are; a time t whose
+phase bound (gamma*k(n-k) + 1)*t overflows; a run time that overflows
 binary64 (at every n from k = 171, and from n = 4176 at k = 170); and a
 dense build that does not fit in memory, such as ``validate --n 2000 --k 2
 --full-cap 2000000``, whose N x N adjacency would take 29 TiB
@@ -409,15 +409,17 @@ def main(argv=None) -> int:
 def run():
     """Run ``main`` on the process's arguments and exit with its code.
 
-    A CLI process runs without the cyclic garbage collector: every object
-    it makes lives until the exit, which releases them all, so automatic
-    collections during the command and the interpreter's final collections
-    over numpy's and the package's objects are pure cost (12-27 ms of a
-    100-230 ms command).  The collector is disabled before ``main`` and what
-    is left is frozen after it, whatever way it ends; the exit itself is
+    The entry point of ``python -m qwsearch`` and of the ``qwsearch``
+    script.  A CLI process runs without the cyclic garbage collector: its
+    exit releases every object it made, so the automatic collections during
+    the command and the interpreter's final collections over numpy's and the
+    package's objects only cost time (11-30 ms of a 90-300 ms command, with
+    the peak RSS of the largest commands within 0.3 MB either way,
+    ``BENCH_lifecycle.json``).  The collector is disabled before ``main``
+    and what is left is frozen after it, however ``main`` ends; the exit is
     ``sys.exit``, so ``finally`` blocks, ``atexit`` and the last flush of
-    stdout run as before.  ``main`` called in process does not touch the
-    collector.
+    stdout run as before.  ``main`` called in process leaves the collector
+    as it finds it.
     """
     gc.disable()
     try:
