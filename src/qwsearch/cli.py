@@ -11,8 +11,10 @@ spelled by numpy arithmetic in blocks of rows, byte for byte as
 ``_cell`` spells them, with no Python float per sample.
 
 Exit codes: 0 success, 1 a validation check failed, 2 usage or domain
-error, 3 numerical failure.  Among the domain errors: a report that cannot
-be written to stdout or ``--out`` (a closed pipe, a full device); a C(n,k)
+error, 3 numerical failure.  Among the domain errors: a report or the
+``--help`` text that cannot be written to stdout (a closed pipe, a stdout
+closed at start-up, a full device) and a report that cannot be written to
+``--out``; a C(n,k)
 beyond binary64, refused at once however large n and k are; a time t whose
 phase bound (gamma*k(n-k) + 1)*t overflows; a run time that overflows
 binary64 (at every n from k = 171, and from n = 4176 at k = 170); and a
@@ -34,6 +36,7 @@ it.
 """
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -244,6 +247,8 @@ def _write(text: str, out):
     # never encoded into one more copy.
     slices = (text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
     if out is None:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise DomainError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
         try:
             sys.stdout.writelines(slices)
             sys.stdout.flush()
@@ -339,8 +344,18 @@ def _n_list(text: str):
         raise argparse.ArgumentTypeError(f"bad n-list {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops an OSError while it prints the help, and exits 0 with
+    # the help lost: the help is a report like any other, written by _write.
+    def print_help(self, file=None):
+        if file is None:
+            _write(self.format_help(), None)
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwsearch",
         description="Quantum-walk spatial search on Johnson graphs J(n,k)",
     )
@@ -393,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         columns, rows, code = args.func(args)
         _write(render(rows, columns, args.format), args.out)
     except (DomainError, MemoryError) as exc:

@@ -46,6 +46,7 @@ numpy; the full space built here needs it.
 import functools
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ from .errors import CapacityError
 # Colex indices kept per process, least recently used dropped first.  A
 # caller cycling through more instances than this rebuilds each one.
 _INDEX_MEMO_SIZE = 8
+
+_ZERO_BYTES = 8 << 20
 
 # Dense matrices of at least this many bytes are scattered by two threads.
 # Most of such a build is the kernel zeroing the fresh pages as the scatter
@@ -182,42 +185,72 @@ def vertex_elements(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndar
 def _adjacency(index: _ColexIndex, weight: float = 1.0) -> np.ndarray:
     # A flat scatter of ``weight`` on the edges into a fresh zero matrix,
     # so -gamma*A is written in the same pass; the diagonal stays +0.0.  A
-    # cold index builds its faces before A and its edges after it.  From
-    # _SPLIT_BYTES on, the edges are split at the flat midpoint: a helper
-    # thread scatters the upper half while the caller scatters the lower,
-    # then joins it and re-raises what it raised, so no half-written matrix
-    # is returned.  Both halves write the same weight to disjoint
-    # positions, so the bytes do not depend on the split.
+    # cold index builds its faces before A and its edges after it.  Below
+    # _ZERO_BYTES, or with one usable CPU, the caller scatters into
+    # np.zeros alone.  Above it the array is split at its flat midpoint
+    # (_split_scatter); between _ZERO_BYTES and _SPLIT_BYTES it is left
+    # unzeroed by np.empty, and each thread zeroes its own half first.
     n_vert = len(index.faces)
-    a = np.zeros((n_vert, n_vert), dtype=np.float64)
-    flat = a.reshape(-1)
-    edges = index.edges
-    if a.nbytes < _SPLIT_BYTES:
-        _scatter(flat, edges, weight)
+    shape = (n_vert, n_vert)
+    nbytes = 8 * n_vert * n_vert
+    if nbytes < _ZERO_BYTES or _usable_cpus() < 2:
+        a = np.zeros(shape, dtype=np.float64)
+        _scatter(a.reshape(-1), index.edges, weight)
         return a
-    mid = int(np.searchsorted(edges, flat.size // 2))
+    zero = nbytes < _SPLIT_BYTES
+    a = (np.empty if zero else np.zeros)(shape, dtype=np.float64)
+    _split_scatter(a.reshape(-1), index.edges, weight, zero)
+    return a
+
+
+def _split_scatter(flat: np.ndarray, edges: np.ndarray, weight: float, zero: bool) -> None:
+    # The edges are split at the flat midpoint: a helper thread writes the
+    # upper half of ``flat`` while the caller writes the lower, each zeroing
+    # its own half first when ``zero`` is set.  The caller joins the helper
+    # and re-raises what it raised, so no half-written matrix is returned.
+    # Both halves write the same values to disjoint positions, so the bytes
+    # do not depend on the split.
+    half = flat.size // 2
+    mid = int(np.searchsorted(edges, half))
     raised = []
+
+    def write(part, positions):
+        if zero:
+            _zero(part)
+        _scatter(flat, positions, weight)
 
     def upper_half():
         try:
-            _scatter(flat, edges[mid:], weight)
+            write(flat[half:], edges[mid:])
         except BaseException as exc:  # re-raised by the caller below
             raised.append(exc)
 
     helper = threading.Thread(target=upper_half, name="qwsearch-scatter")
     helper.start()
     try:
-        _scatter(flat, edges[:mid], weight)
+        write(flat[:half], edges[:mid])
     finally:
         helper.join()
     if raised:
         raise raised[0]
-    return a
+
+
+def _zero(part: np.ndarray) -> None:
+    # numpy releases the GIL in the fill, so two of them overlap.
+    part.fill(0.0)
 
 
 def _scatter(flat: np.ndarray, positions: np.ndarray, weight: float) -> None:
     # numpy releases the GIL in the scatter's loop, so two of them overlap.
     flat[positions] = weight
+
+
+def _usable_cpus() -> int:
+    # The CPUs this thread may run on, which is what a helper inherits.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity outside Linux
+        return os.cpu_count() or 1
 
 
 def adjacency_matrix(params: GraphParams, cap: int = DEFAULT_FULL_CAP) -> np.ndarray:

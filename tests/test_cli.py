@@ -388,6 +388,36 @@ def test_a_full_stdout_device_exits_two_with_one_line(unbuffered):
     assert (out.returncode, out.stderr) == (2, expected)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]], ids=" ".join)
+def test_help_on_a_full_stdout_device_exits_two_with_one_line(argv, unbuffered):
+    # argparse alone would drop the write error and exit 0
+    with open("/dev/full", "wb") as full:
+        out = subprocess.run(CMD + argv, stdout=full, stderr=subprocess.PIPE,
+                             env=_child_env(unbuffered), timeout=120)
+    expected = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n".encode()
+    assert (out.returncode, out.stderr) == (2, expected)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="starts a child without fd 1")
+@pytest.mark.parametrize("argv", [["spectrum", "--n", "6", "--k", "3"], ["--help"]],
+                         ids=" ".join)
+def test_a_closed_stdout_exits_two_with_one_line(argv):
+    # With fd 1 closed at start-up, sys.stdout is None in the child.
+    out = subprocess.run(CMD + argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                         env=_child_env(False), timeout=120, preexec_fn=lambda: os.close(1))
+    expected = f"error: cannot write stdout: {os.strerror(errno.EBADF)}\n".encode()
+    assert (out.returncode, out.stderr) == (2, expected)
+
+
+def test_help_is_written_to_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (0, cli.build_parser().format_help(), "")
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--n", "6", "--k", "3"],

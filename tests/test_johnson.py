@@ -192,9 +192,9 @@ def test_class_image_from_the_faces_is_the_dense_product(n, k, w):
     assert np.array_equal(image, indicators @ qw.adjacency_matrix(params).T)
 
 
-def test_full_hamiltonian_allocates_one_matrix():
+def assert_full_hamiltonian_allocates_one_matrix(n, k):
     # -gamma is written by the clique scatter itself: no second pass, no copy
-    params = qw.GraphParams(14, 6)
+    params = qw.GraphParams(n, k)
     gamma = qw.gamma_star(params)
     qw.full_hamiltonian(params, gamma, 100)  # warm-up: first-call caches are not counted
     tracemalloc.start()
@@ -207,6 +207,11 @@ def test_full_hamiltonian_allocates_one_matrix():
     expected = -gamma * qw.adjacency_matrix(params)
     expected[100, 100] -= 1.0
     assert np.array_equal(h, expected)
+
+
+@pytest.mark.parametrize("n,k", [(13, 6), (14, 6)])  # 23.6 MB and 72.1 MB
+def test_full_hamiltonian_allocates_one_matrix(n, k):
+    assert_full_hamiltonian_allocates_one_matrix(n, k)
 
 
 def test_full_hamiltonian_k2():
@@ -291,8 +296,18 @@ def record_scatters(monkeypatch):
     return threads
 
 
+def force_regime(monkeypatch, regime, cpus=2):
+    """Every build below in one of _adjacency's three regimes, at any size."""
+    huge = 1 << 62
+    zero_bytes, split_bytes = {"single": (huge, huge), "band": (0, huge), "split": (0, 0)}[regime]
+    monkeypatch.setattr(johnson, "_ZERO_BYTES", zero_bytes)
+    monkeypatch.setattr(johnson, "_SPLIT_BYTES", split_bytes)
+    monkeypatch.setattr(johnson, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("regime", ["band", "split"])
 @pytest.mark.parametrize("n,k,w", [(6, 3, 7), (9, 4, 100), (16, 3, 559), (3003, 1, 1234)])
-def test_the_split_scatter_writes_the_single_scatters_bytes(monkeypatch, n, k, w):
+def test_the_split_scatter_writes_the_single_scatters_bytes(monkeypatch, n, k, w, regime):
     params = qw.GraphParams(n, k)
     caller = threading.current_thread()
     threads = record_scatters(monkeypatch)
@@ -300,10 +315,10 @@ def test_the_split_scatter_writes_the_single_scatters_bytes(monkeypatch, n, k, w
         lambda: qw.adjacency_matrix(params),
         lambda: qw.full_hamiltonian(params, 0.1075, w),
     ):
-        monkeypatch.setattr(johnson, "_SPLIT_BYTES", 8 * params.num_vertices**2 + 1)
+        force_regime(monkeypatch, "single")
         single = build().tobytes()
         assert threads == [caller]
-        monkeypatch.setattr(johnson, "_SPLIT_BYTES", 0)
+        force_regime(monkeypatch, regime)
         split = build()
         assert len(threads) == 3 and threads[1:].count(caller) == 1
         assert split.tobytes() == single  # +0.0 zeros and -1 at [w, w] included
@@ -311,41 +326,88 @@ def test_the_split_scatter_writes_the_single_scatters_bytes(monkeypatch, n, k, w
     assert split[w, w] == -1.0 and not np.signbit(split[split == 0.0]).any()
 
 
+@pytest.mark.parametrize("n,k,w", [(9, 4, 100), (16, 3, 559), (13, 6, 1000), (3003, 1, 1234)])
+def test_the_band_zeroes_memory_that_is_not_zero(monkeypatch, n, k, w):
+    # Fresh pages read zero anyway; an allocation that hands back used
+    # memory, here filled with NaN, shows a half that was never zeroed.
+    params = qw.GraphParams(n, k)
+    force_regime(monkeypatch, "single")
+    single = qw.full_hamiltonian(params, 0.1075, w).tobytes()
+    empty = np.empty
+
+    def dirty_empty(shape, dtype=float, *args, **kwargs):
+        a = empty(shape, dtype, *args, **kwargs)
+        a.fill(np.nan)
+        return a
+
+    monkeypatch.setattr(np, "empty", dirty_empty)
+    force_regime(monkeypatch, "band")
+    assert qw.full_hamiltonian(params, 0.1075, w).tobytes() == single
+
+
+@pytest.mark.parametrize("stage", ["zero", "scatter"])
 @pytest.mark.parametrize("raiser", ["helper", "caller"])
-def test_an_error_in_either_half_reaches_the_caller_after_the_join(monkeypatch, raiser):
+def test_an_error_in_either_half_reaches_the_caller_after_the_join(monkeypatch, raiser, stage):
     caller = threading.current_thread()
     threads = record_scatters(monkeypatch)
-    scatter = johnson._scatter
+    name = "_" + stage
+    original = getattr(johnson, name)
 
-    def failing(flat, positions, weight):
-        scatter(flat, positions, weight)
+    def failing(*args):
+        original(*args)
         if (threading.current_thread() is caller) == (raiser == "caller"):
             raise MemoryError(raiser)
 
-    monkeypatch.setattr(johnson, "_scatter", failing)
-    monkeypatch.setattr(johnson, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(johnson, name, failing)
+    force_regime(monkeypatch, "band")
     with pytest.raises(MemoryError, match=raiser):
         qw.full_hamiltonian(qw.GraphParams(9, 4), 0.5, 3)
     helpers = [t for t in threads if t is not caller]
-    assert len(threads) == 2 and len(helpers) == 1
-    assert not helpers[0].is_alive()
+    # a half whose zeroing failed is never scattered
+    assert len(threads) == (2 if stage == "scatter" else 1)
+    assert len(helpers) == (1 if stage == "scatter" or raiser == "caller" else 0)
+    assert not any(t.is_alive() for t in threading.enumerate() if t.name == "qwsearch-scatter")
 
 
-def test_the_split_path_keeps_the_dense_contracts(monkeypatch):
-    # J(14,6)'s 72 MB is above the size rule, so every build is split
+@pytest.mark.parametrize("n,k", [(13, 6), (14, 6)])  # the band and the split
+def test_the_split_paths_keep_the_dense_contracts(monkeypatch, n, k):
+    # 23.6 MB and 72.1 MB are above _ZERO_BYTES, so with two CPUs every
+    # build is split
+    monkeypatch.setattr(johnson, "_usable_cpus", lambda: 2)
     caller = threading.current_thread()
     threads = record_scatters(monkeypatch)
-    test_full_hamiltonian_allocates_one_matrix()
-    assert_dense_builders_match_the_clique_scatter(14, 6, 0.1075, 1500)
+    assert_full_hamiltonian_allocates_one_matrix(n, k)
+    assert_dense_builders_match_the_clique_scatter(n, k, 0.1075, 1500)
     assert len(threads) == 10 and threads.count(caller) == 5
 
 
 def test_below_the_size_rule_one_thread_scatters(monkeypatch):
-    params = qw.GraphParams(14, 5)  # 32.1 MB, under 32 MiB
-    assert 8 * params.num_vertices**2 < johnson._SPLIT_BYTES
+    params = qw.GraphParams(12, 5)  # 5.0 MB
+    assert 8 * params.num_vertices**2 < johnson._ZERO_BYTES
+    monkeypatch.setattr(johnson, "_usable_cpus", lambda: 2)
     threads = record_scatters(monkeypatch)
     qw.full_hamiltonian(params, 0.5, 0)
     assert threads == [threading.current_thread()]
+
+
+@pytest.mark.parametrize("n,k", [(13, 6), (14, 6)])
+def test_one_usable_cpu_scatters_on_the_caller_into_zeros(monkeypatch, n, k):
+    params = qw.GraphParams(n, k)
+    monkeypatch.setattr(johnson, "_usable_cpus", lambda: 1)
+    threads = record_scatters(monkeypatch)
+    monkeypatch.setattr(johnson, "_zero", None)  # never called
+    h = qw.full_hamiltonian(params, 0.5, 0)
+    assert threads == [threading.current_thread()]
+    monkeypatch.undo()
+    assert h.tobytes() == qw.full_hamiltonian(params, 0.5, 0).tobytes()
+
+
+def test_the_helper_runs_only_with_two_usable_cpus(monkeypatch):
+    # Unpatched: a process held to one CPU (taskset -c 0) builds on the caller.
+    threads = record_scatters(monkeypatch)
+    qw.full_hamiltonian(qw.GraphParams(13, 6), 0.5, 0)
+    two = johnson._usable_cpus() >= 2
+    assert len(threads) == (2 if two else 1)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (11, 1), (12, 1), (6, 3), (9, 4), (14, 6)])
