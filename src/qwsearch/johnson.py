@@ -25,13 +25,21 @@ edges, the sorted flat positions of the off-diagonal nonzeros of A, built
 only when a dense builder first asks for them; the O(N k) users (vertex
 elements, distance partition, partition invariance) never build them.
 Every dense matrix is a scatter of the edges into one fresh N x N array
-owned by the caller.  Most of that build is the kernel zeroing the
-array's pages as the scatter first touches them, so an array of 32 MiB or
-more is scattered by two threads: the edges are split at the array's flat
-midpoint, and a helper thread writes the upper half while the caller
-writes the lower.  At the cap, J(14,6)'s 72 MB Hamiltonian then takes 7 ms
-instead of 10.  Smaller arrays are scattered by the caller alone, where a
-second thread did not pay.  The index is only the
+owned by the caller, and most of that build is zeroing the array.  From
+32 MiB, glibc's largest mmap threshold on 64-bit, the array is always
+fresh pages that the kernel zeroes as the scatter first touches them;
+below that, once a first array of its size has been freed, glibc serves
+it from the heap, and calloc zeroes it with one serial memset.  So, with
+two usable CPUs, the edges of an array of 6 MiB or more are split at its
+flat midpoint, and a helper thread writes the upper half while the caller
+writes the lower: from 32 MiB into np.zeros, which shares the kernel's
+page zeroing between the threads, and from 6 MiB into np.empty, each
+thread zeroing its own half before it scatters, which shares the memset.
+In process, J(14,6)'s 72 MB Hamiltonian takes 6.8 ms instead of 11, and
+J(13,6)'s 23.6 MB one 1.0 ms instead of 1.5.  Smaller arrays, where a second
+thread costs more than it saves, and every array in a process held to one
+CPU, where two threads cannot overlap, are zeroed and scattered by the
+caller alone.  The index is only the
 graph: what the full-space checks read for every vertex alike is kept per
 graph in :mod:`qwsearch.validation`.
 
@@ -59,16 +67,25 @@ from .errors import CapacityError
 # caller cycling through more instances than this rebuilds each one.
 _INDEX_MEMO_SIZE = 8
 
-_ZERO_BYTES = 8 << 20
+# Dense matrices of at least this many bytes are built by two threads when
+# the process may run on two CPUs; below it a second thread costs more than
+# it saves.  Median ms of full_hamiltonian in process, the caller alone
+# into np.zeros -> two threads each zeroing its half of np.empty first:
+# J(12,5) 5.0 MB 0.34 -> 0.42, J(18,3) 5.3 MB 0.43 -> 0.41, J(12,6) 6.8 MB
+# 0.49 -> 0.46, J(19,3) 7.5 MB 0.55 -> 0.51, J(13,6) 23.6 MB 1.51 -> 1.00
+# and J(14,5) 32.1 MB 2.48 -> 1.93.  Under a one-CPU affinity, where the
+# two threads cannot overlap, the split lost at every size (J(13,6) 1.96
+# -> 4.60).  Measured on a shared 2-vCPU x86_64 VM (BENCH_zeroing.json).
+_ZERO_BYTES = 6 << 20
 
-# Dense matrices of at least this many bytes are scattered by two threads.
-# Most of such a build is the kernel zeroing the fresh pages as the scatter
-# first touches them: J(14,6)'s 72 MB full_hamiltonian took 9.6 ms on one thread, of
-# which zeroing and touching its pages alone took 7.6-7.9 ms, and 6.9 ms
-# on two.  Below this size a split did not pay: J(12,5) 0.36 -> 0.62 ms,
-# J(13,6) 1.46 -> 1.59 ms and J(14,5) 2.2 -> 2.8 ms (23-32 MB, which glibc
-# serves from the heap and zeroes inside calloc).  Measured in process on
-# a shared 2-vCPU x86_64 VM.
+# From this size, glibc's largest mmap threshold on 64-bit, every array is
+# fresh mmap pages that the kernel zeroes as they are first touched, so it
+# comes from np.zeros and the two threads only scatter: zeroing it in the
+# threads as well would write every page twice (J(14,6), 72 MB: 6.8 ms
+# split into np.zeros, 9.5 into np.empty, 11.1 on one thread).  Below it,
+# once an array of its size has been freed, glibc serves the array from
+# its heap, and calloc zeroes it with one serial memset on the calling
+# thread, which np.empty and the threads' own zeroing share out instead.
 _SPLIT_BYTES = 32 << 20
 
 
