@@ -329,15 +329,16 @@ def test_the_split_scatter_writes_the_single_scatters_bytes(monkeypatch, n, k, w
 @pytest.mark.parametrize("n,k,w", [(9, 4, 100), (16, 3, 559), (13, 6, 1000), (3003, 1, 1234)])
 def test_the_band_zeroes_memory_that_is_not_zero(monkeypatch, n, k, w):
     # Fresh pages read zero anyway; an allocation that hands back used
-    # memory, here filled with NaN, shows a half that was never zeroed.
+    # memory, here all bytes 0xff (a NaN in float64), shows a half that was
+    # never zeroed.
     params = qw.GraphParams(n, k)
     force_regime(monkeypatch, "single")
     single = qw.full_hamiltonian(params, 0.1075, w).tobytes()
     empty = np.empty
 
-    def dirty_empty(shape, dtype=float, *args, **kwargs):
-        a = empty(shape, dtype, *args, **kwargs)
-        a.fill(np.nan)
+    def dirty_empty(*args, **kwargs):
+        a = empty(*args, **kwargs)
+        a.reshape(-1).view(np.uint8).fill(0xFF)
         return a
 
     monkeypatch.setattr(np, "empty", dirty_empty)
