@@ -209,9 +209,9 @@ def assert_full_hamiltonian_allocates_one_matrix(n, k):
     assert np.array_equal(h, expected)
 
 
-@pytest.mark.parametrize("n,k", [(13, 6), (14, 6)])  # 23.6 MB and 72.1 MB
-def test_full_hamiltonian_allocates_one_matrix(n, k):
-    assert_full_hamiltonian_allocates_one_matrix(n, k)
+def test_full_hamiltonian_allocates_one_matrix():
+    assert_full_hamiltonian_allocates_one_matrix(13, 6)  # 23.6 MB, from np.empty
+    assert_full_hamiltonian_allocates_one_matrix(14, 6)  # 72.1 MB, from np.zeros
 
 
 def test_full_hamiltonian_k2():
@@ -305,16 +305,15 @@ def force_regime(monkeypatch, regime, cpus=2):
     monkeypatch.setattr(johnson, "_usable_cpus", lambda: cpus)
 
 
-@pytest.mark.parametrize("regime", ["band", "split"])
 @pytest.mark.parametrize("n,k,w", [(6, 3, 7), (9, 4, 100), (16, 3, 559), (3003, 1, 1234)])
-def test_the_split_scatter_writes_the_single_scatters_bytes(monkeypatch, n, k, w, regime):
+def test_the_split_scatter_writes_the_single_scatters_bytes(monkeypatch, n, k, w):
     params = qw.GraphParams(n, k)
     caller = threading.current_thread()
     threads = record_scatters(monkeypatch)
-    for build in (
+    for regime, build in itertools.product(("band", "split"), (
         lambda: qw.adjacency_matrix(params),
         lambda: qw.full_hamiltonian(params, 0.1075, w),
-    ):
+    )):
         force_regime(monkeypatch, "single")
         single = build().tobytes()
         assert threads == [caller]
@@ -346,40 +345,43 @@ def test_the_band_zeroes_memory_that_is_not_zero(monkeypatch, n, k, w):
     assert qw.full_hamiltonian(params, 0.1075, w).tobytes() == single
 
 
-@pytest.mark.parametrize("stage", ["zero", "scatter"])
 @pytest.mark.parametrize("raiser", ["helper", "caller"])
-def test_an_error_in_either_half_reaches_the_caller_after_the_join(monkeypatch, raiser, stage):
+def test_an_error_in_either_half_reaches_the_caller_after_the_join(monkeypatch, raiser):
     caller = threading.current_thread()
-    threads = record_scatters(monkeypatch)
-    name = "_" + stage
-    original = getattr(johnson, name)
-
-    def failing(*args):
-        original(*args)
-        if (threading.current_thread() is caller) == (raiser == "caller"):
-            raise MemoryError(raiser)
-
-    monkeypatch.setattr(johnson, name, failing)
     force_regime(monkeypatch, "band")
-    with pytest.raises(MemoryError, match=raiser):
-        qw.full_hamiltonian(qw.GraphParams(9, 4), 0.5, 3)
-    helpers = [t for t in threads if t is not caller]
-    # a half whose zeroing failed is never scattered
-    assert len(threads) == (2 if stage == "scatter" else 1)
-    assert len(helpers) == (1 if stage == "scatter" or raiser == "caller" else 0)
-    assert not any(t.is_alive() for t in threading.enumerate() if t.name == "qwsearch-scatter")
+    threads = record_scatters(monkeypatch)
+    for stage in ("zero", "scatter"):
+        threads.clear()
+        name = "_" + stage
+        original = getattr(johnson, name)
+
+        def failing(*args):
+            original(*args)
+            if (threading.current_thread() is caller) == (raiser == "caller"):
+                raise MemoryError(raiser)
+
+        monkeypatch.setattr(johnson, name, failing)
+        with pytest.raises(MemoryError, match=raiser):
+            qw.full_hamiltonian(qw.GraphParams(9, 4), 0.5, 3)
+        monkeypatch.setattr(johnson, name, original)
+        helpers = [t for t in threads if t is not caller]
+        # a half whose zeroing failed is never scattered
+        assert len(threads) == (2 if stage == "scatter" else 1)
+        assert len(helpers) == (1 if stage == "scatter" or raiser == "caller" else 0)
+        assert not any(t.name == "qwsearch-scatter" for t in threading.enumerate())
 
 
-@pytest.mark.parametrize("n,k", [(13, 6), (14, 6)])  # the band and the split
-def test_the_split_paths_keep_the_dense_contracts(monkeypatch, n, k):
-    # 23.6 MB and 72.1 MB are above _ZERO_BYTES, so with two CPUs every
-    # build is split
+def test_the_split_path_keeps_the_dense_contracts(monkeypatch):
+    # J(13,6)'s 23.6 MB (the band) and J(14,6)'s 72.1 MB (the split into
+    # np.zeros) are above _ZERO_BYTES, so with two CPUs every build is split
     monkeypatch.setattr(johnson, "_usable_cpus", lambda: 2)
     caller = threading.current_thread()
     threads = record_scatters(monkeypatch)
-    assert_full_hamiltonian_allocates_one_matrix(n, k)
-    assert_dense_builders_match_the_clique_scatter(n, k, 0.1075, 1500)
-    assert len(threads) == 10 and threads.count(caller) == 5
+    for n, k in ((13, 6), (14, 6)):
+        assert_full_hamiltonian_allocates_one_matrix(n, k)
+        assert_dense_builders_match_the_clique_scatter(n, k, 0.1075, 1500)
+        assert len(threads) == 10 and threads.count(caller) == 5
+        threads.clear()
 
 
 def test_below_the_size_rule_one_thread_scatters(monkeypatch):
